@@ -40,36 +40,44 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-#: Set-up runs per benchmark run (``setup_s`` is their median): at least
-#: the minimum, then more while under the time budget, so cheap set-ups
-#: get enough samples for a steady median.
-SETUP_MIN_REPEATS = 3
-SETUP_MAX_REPEATS = 25
-SETUP_BUDGET_S = 1.0
-#: ``latency_ms`` is the median over slices of this width of the mean
-#: latency in each slice.  Operation times within a run can be bimodal; a
-#: plain median then flips between the modes as their shares shift from
-#: run to run, while a slice mean moves smoothly.  Operations longer than
-#: a slice get one slice each, so for them this is the plain median.
+#: Set-up runs per benchmark run (``setup_s`` is their mean): at least
+#: the minimum, then more while under the time budget.  The budget spans
+#: a few of a shared host's fast and slow phases, which last seconds; like
+#: ``latency_ms`` the mean moves smoothly with their shares where a median
+#: would flip between them.
+SETUP_MIN_REPEATS = 5
+SETUP_MAX_REPEATS = 60
+SETUP_BUDGET_S = 5.0
+#: ``latency_ms`` is the mean over slices of this width of the mean
+#: latency in each slice.  Operation times within a run can be bimodal
+#: (a shared host's CPUs switch between a fast and a slow speed every few
+#: seconds); a median then flips between the modes as their shares shift
+#: from run to run, while a mean moves smoothly.  Slices weigh each
+#: second alike however many operations it held.  Operations longer than
+#: a slice get one slice each, so for them this is the plain mean.
 INTERVAL_S = 1.0
 #: Vertices of the serving graphs (``m = 4n`` edges, as in the ROADMAP
 #: measurements): a miss materializes an n-entry map, the dict boundary
 #: the ROADMAP targets.
 SERVE_N = 10_000
-#: Vertices of the build graph: about 15 builds a second, enough for a
-#: steady median on a shared machine.
+#: Vertices of the build graph: about ten builds a second, so each
+#: one-second slice averages several.
 BUILD_N = 5_000
 #: The distributed sweep's graph is smaller: its makespan is dominated by
 #: worker start-up, and several sweeps must fit in one run.
 SWEEP_N = 2_000
-#: Hot sources of the serve-wire stream; all memoized before timing.
-WIRE_HOT_SOURCES = 32
-#: Sources queried before the serve-miss timing starts (never re-queried).
-MISS_WARMUP = 50
+#: Source skew of the Zipf stream: the default of
+#: ``repro.serve.workloads.zipf_queries``.
+ZIPF_EXPONENT = 1.1
+#: Queries of the serving stream (it wraps around if a run gets further).
+STREAM_QUERIES = 100_000
+#: Stream queries answered before timing starts, so the memo (the
+#: default 256-source LRU) is in its steady state when timing does.
+SERVE_WARMUP = 600
 #: Sampled pairs for the post-run verification of each built product.
 VERIFY_PAIRS = 50
-#: Answers checked against exact BFS after the serve-miss run.
-MISS_CHECKED = 32
+#: Answers checked against exact BFS after the serving run.
+SERVE_CHECKED = 16
 SWEEP_WORKERS = 2
 
 Edges = List[Tuple[int, int]]
@@ -84,6 +92,23 @@ def make_edges(n: int, m: int, rng: random.Random) -> Edges:
         if u != v:
             seen.add((u, v) if u < v else (v, u))
     return sorted(seen)
+
+
+def zipf_stream(n: int, count: int, rng: random.Random) -> Edges:
+    """Zipf-skewed sources (weight ``1 / rank^1.1`` over a shuffled vertex
+    order) with uniform targets: the shape of the package's ``zipf`` query
+    workload, the default of its serving experiments and the mix its
+    serving benchmarks and daemon smoke test send."""
+    by_rank = list(range(n))
+    rng.shuffle(by_rank)
+    weights = [1.0 / (rank + 1) ** ZIPF_EXPONENT for rank in range(n)]
+    pairs = []
+    for u in rng.choices(by_rank, weights=weights, k=count):
+        v = rng.randrange(n)
+        while v == u:
+            v = rng.randrange(n)
+        pairs.append((u, v))
+    return pairs
 
 
 def bfs(graph: Any, source: int) -> List[float]:
@@ -124,6 +149,10 @@ def median(values: List[float]) -> float:
     return statistics.median(values) if values else 0.0
 
 
+def mean(values: List[float]) -> float:
+    return statistics.fmean(values) if values else 0.0
+
+
 def nearest_rank(values: List[float], fraction: float) -> float:
     ordered = sorted(values)
     return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
@@ -148,10 +177,10 @@ class Run:
         self.problems: List[str] = []
         self.window = (0.0, 0.0)
         #: The program span doing the workload's real work, how many of
-        #: them one operation runs, and how many run side by side
-        #: (``op_work_ms``).
+        #: them the timed loop ran (default: one per operation), and how
+        #: many run side by side (``op_work_ms``).
         self.work_span = "build"
-        self.work_per_op = 1
+        self.work_count: Optional[float] = None
         self.parallelism = 1
         self.counts: Dict[str, float] = {}
         self.spans: List[Any] = []
@@ -176,21 +205,24 @@ class Run:
 
     def set_up(self, make: Callable[[], Any],
                close: Optional[Callable[[Any], None]] = None) -> Any:
-        """Run ``make`` repeatedly, timing each set-up; keep the last."""
+        """Run ``make`` repeatedly, timing each set-up; keep the last.
+
+        The previous set-up is released and collected, untimed, before the
+        next one starts, so every set-up starts from the heap a fresh
+        process has.  Otherwise whether a full collection lands inside a
+        set-up alternates from one to the next.
+        """
         kept = None
         while len(self.setup_s) < SETUP_MIN_REPEATS or (
             len(self.setup_s) < SETUP_MAX_REPEATS and sum(self.setup_s) < SETUP_BUDGET_S
         ):
             if kept is not None and close is not None:
                 close(kept)
+            kept = None
+            gc.collect()
             start = time.perf_counter()
             kept = make()
             self.setup_s.append(time.perf_counter() - start)
-        # What set-up built lives for the whole run: move it out of the
-        # collector's reach so full collections during the timed loop scan
-        # only what the operations themselves allocate.
-        gc.collect()
-        gc.freeze()
         if self.trace:
             self.collect_spans()
         return kept
@@ -253,10 +285,14 @@ class Run:
             print(f"{len(ms)} ops: p50 {median(ms):.3f} ms, "
                   f"p90 {nearest_rank(ms, 0.9):.3f} ms, "
                   f"p99 {nearest_rank(ms, 0.99):.3f} ms", file=sys.stderr)
+        # The largest of this process and its waited-for children: the
+        # distributed sweep's builds run in worker processes.
+        peak_kb = max(resource.getrusage(who).ru_maxrss
+                      for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
         return {
-            "latency_ms": (median(self.interval_means()) * 1e3, "ms"),
-            "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
-            "setup_s": (median(self.setup_s), "s"),
+            "latency_ms": (mean(self.interval_means()) * 1e3, "ms"),
+            "peak_rss_mb": (peak_kb / 1024.0, "MB"),
+            "setup_s": (mean(self.setup_s), "s"),
         }
 
     def collect_spans(self) -> None:
@@ -284,9 +320,10 @@ class Run:
         work = [s.duration_s for s in spans
                 if s.name == self.work_span and begin <= s.start_unix <= end]
         # A mean over the recorded spans stays right if the buffer dropped some.
-        work_ms = (statistics.fmean(work) * 1e3 * self.work_per_op / self.parallelism
-                   if work else 0.0)
-        mean_ms = statistics.fmean(self.latencies) * 1e3 if self.latencies else 0.0
+        count = len(self.latencies) if self.work_count is None else self.work_count
+        work_ms = (statistics.fmean(work) * 1e3 * count
+                   / (max(1, len(self.latencies)) * self.parallelism) if work else 0.0)
+        mean_ms = mean(self.latencies) * 1e3
         layers = {
             "import_s": (self.import_s, "s"),
             "graph_ms": (median(self.graph_ms), "ms"),
@@ -307,7 +344,13 @@ class Run:
         for name in ("cache_hits", "cache_misses", "daemon_requests",
                      "dist_leases", "dist_reassignments"):
             layers[name] = (self.counts.get(name, 0), "count")
+        layers["cache_hit_rate"] = (self.hit_rate(), "%")
         return layers
+
+    def hit_rate(self) -> float:
+        """Memo hits as a share of the timed loop's queries, in percent."""
+        lookups = self.counts.get("cache_hits", 0) + self.counts.get("cache_misses", 0)
+        return 100.0 * self.counts.get("cache_hits", 0) / lookups if lookups else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -337,66 +380,13 @@ def run_build(run: Run) -> None:
     run.verify(reference, graph)
 
 
-def run_serve_miss(run: Run) -> None:
-    """In-process queries whose sources are all distinct: every one misses."""
-    from repro.serve import ServeSpec, load
-
-    n = SERVE_N
-    edges = make_edges(n, 4 * n, run.rng)
-    sources = list(range(n))
-    run.rng.shuffle(sources)
-    targets = [(s + 1 + run.rng.randrange(n - 1)) % n for s in sources]
-
-    def make() -> Tuple[Any, Any]:
-        graph = run.load_graph(n, edges)
-        return graph, load(graph, ServeSpec())
-
-    graph, engine = run.set_up(make, close=lambda pair: pair[1].close())
-    try:
-        for i in range(MISS_WARMUP):
-            engine.query(sources[i], targets[i])
-        before = engine.stats()
-        answers: List[Tuple[int, int, float]] = []
-
-        def op(i: int) -> None:
-            j = MISS_WARMUP + i % (n - MISS_WARMUP)
-            answers.append((sources[j], targets[j], engine.query(sources[j], targets[j])))
-
-        run.work_span = "serve.single_source"
-        run.measure(op)
-        delta = engine.stats_delta(before)
-        run.counts["cache_hits"] = delta["cache_hits"]
-        run.counts["cache_misses"] = delta["cache_misses"]
-        run.check(delta["cache_misses"] == len(answers),
-                  f"{delta['cache_misses']} misses for {len(answers)} distinct-source queries")
-        alpha, beta = engine.alpha, engine.beta
-        step = max(1, len(answers) // MISS_CHECKED)
-        for u, v, answer in answers[::step]:
-            if not within_guarantee(bfs(graph, u)[v], answer, alpha, beta):
-                run.failed += 1
-                run.check(False, f"answer {answer} for ({u}, {v}) breaks the guarantee")
-        run.verify(engine.oracle.result, graph)
-    finally:
-        engine.close()
-
-
-def run_serve_wire(run: Run) -> None:
-    """Queries over HTTP to a local daemon, all on memoized hot sources."""
+def run_serve_zipf(run: Run) -> None:
+    """Zipf-skewed queries over HTTP to a local daemon with the default memo."""
     from repro.serve import OracleDaemon, RemoteOracle, ServeSpec
 
-    # Client and daemon threads share one CPU, so a round trip is two
-    # same-CPU thread switches instead of cross-CPU wake-ups, whose cost on
-    # a virtual machine depends on the host more than on the wire stack.
-    # Set before the daemon starts: new threads inherit the mask.
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     n = SERVE_N
     edges = make_edges(n, 4 * n, run.rng)
-    hot = run.rng.sample(range(n), WIRE_HOT_SOURCES)
-    stream = []
-    for _ in range(50_000):
-        u = hot[run.rng.randrange(WIRE_HOT_SOURCES)]
-        stream.append((u, (u + 1 + run.rng.randrange(n - 1)) % n))
+    stream = zipf_stream(n, STREAM_QUERIES, run.rng)
 
     def make() -> Tuple[Any, Any, Any]:
         graph = run.load_graph(n, edges)
@@ -408,8 +398,6 @@ def run_serve_wire(run: Run) -> None:
         except BaseException:
             daemon.close()
             raise
-        for u in hot:
-            client.query(u, (u + 1) % n)
         return graph, daemon, client
 
     def close(served: Tuple[Any, Any, Any]) -> None:
@@ -418,27 +406,34 @@ def run_serve_wire(run: Run) -> None:
 
     graph, daemon, client = run.set_up(make, close)
     try:
-        for u, v in stream[:500]:
+        engine = daemon.engine_for(None)
+        for u, v in stream[:SERVE_WARMUP]:
             client.query(u, v)
-        before = daemon.stats()["oracles"]["default"]
-        requests_before = daemon.requests
+
+        def counters() -> Dict[str, Any]:
+            stats = daemon.stats()["oracles"]["default"]
+            return {"cache_hits": stats["cache_hits"], "cache_misses": stats["cache_misses"],
+                    "daemon_requests": daemon.requests}
+
+        before = counters()
         answers: List[Tuple[int, int, float]] = []
 
         def op(i: int) -> None:
-            u, v = stream[i % len(stream)]
+            u, v = stream[(SERVE_WARMUP + i) % len(stream)]
             answers.append((u, v, client.query(u, v)))
 
         run.work_span = "daemon.request"
         run.measure(op)
-        after = daemon.stats()["oracles"]["default"]
-        run.counts["cache_hits"] = after["cache_hits"] - before["cache_hits"]
-        run.counts["cache_misses"] = after["cache_misses"] - before["cache_misses"]
-        run.counts["daemon_requests"] = daemon.requests - requests_before
-        run.check(run.counts["cache_misses"] == 0, "a hot-source query missed the memo")
-        engine = daemon.engine_for(None)
-        exact = {u: bfs(graph, u) for u in hot}
-        for u, v, answer in answers:
-            if not within_guarantee(exact[u][v], answer, engine.alpha, engine.beta):
+        for name, value in counters().items():
+            run.counts[name] = value - before[name]
+        run.work_count = run.counts["daemon_requests"]
+        lookups = run.counts["cache_hits"] + run.counts["cache_misses"]
+        run.check(lookups == len(answers),
+                  f"{lookups} memo hits and misses for {len(answers)} queries")
+        print(f"memo hit rate {run.hit_rate():.1f}%", file=sys.stderr)
+        step = max(1, len(answers) // SERVE_CHECKED)
+        for u, v, answer in answers[::step]:
+            if not within_guarantee(bfs(graph, u)[v], answer, engine.alpha, engine.beta):
                 run.failed += 1
                 run.check(False, f"answer {answer} for ({u}, {v}) breaks the guarantee")
         run.verify(engine.oracle.result, graph)
@@ -469,9 +464,9 @@ def run_sweep_dist(run: Run) -> None:
         run.check(ok, "distributed sweep records differ from the serial sweep")
         return ok
 
-    run.work_per_op = len(expected)
     run.parallelism = SWEEP_WORKERS
     run.measure(lambda _i: run_sweep({"g": graph}, sweep, dist=dist), after)
+    run.work_count = len(expected) * len(run.latencies)
     if run.trace:
         from repro.obs import metrics_snapshot
 
@@ -485,8 +480,7 @@ def run_sweep_dist(run: Run) -> None:
 
 WORKLOADS: Dict[str, Callable[[Run], None]] = {
     "build": run_build,
-    "serve-miss": run_serve_miss,
-    "serve-wire": run_serve_wire,
+    "serve-zipf": run_serve_zipf,
     "sweep-dist": run_sweep_dist,
 }
 
