@@ -43,12 +43,12 @@ def test_bench_daemon_wire_queries(benchmark, served):
     """Time 200 single-query HTTP round trips on one keep-alive connection."""
     graph, daemon = served
     queries = generate_queries(graph, "zipf", 200, seed=0)
-    remote = RemoteOracle(daemon.url)
+    with RemoteOracle(daemon.url) as remote:
 
-    def run():
-        return [remote.query(u, v) for u, v in queries]
+        def run():
+            return [remote.query(u, v) for u, v in queries]
 
-    answers = benchmark(run)
+        answers = benchmark(run)
     assert len(answers) == len(queries)
 
 
@@ -56,10 +56,10 @@ def test_bench_daemon_wire_batch(benchmark, served):
     """Time the same 200 queries through one batched round trip."""
     graph, daemon = served
     queries = generate_queries(graph, "zipf", 200, seed=0)
-    remote = RemoteOracle(daemon.url)
+    with RemoteOracle(daemon.url) as remote:
 
-    def run():
-        return remote.query_batch(queries)
+        def run():
+            return remote.query_batch(queries)
 
-    answers = benchmark(run)
+        answers = benchmark(run)
     assert len(answers) == len(queries)

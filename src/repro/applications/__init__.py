@@ -6,10 +6,10 @@ oracles, almost-shortest-path computation in streaming / distributed /
 dynamic settings).  This package contains reference implementations of the
 two most direct applications:
 
-* :class:`repro.applications.distance_oracle.EmulatorDistanceOracle` — the
-  deprecated shim over the serving layer (:mod:`repro.serve`), which now owns
-  the preprocess-once / query-many approximate distance oracles (space is the
-  emulator size, ``n + o(n)`` words in the ultra-sparse regime).
+* Preprocess-once / query-many approximate distance oracles live in the
+  serving layer: ``repro.serve.load(graph, ServeSpec.ultra_sparse(n))``
+  (space is the emulator size, ``n + o(n)`` words in the ultra-sparse
+  regime).
 * :func:`repro.applications.almost_shortest_paths.almost_shortest_path_lengths`
   — single-source almost-shortest path lengths computed on the emulator
   instead of the (denser) input graph.
@@ -22,7 +22,6 @@ two most direct applications:
   live serving engine (:class:`repro.serve.live.LiveEngine`).
 """
 
-from repro.applications.distance_oracle import EmulatorDistanceOracle
 from repro.applications.almost_shortest_paths import (
     almost_shortest_path_lengths,
     all_sources_almost_shortest_paths,
@@ -38,7 +37,6 @@ from repro.applications.dynamic import DecrementalEmulatorOracle, DecrementalSta
 from repro.applications.path_reporting import PathReportingOracle
 
 __all__ = [
-    "EmulatorDistanceOracle",
     "PathReportingOracle",
     "almost_shortest_path_lengths",
     "all_sources_almost_shortest_paths",

@@ -683,12 +683,12 @@ def _command_query(args: argparse.Namespace) -> int:
     queries = _parse_queries(args.queries)
     if args.url:
         # No local build: every answer is a round trip to the daemon.
-        engine = RemoteOracle(args.url, oracle=args.oracle_name)
-        print(f"serving oracle {engine.oracle_name!r} at {engine.url}: "
-              f"{engine.space_in_edges} stored edges "
-              f"(alpha {engine.alpha:.3f}, beta {engine.beta:.1f})")
-        for u, v in queries:
-            print(f"d({u}, {v}) <= {engine.query(u, v)}")
+        with RemoteOracle(args.url, oracle=args.oracle_name) as engine:
+            print(f"serving oracle {engine.oracle_name!r} at {engine.url}: "
+                  f"{engine.space_in_edges} stored edges "
+                  f"(alpha {engine.alpha:.3f}, beta {engine.beta:.1f})")
+            for u, v in queries:
+                print(f"d({u}, {v}) <= {engine.query(u, v)}")
         stats = engine.stats()
         print(f"remote: {stats['requests']} request(s), "
               f"{stats['retried_requests']} retried, "
@@ -805,12 +805,12 @@ def _command_serve_daemon(args: argparse.Namespace) -> int:
 def _command_mutate(args: argparse.Namespace) -> int:
     inserts = _parse_queries(args.insert)
     deletes = _parse_queries(args.delete)
-    engine = RemoteOracle(args.url, oracle=args.oracle_name)
-    if not engine.is_live:
-        print(f"error: oracle {engine.oracle_name!r} at {engine.url} is not live",
-              file=sys.stderr)
-        return 2
-    receipt = engine.mutate(inserts=inserts, deletes=deletes, wait=args.wait)
+    with RemoteOracle(args.url, oracle=args.oracle_name) as engine:
+        if not engine.is_live:
+            print(f"error: oracle {engine.oracle_name!r} at {engine.url} is not live",
+                  file=sys.stderr)
+            return 2
+        receipt = engine.mutate(inserts=inserts, deletes=deletes, wait=args.wait)
     print(f"oracle {engine.oracle_name!r}: applied {receipt['applied']} "
           f"mutation(s), skipped {receipt['skipped']} no-op(s)")
     print(f"version {receipt['version']} (watermark {receipt['watermark']}, "

@@ -133,7 +133,8 @@ class DistWorker:
                     payload = response.read()
                 return payload if raw else json.loads(payload.decode("utf-8"))
             except urllib.error.HTTPError as error:
-                error.read()
+                with error:  # drain and release the connection
+                    error.read()
                 if error.code == 503:
                     retry_after = error.headers.get("Retry-After")
                     try:

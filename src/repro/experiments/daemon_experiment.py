@@ -14,7 +14,7 @@ answered twice on one graph —
 
 The table shows the wire tax per query (p50/p95/p99) and how client
 concurrency buys the throughput back: the daemon's threaded server
-overlaps round trips, and its admission coalescing means concurrent
+overlaps round trips, and the engine's miss coalescing means concurrent
 clients hitting the same hot sources share one backend computation.
 """
 

@@ -73,6 +73,7 @@ are lookup-only.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from heapq import heappop, heappush
 from math import floor, isinf, isnan
@@ -507,7 +508,7 @@ def _levels_to_dicts(levels, k: int, as_float: bool):
 # Epoch-stamped workspace
 # ----------------------------------------------------------------------
 class _Workspace:
-    """Preallocated per-snapshot buffers shared by every kernel call.
+    """Preallocated per-snapshot, per-thread buffers reused by kernel calls.
 
     ``stamp[v] == epoch`` means "visited in the current call"; bumping
     ``epoch`` invalidates every entry at once.  The scalar and vectorized
@@ -542,9 +543,18 @@ class _Workspace:
 
 
 def _workspace(csr: CSRGraph) -> _Workspace:
-    ws = csr._workspace
+    """The calling thread's workspace for ``csr``.
+
+    One per thread: concurrent kernel calls on one snapshot (a serving
+    engine computing misses for different sources) must not share the
+    stamp and distance buffers.
+    """
+    local = csr._workspace
+    if local is None:
+        local = csr._workspace = threading.local()
+    ws = getattr(local, "ws", None)
     if ws is None or ws.n != csr.num_vertices:
-        ws = csr._workspace = _Workspace(csr.num_vertices)
+        ws = local.ws = _Workspace(csr.num_vertices)
     return ws
 
 

@@ -26,7 +26,9 @@ Pieces
     ``query_batch`` / ``single_source`` / ``stats`` + ``alpha`` / ``beta``.
 :class:`QueryEngine`
     Bounded per-source LRU memoization, source-grouped batches, and a
-    multi-worker mode sharding batches across a process pool.
+    multi-worker mode sharding batches across a process pool.  The engine
+    is thread-safe and coalesces concurrent misses for the same source
+    onto one backend computation.
 :func:`load`
     The entry point: ``ServeSpec`` -> preprocessed, query-ready engine.
 :func:`generate_queries` + :func:`run_load_test` / :class:`ServeReport`
@@ -36,8 +38,8 @@ Pieces
 :class:`OracleDaemon` / :class:`RemoteOracle` / :func:`run_wire_sweep`
     The client/server half (:mod:`repro.serve.daemon`,
     :mod:`repro.serve.remote`, :mod:`repro.serve.wire`): a persistent
-    HTTP daemon serving named oracles with admission coalescing and
-    profile-driven warm-up, the ``remote`` proxy backend that shares one
+    HTTP daemon serving named oracles straight from their (coalescing)
+    engines with profile-driven warm-up, the ``remote`` proxy backend that shares one
     daemon-built oracle across processes, and the wire-level
     client-concurrency load sweep::
 
@@ -91,7 +93,6 @@ from repro.serve.workloads import (
 )
 from repro.serve.harness import ServeReport, nearest_rank_percentile, run_load_test
 from repro.serve.daemon import (
-    CoalescingEngine,
     DaemonConfig,
     OracleConfig,
     OracleDaemon,
@@ -137,7 +138,6 @@ __all__ = [
     "ServeReport",
     "nearest_rank_percentile",
     "run_load_test",
-    "CoalescingEngine",
     "DaemonConfig",
     "OracleConfig",
     "OracleDaemon",

@@ -26,8 +26,8 @@ as ``null`` and are restored to ``float("inf")`` client-side):
     their ``/query*`` responses additionally carry ``version`` /
     ``staleness`` / ``guaranteed`` tags (see :mod:`repro.serve.live`).
 ``GET /stats``
-    Daemon counters (requests, coalesced queries, latency histogram) plus
-    every engine's hit/miss/eviction counters and per-oracle
+    Daemon counters (requests, latency histogram) plus every engine's
+    hit/miss/eviction/coalescing counters and per-oracle
     ``space_in_edges``.
 ``GET /healthz``
     Liveness plus per-oracle metadata (``alpha`` / ``beta`` /
@@ -35,13 +35,16 @@ as ``null`` and are restored to ``float("inf")`` client-side):
     :class:`~repro.serve.remote.RemoteOracle` client reads once.
 
 Concurrency model: :class:`~http.server.ThreadingHTTPServer` gives one
-thread per connection; every named oracle is wrapped in a
-:class:`CoalescingEngine`, which makes the bounded-LRU
-:class:`~repro.serve.engine.QueryEngine` thread-safe *and* coalesces
-admissions — concurrent queries for the same source group wait on the one
+thread per connection, and every named oracle is served by its engine
+directly — :class:`~repro.serve.engine.QueryEngine` (or the
+:class:`~repro.serve.live.LiveEngine` built on it) is thread-safe and
+coalesces misses: concurrent queries for the same source wait on the one
 in-flight backend computation instead of queueing duplicate work, and the
 expensive oracle call runs outside the memo lock so other sources keep
-answering meanwhile.
+answering meanwhile.  Each request runs inside a
+:func:`~repro.serve.engine.deadline_scope`, so the engine fails it fast
+with :class:`~repro.serve.engine.DeadlineExceeded` (a ``504``) once its
+budget is spent.
 
 Warm-up: a saved :class:`~repro.serve.workloads.WorkloadProfile` preloads
 the hottest sources into each engine's memo at startup
@@ -55,10 +58,9 @@ import json
 import socket
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.faults import fault_point
 from repro.graphs.graph import Graph
@@ -73,66 +75,22 @@ from repro.obs import (
     set_gauge,
     span,
 )
-from repro.serve.engine import QueryEngine
+from repro.serve.engine import DeadlineExceeded, QueryEngine, deadline_scope
+from repro.serve.live import GraphMutation, LiveEngine
 from repro.serve.service import load as serve_load
 from repro.serve.spec import ServeSpec
 from repro.serve.workloads import WorkloadProfile
 
 __all__ = [
-    "CoalescingEngine",
     "DaemonConfig",
-    "DeadlineExceeded",
     "LATENCY_BUCKETS_MS",
     "OracleConfig",
     "OracleDaemon",
-    "check_deadline",
-    "deadline_scope",
     "from_wire",
-    "remaining_time",
     "to_wire",
 ]
 
 _INF = float("inf")
-
-
-# ----------------------------------------------------------------------
-# Per-request deadlines
-# ----------------------------------------------------------------------
-class DeadlineExceeded(RuntimeError):
-    """A request overran its deadline (server default or client-supplied)."""
-
-
-_DEADLINE = threading.local()
-
-
-@contextmanager
-def deadline_scope(seconds: Optional[float]) -> Iterator[None]:
-    """Bound the calling thread's work to ``seconds`` (``None`` = unbounded).
-
-    The scope is thread-local: the daemon wraps each request handler in
-    one, and the engine's wait/loop points call :func:`check_deadline` /
-    :func:`remaining_time` so a request past its budget fails fast with
-    :class:`DeadlineExceeded` instead of holding a handler thread.
-    """
-    previous = getattr(_DEADLINE, "at", None)
-    _DEADLINE.at = None if seconds is None else time.monotonic() + seconds
-    try:
-        yield
-    finally:
-        _DEADLINE.at = previous
-
-
-def remaining_time() -> Optional[float]:
-    """Seconds left in the calling thread's deadline scope (``None`` = unbounded)."""
-    at = getattr(_DEADLINE, "at", None)
-    return None if at is None else at - time.monotonic()
-
-
-def check_deadline() -> None:
-    """Raise :class:`DeadlineExceeded` if the thread's deadline has passed."""
-    remaining = remaining_time()
-    if remaining is not None and remaining <= 0:
-        raise DeadlineExceeded("request deadline exceeded")
 
 
 def to_wire(value: float) -> Optional[float]:
@@ -143,198 +101,6 @@ def to_wire(value: float) -> Optional[float]:
 def from_wire(value: Optional[float]) -> float:
     """Restore a wire distance: ``null``/``None`` means unreachable (``inf``)."""
     return _INF if value is None else float(value)
-
-
-class _InFlight:
-    """One in-flight single-source computation other threads can wait on."""
-
-    __slots__ = ("done", "result", "error")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.result: Optional[Dict[int, float]] = None
-        self.error: Optional[BaseException] = None
-
-
-class CoalescingEngine:
-    """A thread-safe :class:`DistanceOracle` facade with admission coalescing.
-
-    Wraps a :class:`~repro.serve.engine.QueryEngine` for concurrent use:
-
-    * all memo reads/writes go through the engine's admission interface
-      (:meth:`~QueryEngine.lookup` / :meth:`~QueryEngine.admit`) under one
-      lock, so counters and the LRU order never race;
-    * a memo miss elects exactly one *leader* per source: the leader runs
-      the backend's ``single_source`` **outside** the lock while every
-      concurrent query for the same source waits on the shared
-      :class:`_InFlight` record instead of duplicating the computation
-      (``coalesced_queries`` counts the waiters served this way);
-    * queries for other sources proceed meanwhile — only the memo
-      bookkeeping is serialized, never the oracle work.
-
-    The facade satisfies the full ``DistanceOracle`` protocol, so the load
-    harness and everything else written against the protocol can take it
-    directly.
-    """
-
-    def __init__(self, engine: QueryEngine) -> None:
-        self._engine = engine
-        self._oracle = engine.oracle
-        self._lock = threading.Lock()
-        self._inflight: Dict[int, _InFlight] = {}
-        self.coalesced_queries = 0
-
-    # ------------------------------------------------------------------
-    # Protocol passthrough
-    # ------------------------------------------------------------------
-    @property
-    def engine(self) -> QueryEngine:
-        """The wrapped (single-threaded) engine."""
-        return self._engine
-
-    @property
-    def oracle(self):
-        """The backend answering cache misses."""
-        return self._oracle
-
-    @property
-    def alpha(self) -> float:
-        return self._engine.alpha
-
-    @property
-    def beta(self) -> float:
-        return self._engine.beta
-
-    @property
-    def num_vertices(self) -> int:
-        return self._engine.num_vertices
-
-    @property
-    def space_in_edges(self) -> int:
-        return self._engine.space_in_edges
-
-    @property
-    def workers(self) -> int:
-        return self._engine.workers
-
-    def stats(self) -> Dict[str, Any]:
-        """Engine statistics plus the coalescing counter."""
-        with self._lock:
-            stats = self._engine.stats()
-            stats["coalesced_queries"] = self.coalesced_queries
-            stats["inflight_sources"] = len(self._inflight)
-            return stats
-
-    def stats_delta(self, since: Mapping[str, Any]) -> Dict[str, Any]:
-        """:meth:`stats` with counters delta'd against a snapshot (see engine)."""
-        stats = self.stats()
-        for key in QueryEngine.COUNTER_KEYS + ("coalesced_queries",):
-            if key in stats:
-                stats[key] -= since.get(key, 0)
-        return stats
-
-    def prewarm(self, sources: Iterable[int], *, limit: Optional[int] = None) -> int:
-        """Thread-safe :meth:`QueryEngine.prewarm` passthrough."""
-        with self._lock:
-            return self._engine.prewarm(sources, limit=limit)
-
-    def close(self) -> None:
-        """Release the wrapped engine's resources."""
-        self._engine.close()
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def query(self, u: int, v: int) -> float:
-        """Approximate distance between ``u`` and ``v`` (``inf`` if disconnected)."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        with self._lock:
-            self._engine.record_queries(1)
-        if u == v:
-            return 0.0
-        return self._distances_from(u).get(v, _INF)
-
-    def query_batch(self, pairs: Iterable[Tuple[int, int]]) -> List[float]:
-        """Approximate distances for many pairs, one admission per distinct source."""
-        pairs = list(pairs)
-        for u, v in pairs:
-            self._check_vertex(u)
-            self._check_vertex(v)
-        with self._lock:
-            self._engine.record_queries(len(pairs))
-        # One coalescable admission per distinct source; the map is held
-        # locally for the batch so mid-batch evictions by concurrent
-        # traffic cannot force recomputation.
-        maps: Dict[int, Dict[int, float]] = {}
-        answers: List[float] = []
-        for u, v in pairs:
-            if u == v:
-                answers.append(0.0)
-                continue
-            dist = maps.get(u)
-            if dist is None:
-                check_deadline()
-                dist = self._distances_from(u)
-                maps[u] = dist
-            answers.append(dist.get(v, _INF))
-        return answers
-
-    def single_source(self, source: int) -> Dict[int, float]:
-        """All approximate distances from ``source`` (a copy, caller-owned)."""
-        self._check_vertex(source)
-        return dict(self._distances_from(source))
-
-    # ------------------------------------------------------------------
-    # Internal
-    # ------------------------------------------------------------------
-    def _distances_from(self, source: int) -> Dict[int, float]:
-        check_deadline()
-        with self._lock:
-            cached = self._engine.lookup(source)
-            if cached is not None:
-                return cached
-            waiter = self._inflight.get(source)
-            if waiter is not None:
-                # Another thread is already computing this source: join it.
-                self.coalesced_queries += 1
-                is_leader = False
-            else:
-                waiter = self._inflight[source] = _InFlight()
-                is_leader = True
-        if not is_leader:
-            # A follower with a deadline waits only as long as its budget
-            # allows — a wedged leader must not pile up handler threads.
-            if not waiter.done.wait(remaining_time()):
-                raise DeadlineExceeded(
-                    f"deadline expired waiting on in-flight source {source}"
-                )
-            if waiter.error is not None:
-                raise waiter.error
-            assert waiter.result is not None
-            return waiter.result
-        # Leader: the expensive backend call runs outside the lock, so
-        # queries for other sources are answered meanwhile.
-        try:
-            fault_point("serve.single_source", source=source)
-            with span("serve.single_source", source=source):
-                dist = self._oracle.single_source(source)
-        except BaseException as error:
-            waiter.error = error
-            with self._lock:
-                self._inflight.pop(source, None)
-            waiter.done.set()
-            raise
-        with self._lock:
-            self._engine.admit(source, dist)
-            self._inflight.pop(source, None)
-        waiter.result = dist
-        waiter.done.set()
-        return dist
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self._engine.num_vertices):
-            raise ValueError(f"vertex {v} out of range [0, {self._engine.num_vertices})")
 
 
 # ----------------------------------------------------------------------
@@ -454,21 +220,17 @@ class DaemonConfig:
 class _OracleEntry:
     """One served oracle: the serving engine plus startup bookkeeping.
 
-    ``engine`` is a :class:`CoalescingEngine` for frozen-graph oracles and
-    a :class:`~repro.serve.live.LiveEngine` (which coalesces internally,
-    per generation) for live ones; both are thread-safe and satisfy the
-    ``DistanceOracle`` protocol.
+    ``engine`` is a :class:`~repro.serve.engine.QueryEngine` for
+    frozen-graph oracles and a :class:`~repro.serve.live.LiveEngine` for
+    live ones (``live`` records which, once, at :meth:`OracleDaemon.add_oracle`);
+    both are thread-safe and satisfy the ``DistanceOracle`` protocol.
     """
 
     name: str
-    engine: Any
+    engine: Union[QueryEngine, LiveEngine]
     description: str
+    live: bool
     warmed_sources: int = 0
-
-    @property
-    def live(self) -> bool:
-        """Whether this oracle accepts ``POST /mutate``."""
-        return hasattr(self.engine, "apply")
 
 
 class OracleDaemon:
@@ -552,10 +314,8 @@ class OracleDaemon:
         ``warmup_sources`` sources into the memo before serving.
 
         A spec with ``live=True`` (or a pre-built
-        :class:`~repro.serve.live.LiveEngine`) is served directly — the
-        live engine coalesces per generation, so wrapping it again would
-        pin queries to a stale generation.  Everything else is wrapped in
-        a :class:`CoalescingEngine`.
+        :class:`~repro.serve.live.LiveEngine`) is served as a live oracle:
+        it accepts ``POST /mutate`` and its answers carry version tags.
         """
         if not name or not isinstance(name, str):
             raise ValueError(f"oracle name must be a non-empty string, got {name!r}")
@@ -564,31 +324,22 @@ class OracleDaemon:
         if engine is None:
             if graph is None:
                 raise ValueError("add_oracle needs a graph (or a pre-built engine=)")
-            resolved = spec or ServeSpec()
-            if resolved.live:
-                from repro.serve.live import LiveEngine
-
-                engine = LiveEngine(graph, resolved, coalesce=True)
-            else:
-                engine = serve_load(graph, resolved)
-        if hasattr(engine, "apply") and hasattr(engine, "query_tagged"):
-            coalescing = engine  # a LiveEngine: already thread-safe
-        else:
-            coalescing = CoalescingEngine(engine)
+            engine = serve_load(graph, spec or ServeSpec())
         warmed = 0
         if warmup_profile is not None:
-            warmed = coalescing.prewarm(
+            warmed = engine.prewarm(
                 warmup_profile.top_sources(warmup_sources), limit=warmup_sources
             )
         description = spec.describe() if spec is not None else getattr(
             engine.oracle, "name", engine.oracle.__class__.__name__
         )
         self._entries[name] = _OracleEntry(
-            name=name, engine=coalescing, description=description, warmed_sources=warmed
+            name=name, engine=engine, description=description,
+            live=isinstance(engine, LiveEngine), warmed_sources=warmed,
         )
         if self._default_name is None:
             self._default_name = name
-        return coalescing
+        return engine
 
     @classmethod
     def from_config(cls, config: DaemonConfig, *, host: str = "127.0.0.1",
@@ -644,14 +395,17 @@ class OracleDaemon:
     def default_oracle_name(self) -> Optional[str]:
         return self._default_name
 
-    def engine_for(self, name: Optional[str]) -> Any:
+    def engine_for(self, name: Optional[str]) -> Union[QueryEngine, LiveEngine]:
         """The serving engine for ``name`` (``None`` = the default)."""
+        return self._entry_for(name).engine
+
+    def _entry_for(self, name: Optional[str]) -> _OracleEntry:
         if name is None:
             name = self._default_name
         if name is None or name not in self._entries:
             served = ", ".join(sorted(self._entries)) or "none"
             raise KeyError(f"no oracle named {name!r} is served; served oracles: {served}")
-        return self._entries[name].engine
+        return self._entries[name]
 
     def healthz(self) -> Dict[str, Any]:
         """The ``GET /healthz`` payload (liveness + health state + metadata).
@@ -669,8 +423,7 @@ class OracleDaemon:
         saturated = (self._max_inflight is not None
                      and inflight >= self._max_inflight)
         degraded = saturated or any(
-            getattr(entry.engine, "degraded", False)
-            for entry in self._entries.values()
+            entry.live and entry.engine.degraded for entry in self._entries.values()
         )
         status = "draining" if draining else ("degraded" if degraded else "healthy")
         return {
@@ -704,7 +457,7 @@ class OracleDaemon:
             version = entry.engine.version
             info["version"] = version.version
             info["staleness"] = entry.engine.staleness
-            info["degraded"] = bool(getattr(entry.engine, "degraded", False))
+            info["degraded"] = entry.engine.degraded
         return info
 
     def stats(self) -> Dict[str, Any]:
@@ -1093,10 +846,10 @@ class _DaemonHandler(BaseHTTPRequestHandler):
                     body = self._read_json_body()
                     oracle = body.get("oracle") or self.daemon.default_oracle_name or ""
                     request_span.set(oracle=oracle)
-                    engine = self.daemon.engine_for(body.get("oracle"))
+                    entry = self.daemon._entry_for(body.get("oracle"))
                     deadline = self.daemon._effective_deadline(body.get("deadline_ms"))
                     with deadline_scope(deadline):
-                        code, payload = handler(engine, body)
+                        code, payload = handler(entry, body)
                 except DeadlineExceeded as error:
                     self.daemon._record_deadline_exceeded(self.path)
                     retry_after = self.daemon.retry_after_seconds
@@ -1121,53 +874,41 @@ class _DaemonHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _tag(payload: Dict[str, Any], answer: Any) -> Dict[str, Any]:
-        """Add a live answer's version/staleness/guarantee tags to a payload."""
-        payload["version"] = answer.version
-        payload["staleness"] = answer.staleness
-        payload["guaranteed"] = answer.guaranteed
-        return payload
+    def _ask(entry: _OracleEntry, method: str, *args: Any) -> Tuple[Any, Dict[str, Any]]:
+        """Call ``method`` on the entry's engine -> ``(value, tags)``.
 
-    def _handle_query(self, engine: Any,
+        A live oracle answers through the ``*_tagged`` variant, and its
+        version/staleness/guarantee tags ride along in the payload.
+        """
+        if not entry.live:
+            return getattr(entry.engine, method)(*args), {}
+        answer = getattr(entry.engine, f"{method}_tagged")(*args)
+        return answer.value, {"version": answer.version,
+                              "staleness": answer.staleness,
+                              "guaranteed": answer.guaranteed}
+
+    def _handle_query(self, entry: _OracleEntry,
                       body: Mapping[str, Any]) -> Tuple[int, Dict[str, Any]]:
         u = _require_vertex(body, "u")
         v = _require_vertex(body, "v")
-        if hasattr(engine, "query_tagged"):
-            answer = engine.query_tagged(u, v)
-            return 200, self._tag({"u": u, "v": v, "answer": to_wire(answer.value)},
-                                  answer)
-        return 200, {"u": u, "v": v, "answer": to_wire(engine.query(u, v))}
+        value, tags = self._ask(entry, "query", u, v)
+        return 200, {"u": u, "v": v, "answer": to_wire(value), **tags}
 
-    def _handle_query_batch(self, engine: Any,
+    def _handle_query_batch(self, entry: _OracleEntry,
                             body: Mapping[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        pairs = _require_pairs_field(body)
-        if hasattr(engine, "query_batch_tagged"):
-            answer = engine.query_batch_tagged(pairs)
-            return 200, self._tag(
-                {"answers": [to_wire(value) for value in answer.value]}, answer
-            )
-        answers = engine.query_batch(pairs)
-        return 200, {"answers": [to_wire(answer) for answer in answers]}
+        values, tags = self._ask(entry, "query_batch", _require_pairs_field(body))
+        return 200, {"answers": [to_wire(value) for value in values], **tags}
 
-    def _handle_single_source(self, engine: Any,
+    def _handle_single_source(self, entry: _OracleEntry,
                               body: Mapping[str, Any]) -> Tuple[int, Dict[str, Any]]:
         source = _require_vertex(body, "source")
-        if hasattr(engine, "single_source_tagged"):
-            answer = engine.single_source_tagged(source)
-            return 200, self._tag(
-                {"source": source,
-                 "distances": {str(v): d for v, d in answer.value.items()}},
-                answer,
-            )
-        distances = engine.single_source(source)
-        return 200, {
-            "source": source,
-            "distances": {str(v): d for v, d in distances.items()},
-        }
+        distances, tags = self._ask(entry, "single_source", source)
+        return 200, {"source": source,
+                     "distances": {str(v): d for v, d in distances.items()}, **tags}
 
-    def _handle_mutate(self, engine: Any,
+    def _handle_mutate(self, entry: _OracleEntry,
                        body: Mapping[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        if not hasattr(engine, "apply"):
+        if not entry.live:
             raise ValueError(
                 "oracle is not live and accepts no mutations; serve it with "
                 "a live spec (ServeSpec(live=True) / `repro serve-daemon --live`)"
@@ -1183,8 +924,7 @@ class _DaemonHandler(BaseHTTPRequestHandler):
         wait = body.get("wait", False)
         if not isinstance(wait, bool):
             raise ValueError(f"field 'wait' must be a boolean, got {wait!r}")
-        from repro.serve.live import GraphMutation
-
+        engine = entry.engine
         receipt = engine.apply(
             GraphMutation(inserts=tuple(inserts), deletes=tuple(deletes))
         )

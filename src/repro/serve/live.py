@@ -74,7 +74,6 @@ from typing import (
 from repro.faults import fault_point
 from repro.graphs.graph import Graph
 from repro.obs import inc, set_gauge, span
-from repro.serve.daemon import CoalescingEngine
 from repro.serve.engine import QueryEngine
 from repro.serve.oracles import OracleBackend
 from repro.serve.spec import ServeSpec
@@ -343,14 +342,13 @@ _UNCOMPUTED = object()
 class _Generation:
     """One installed oracle generation (engine + repair/support context)."""
 
-    __slots__ = ("version", "engine", "target", "graph", "raw", "emulator",
+    __slots__ = ("version", "engine", "graph", "raw", "emulator",
                  "spanner", "base_alpha", "base_beta", "build_seconds", "_support")
 
-    def __init__(self, engine: QueryEngine, target: Any, graph: Graph,
+    def __init__(self, engine: QueryEngine, graph: Graph,
                  build_seconds: float) -> None:
         self.version: Optional[OracleVersion] = None
         self.engine = engine
-        self.target = target          # the engine, optionally behind coalescing
         self.graph = graph            # snapshot the backend was built on
         self.build_seconds = build_seconds
         oracle = engine.oracle
@@ -413,11 +411,6 @@ class LiveEngine:
         fast path) and ``live_sync`` (rebuild inline inside
         :meth:`apply` instead of on the background thread — the
         deterministic mode the deprecated decremental shim runs in).
-    coalesce:
-        Wrap every generation's engine in a
-        :class:`~repro.serve.daemon.CoalescingEngine` so concurrent
-        queries are thread-safe and per-source admissions coalesce (the
-        daemon turns this on).
     loader:
         The ``(graph, spec) -> QueryEngine`` factory each generation is
         built with; defaults to :func:`repro.serve.load`.  Tests inject a
@@ -432,11 +425,13 @@ class LiveEngine:
 
     With zero mutations the engine is a transparent wrapper: every query
     takes exactly the :class:`~repro.serve.engine.QueryEngine` path of a
-    non-live stack, so answers are byte-identical.
+    non-live stack, so answers are byte-identical.  Each generation's
+    engine is thread-safe and coalesces concurrent misses per source, so
+    the live engine may be queried from any number of threads.
     """
 
     def __init__(self, graph: Graph, spec: Optional[ServeSpec] = None, *,
-                 coalesce: bool = False, loader: Optional[Any] = None,
+                 loader: Optional[Any] = None,
                  rebuild_retry_base: float = 0.05,
                  rebuild_retry_cap: float = 2.0,
                  rebuild_retry_limit: int = 4,
@@ -449,7 +444,6 @@ class LiveEngine:
             spec = spec.replace(live=True)
         self._spec = spec
         self._base_spec = spec.replace(live=False)
-        self._coalesce = bool(coalesce)
         self._loader = loader if loader is not None else _default_loader
         self._graph = graph.copy()
         self._graph0 = graph.copy()
@@ -592,7 +586,7 @@ class LiveEngine:
     def stats(self) -> Dict[str, Any]:
         """Current generation's engine stats plus the ``live`` section."""
         gen, staleness, guaranteed = self._snapshot()
-        stats = gen.target.stats()
+        stats = gen.engine.stats()
         with self._lock:
             version = gen.version
             assert version is not None
@@ -643,7 +637,7 @@ class LiveEngine:
     def query_tagged(self, u: int, v: int) -> LiveAnswer:
         """:meth:`query` plus the ``(version, staleness, guaranteed)`` tag."""
         gen, staleness, guaranteed = self._snapshot()
-        value = gen.target.query(u, v)
+        value = gen.engine.query(u, v)
         assert gen.version is not None
         return LiveAnswer(value, gen.version.version, staleness, guaranteed)
 
@@ -651,23 +645,20 @@ class LiveEngine:
                            workers: Optional[int] = None) -> LiveAnswer:
         """:meth:`query_batch` tagged; the whole batch is answered by one version."""
         gen, staleness, guaranteed = self._snapshot()
-        if workers is not None and isinstance(gen.target, QueryEngine):
-            values = gen.target.query_batch(pairs, workers=workers)
-        else:
-            values = gen.target.query_batch(pairs)
+        values = gen.engine.query_batch(pairs, workers=workers)
         assert gen.version is not None
         return LiveAnswer(values, gen.version.version, staleness, guaranteed)
 
     def single_source_tagged(self, source: int) -> LiveAnswer:
         """:meth:`single_source` plus the version tag."""
         gen, staleness, guaranteed = self._snapshot()
-        value = gen.target.single_source(source)
+        value = gen.engine.single_source(source)
         assert gen.version is not None
         return LiveAnswer(value, gen.version.version, staleness, guaranteed)
 
     def prewarm(self, sources: Iterable[int], *, limit: Optional[int] = None) -> int:
         """Preload the *current* generation's memo (see :meth:`QueryEngine.prewarm`)."""
-        return self._current().target.prewarm(sources, limit=limit)
+        return self._current().engine.prewarm(sources, limit=limit)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -854,9 +845,7 @@ class LiveEngine:
         started = time.perf_counter()
         with span("live.build", edges=snapshot.num_edges):
             engine = self._loader(snapshot, self._base_spec)
-        target: Any = CoalescingEngine(engine) if self._coalesce else engine
-        return _Generation(engine, target, snapshot,
-                           time.perf_counter() - started)
+        return _Generation(engine, snapshot, time.perf_counter() - started)
 
     def _install(self, gen: _Generation, *, kind: str, watermark: int,
                  forced: bool, repairs: int) -> None:
@@ -1112,8 +1101,7 @@ class LiveEngine:
         )
         engine = QueryEngine(oracle, cache_sources=self._spec.cache_sources,
                              workers=self._spec.workers)
-        target: Any = CoalescingEngine(engine) if self._coalesce else engine
-        repaired = _Generation(engine, target, oracle.graph,
+        repaired = _Generation(engine, oracle.graph,
                                time.perf_counter() - started)
         repaired.raw = gen.raw          # partitions stay valid for later repairs
         repaired.base_alpha = gen.base_alpha

@@ -163,7 +163,11 @@ class RemoteOracle:
         self.reconnects = 0
         self.breaker_opens = 0
         self.fast_failures = 0
-        self._metadata = self._handshake()
+        try:
+            self._metadata = self._handshake()
+        except BaseException:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # Introspection (protocol surface, answered from the cached handshake)
@@ -526,6 +530,7 @@ def _make_remote_oracle(graph: Optional[Graph], spec: ServeSpec) -> RemoteOracle
         breaker_reset=spec.options.get("breaker_reset", 1.0),
     )
     if graph is not None and graph.num_vertices != oracle.num_vertices:
+        oracle.close()
         raise ValueError(
             f"local graph has {graph.num_vertices} vertices but the daemon's "
             f"{oracle.oracle_name!r} oracle serves {oracle.num_vertices}; "

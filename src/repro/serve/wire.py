@@ -234,6 +234,7 @@ def run_wire_sweep(
     probe = RemoteOracle(url, oracle=oracle, timeout=timeout, retries=retries,
                          backoff=backoff)
     if graph.num_vertices != probe.num_vertices:
+        probe.close()
         raise ValueError(
             f"local graph has {graph.num_vertices} vertices but the daemon's "
             f"{probe.oracle_name!r} oracle serves {probe.num_vertices}"
@@ -518,11 +519,13 @@ def run_churn_sweep(
     probe = RemoteOracle(url, oracle=oracle, timeout=timeout, retries=retries,
                          backoff=backoff)
     if not probe.is_live:
+        probe.close()
         raise ValueError(
             f"oracle {probe.oracle_name!r} at {url} is not live; churn sweeps "
             "need a daemon serving a live spec (repro serve-daemon --live)"
         )
     if graph.num_vertices != probe.num_vertices:
+        probe.close()
         raise ValueError(
             f"local graph has {graph.num_vertices} vertices but the daemon's "
             f"{probe.oracle_name!r} oracle serves {probe.num_vertices}"

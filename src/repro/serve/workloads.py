@@ -287,7 +287,7 @@ def profile(queries: Iterable[Pair]) -> WorkloadProfile:
     """Profile a query stream into per-source frequencies.
 
     Only the source side is counted — the serving layer's memo, warm-up,
-    and admission coalescing are all keyed on sources, so that is the
+    and miss coalescing are all keyed on sources, so that is the
     dimension worth shipping between processes.
     """
     counts: Dict[int, int] = {}

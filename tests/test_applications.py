@@ -8,31 +8,32 @@ from repro.applications.almost_shortest_paths import (
     all_sources_almost_shortest_paths,
     almost_shortest_path_lengths,
 )
-from repro.applications.distance_oracle import EmulatorDistanceOracle
 from repro.graphs import generators
 from repro.graphs.shortest_paths import bfs_distances
+from repro.serve import QueryEngine, ServeSpec, load
+
+
+def _oracle(graph, *, eps=0.1, kappa=None, cache_sources=64):
+    """The served ultra-sparse emulator oracle (bounded-LRU engine)."""
+    return load(graph, ServeSpec.ultra_sparse(
+        graph.num_vertices, eps=eps, kappa=kappa, cache_sources=cache_sources))
 
 
 class TestDistanceOracle:
     @pytest.fixture(scope="class")
     def oracle_and_graph(self):
         graph = generators.connected_erdos_renyi(100, 0.05, seed=23)
-        with pytest.warns(DeprecationWarning):
-            oracle = EmulatorDistanceOracle(graph, eps=0.1, kappa=8)
-        return oracle, graph
+        return _oracle(graph, eps=0.1, kappa=8), graph
 
-    def test_shim_warns_and_delegates_to_the_bounded_engine(self, path10):
-        from repro.serve import QueryEngine
-
-        with pytest.warns(DeprecationWarning, match="repro.serve.load"):
-            oracle = EmulatorDistanceOracle(path10, eps=0.1, kappa=4, cache_sources=3)
-        assert isinstance(oracle.engine, QueryEngine)
-        assert oracle.engine.cache_sources == 3
+    def test_load_returns_the_bounded_engine(self, path10):
+        oracle = _oracle(path10, eps=0.1, kappa=4, cache_sources=3)
+        assert isinstance(oracle, QueryEngine)
+        assert oracle.cache_sources == 3
         # The memo is bounded: touching many sources evicts, never grows.
         for source in range(10):
             oracle.single_source(source)
-        assert oracle.engine.stats()["cached_sources"] == 3
-        assert oracle.engine.stats()["cache_evictions"] == 7
+        assert oracle.stats()["cached_sources"] == 3
+        assert oracle.stats()["cache_evictions"] == 7
 
     def test_query_guarantee(self, oracle_and_graph):
         oracle, graph = oracle_and_graph
@@ -60,11 +61,11 @@ class TestDistanceOracle:
 
     def test_space_is_sparse(self, oracle_and_graph):
         oracle, graph = oracle_and_graph
-        assert oracle.space_in_edges <= oracle.emulator_result.size_bound + 1e-9
+        assert oracle.space_in_edges <= oracle.oracle.result.raw.size_bound + 1e-9
 
     def test_ultra_sparse_default_kappa(self):
         graph = generators.grid_graph(10, 10)
-        oracle = EmulatorDistanceOracle(graph, eps=0.1)
+        oracle = _oracle(graph, eps=0.1)
         assert oracle.space_in_edges <= 1.2 * graph.num_vertices
 
     def test_invalid_vertex(self, oracle_and_graph):
@@ -74,14 +75,14 @@ class TestDistanceOracle:
 
     def test_cache_eviction(self):
         graph = generators.path_graph(20)
-        oracle = EmulatorDistanceOracle(graph, eps=0.1, kappa=4, cache_sources=2)
+        oracle = _oracle(graph, eps=0.1, kappa=4, cache_sources=2)
         for s in range(5):
             oracle.single_source(s)
         # Oldest entries are evicted, queries still correct.
         assert oracle.query(0, 19) >= 19
 
     def test_disconnected_pairs_return_inf(self, disconnected_graph):
-        oracle = EmulatorDistanceOracle(disconnected_graph, eps=0.1, kappa=4)
+        oracle = _oracle(disconnected_graph, eps=0.1, kappa=4)
         assert oracle.query(0, 9) == float("inf")
 
 

@@ -326,12 +326,12 @@ class TestRemoteBreakerChaos:
         with OracleDaemon(port=0) as daemon:
             daemon.add_oracle("default", GRAPH, ServeSpec(backend="exact"))
             daemon.start()
-            remote = RemoteOracle(daemon.url, retries=2, backoff=0.001, seed=1)
             plan = {"rules": [{"site": "remote.request", "action": "raise",
                                "nth": 1}]}
-            with fault_plan(plan):
-                assert remote.query(0, 1) == \
-                    bfs_distances(GRAPH, 0).get(1, float("inf"))
+            with RemoteOracle(daemon.url, retries=2, backoff=0.001, seed=1) as remote:
+                with fault_plan(plan):
+                    assert remote.query(0, 1) == \
+                        bfs_distances(GRAPH, 0).get(1, float("inf"))
             stats = remote.stats()
             assert stats["retried_requests"] >= 1
             assert stats["breaker_state"] == "closed"
@@ -378,6 +378,7 @@ class TestRemoteBreakerChaos:
             assert remote.stats()["breaker_state"] == "closed"
             assert obs.get_metric("repro_remote_breaker_state",
                                   url=remote.url) == 0.0
+            remote.close()
 
 
 # ----------------------------------------------------------------------

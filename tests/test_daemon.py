@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import random
+import sys
 import threading
 import time
 
@@ -15,7 +17,6 @@ import pytest
 
 from repro.graphs import generators
 from repro.serve import (
-    CoalescingEngine,
     DaemonConfig,
     DistanceOracle,
     OracleConfig,
@@ -108,8 +109,8 @@ class TestWireParity:
     def test_serial_parity(self, daemon):
         queries = generate_queries(GRAPH, "mixed", 150, seed=4)
         local = load(GRAPH, ServeSpec(backend="exact"))
-        remote = RemoteOracle(daemon.url)
-        assert remote.query_batch(queries) == local.query_batch(queries)
+        with RemoteOracle(daemon.url) as remote:
+            assert remote.query_batch(queries) == local.query_batch(queries)
 
     def test_parallel_wire_clients_match_serial_in_process(self, daemon):
         queries = generate_queries(GRAPH, "zipf", 200, seed=5)
@@ -119,9 +120,9 @@ class TestWireParity:
 
         def client(offset):
             try:
-                remote = RemoteOracle(daemon.url)
-                for index in range(offset, len(queries), 4):
-                    answers[index] = remote.query(*queries[index])
+                with RemoteOracle(daemon.url) as remote:
+                    for index in range(offset, len(queries), 4):
+                        answers[index] = remote.query(*queries[index])
             except Exception as error:  # pragma: no cover - surfaced below
                 errors.append(error)
 
@@ -134,16 +135,16 @@ class TestWireParity:
         assert answers == serial
 
     def test_named_oracle_answers_with_its_own_stretch(self, daemon):
-        emu = RemoteOracle(daemon.url, oracle="emu")
-        exact = RemoteOracle(daemon.url, oracle="default")
-        assert emu.alpha >= exact.alpha
-        for u, v in [(0, 17), (3, 42), (5, 5)]:
-            assert emu.query(u, v) >= exact.query(u, v)
+        with RemoteOracle(daemon.url, oracle="emu") as emu, \
+                RemoteOracle(daemon.url, oracle="default") as exact:
+            assert emu.alpha >= exact.alpha
+            for u, v in [(0, 17), (3, 42), (5, 5)]:
+                assert emu.query(u, v) >= exact.query(u, v)
 
     def test_single_source_round_trips_int_keys(self, daemon):
-        remote = RemoteOracle(daemon.url)
         local = load(GRAPH, ServeSpec(backend="exact"))
-        assert remote.single_source(7) == local.single_source(7)
+        with RemoteOracle(daemon.url) as remote:
+            assert remote.single_source(7) == local.single_source(7)
 
 
 class TestStats:
@@ -151,10 +152,10 @@ class TestStats:
         with OracleDaemon(port=0) as d:
             d.add_oracle("default", GRAPH, ServeSpec(backend="exact"))
             d.start()
-            remote = RemoteOracle(d.url)
-            remote.query(0, 1)   # miss (source 0 admitted)
-            remote.query(0, 2)   # hit
-            remote.query(0, 3)   # hit
+            with RemoteOracle(d.url) as remote:
+                remote.query(0, 1)   # miss (source 0 computed)
+                remote.query(0, 2)   # hit
+                remote.query(0, 3)   # hit
             stats = d.stats()
             engine_stats = stats["oracles"]["default"]
             assert engine_stats["queries"] == 3
@@ -174,19 +175,38 @@ class TestStats:
             d.add_oracle("default", GRAPH, ServeSpec(backend="exact"),
                          warmup_profile=prof, warmup_sources=6)
             d.start()
-            health = RemoteOracle(d.url).daemon_stats()
-            engine_stats = health["oracles"]["default"]
-            assert engine_stats["warmed_sources"] == 6
-            assert engine_stats["prewarmed_sources"] == 6
-            assert engine_stats["cached_sources"] == 6
-            # A query for the hottest source is a hit, not a miss.
-            hot = prof.top_sources(1)[0]
-            remote = RemoteOracle(d.url)
-            target = (hot + 1) % GRAPH.num_vertices
-            remote.query(hot, target)
+            with RemoteOracle(d.url) as remote:
+                engine_stats = remote.daemon_stats()["oracles"]["default"]
+                assert engine_stats["warmed_sources"] == 6
+                assert engine_stats["prewarmed_sources"] == 6
+                assert engine_stats["cached_sources"] == 6
+                # A query for the hottest source is a hit, not a miss.
+                hot = prof.top_sources(1)[0]
+                target = (hot + 1) % GRAPH.num_vertices
+                remote.query(hot, target)
             assert d.engine_for("default").stats()["cache_hits"] == 1
             assert d.engine_for("default").stats()["cache_misses"] == 0
 
+
+    def test_batch_counters_match_the_in_process_engine(self):
+        batch = [(0, 5), (0, 6), (0, 7), (3, 3), (1, 2), (1, 9)]
+        local = load(GRAPH, ServeSpec(backend="exact"))
+        local.query(0, 1)
+        local.query_batch(batch)
+        with OracleDaemon(port=0) as d:
+            d.add_oracle("default", GRAPH, ServeSpec(backend="exact"))
+            d.start()
+            with RemoteOracle(d.url) as remote:
+                remote.query(0, 1)
+                remote.query_batch(batch)
+            served = d.stats()["oracles"]["default"]
+        keys = ("queries", "cache_hits", "cache_misses")
+        # One miss per distinct uncached source (0, then 1); every other
+        # non-self pair is a hit.
+        assert {key: local.stats()[key] for key in keys} == \
+            {"queries": 7, "cache_hits": 4, "cache_misses": 2}
+        assert {key: served[key] for key in keys} == \
+            {key: local.stats()[key] for key in keys}
 
 class TestMalformedRequests:
     def test_bad_json_is_a_400(self, daemon):
@@ -250,6 +270,8 @@ class TestMalformedRequests:
 
 
 class TestCoalescing:
+    """A bare QueryEngine is thread-safe and coalesces same-source misses."""
+
     def test_concurrent_same_source_queries_share_one_backend_call(self):
         backend = load(GRAPH, ServeSpec(backend="exact")).oracle
         gate = threading.Event()
@@ -264,7 +286,7 @@ class TestCoalescing:
             return original(source)
 
         backend.single_source = slow
-        engine = CoalescingEngine(QueryEngine(backend, cache_sources=8))
+        engine = QueryEngine(backend, cache_sources=8)
         answers = []
 
         def ask(v):
@@ -287,14 +309,46 @@ class TestCoalescing:
             thread.join()
         assert calls == [3]  # one backend computation for all six queries
         assert engine.stats()["coalesced_queries"] == 5
+        assert engine.stats()["cache_misses"] == len(calls)
         exact = original(3)
         assert sorted(answers) == sorted(exact[v] for v in range(4, 10))
 
     def test_leader_failure_propagates_to_followers_and_is_retryable(self):
         backend = load(GRAPH, ServeSpec(backend="exact")).oracle
         original = backend.single_source
-        backend.single_source = lambda source: (_ for _ in ()).throw(RuntimeError("boom"))
-        engine = CoalescingEngine(QueryEngine(backend, cache_sources=8))
+        gate = threading.Event()
+        started = threading.Event()
+
+        def failing(source):
+            started.set()
+            gate.wait(timeout=5)
+            raise RuntimeError("boom")
+
+        backend.single_source = failing
+        engine = QueryEngine(backend, cache_sources=8)
+        errors = []
+
+        def ask():
+            try:
+                engine.query(3, 5)
+            except RuntimeError as error:
+                errors.append(error)
+
+        follower = threading.Thread(target=ask)
+        leader = threading.Thread(target=ask)
+        leader.start()
+        assert started.wait(timeout=5)
+        follower.start()
+        for _ in range(500):
+            if engine.stats()["coalesced_queries"] == 1:
+                break
+            time.sleep(0.01)
+        gate.set()
+        leader.join()
+        follower.join()
+        # The leader's failure reached its follower too.
+        assert engine.stats()["coalesced_queries"] == 1
+        assert [str(error) for error in errors] == ["boom", "boom"]
         with pytest.raises(RuntimeError, match="boom"):
             engine.query(3, 4)
         # The in-flight record is cleaned up: a later query retries fresh.
@@ -302,12 +356,65 @@ class TestCoalescing:
         assert engine.query(3, 4) == original(3)[4]
         assert engine.stats()["inflight_sources"] == 0
 
+    def test_threaded_stress_keeps_counters_exact(self):
+        backend = load(GRAPH, ServeSpec(backend="exact")).oracle
+        original = backend.single_source
+        exact = {source: original(source) for source in range(12)}
+        calls = []
+        calls_lock = threading.Lock()
+
+        def counting(source):
+            with calls_lock:
+                calls.append(source)
+            return original(source)
+
+        backend.single_source = counting
+        engine = QueryEngine(backend, cache_sources=4)  # forces evictions
+        asked = []
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            non_self = 0
+            try:
+                for _ in range(50):
+                    u, v = rng.randrange(12), rng.randrange(48)
+                    assert engine.query(u, v) == exact[u][v]
+                    pairs = [(rng.randrange(12), rng.randrange(48)) for _ in range(3)]
+                    assert engine.query_batch(pairs) == [exact[a][b] for a, b in pairs]
+                    non_self += (u != v) + sum(a != b for a, b in pairs)
+            except Exception as error:  # pragma: no cover - surfaced below
+                errors.append(error)
+            asked.append(non_self)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        stats = engine.stats()
+        assert stats["queries"] == 8 * 50 * 4
+        # Every non-self query is exactly one hit, miss or coalesced wait,
+        # and every miss is one backend call: a lost update breaks either.
+        assert stats["cache_hits"] + stats["cache_misses"] + \
+            stats["coalesced_queries"] == sum(asked)
+        assert stats["cache_misses"] == len(calls)
+        assert stats["inflight_sources"] == 0
+        assert stats["cached_sources"] == 4
+
     def test_satisfies_the_oracle_protocol(self):
-        engine = CoalescingEngine(load(GRAPH, ServeSpec(backend="exact")))
+        engine = load(GRAPH, ServeSpec(backend="exact"))
         assert isinstance(engine, DistanceOracle)
 
     def test_stats_delta_covers_the_coalescing_counter(self):
-        engine = CoalescingEngine(load(GRAPH, ServeSpec(backend="exact")))
+        engine = load(GRAPH, ServeSpec(backend="exact"))
         engine.query(0, 1)
         before = engine.stats()
         engine.query(0, 2)
@@ -358,9 +465,9 @@ class TestDaemonConfig:
         }))
         with OracleDaemon.from_config(DaemonConfig.from_file(str(config_path))) as d:
             d.start()
-            remote = RemoteOracle(d.url)
-            assert remote.oracle_name == "main"
-            assert remote.num_vertices == 48
+            with RemoteOracle(d.url) as remote:
+                assert remote.oracle_name == "main"
+                assert remote.num_vertices == 48
             assert d.stats()["oracles"]["main"]["warmed_sources"] == 4
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -102,6 +104,32 @@ def test_bfs_kernel_direct_matches_reference(backend):
         floats = kernels.bfs_distances(csr, s, as_float=True)
         assert floats == {v: float(d) for v, d in _dict_bounded_bfs(g, s, None).items()}
         assert all(isinstance(v, float) for v in floats.values())
+
+
+def test_concurrent_calls_on_one_snapshot_match_serial(backend):
+    g = random_graph(70, 4.0, 22)
+    csr = g.csr()
+    expected = {s: _dict_bounded_bfs(g, s, None) for s in range(0, 70, 5)}
+    mismatches = []
+
+    def worker(offset):
+        for _ in range(20):
+            for s in list(expected)[offset::2]:
+                if kernels.bfs_distances(csr, s) != expected[s]:
+                    mismatches.append(s)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k % 2,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 def test_multi_source_equivalence_randomized(backend):

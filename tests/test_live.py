@@ -353,28 +353,65 @@ class TestAsyncRebuild:
             live.close()
 
 
+class TestInProcessCoalescing:
+    def test_concurrent_same_source_queries_share_one_backend_call(self):
+        with LiveEngine(GRAPH, ServeSpec(live=True, backend="exact")) as live:
+            backend = live.oracle
+            original = backend.single_source
+            gate = threading.Event()
+            started = threading.Event()
+            calls = []
+
+            def slow(source):
+                calls.append(source)
+                started.set()
+                gate.wait(timeout=5)
+                return original(source)
+
+            backend.single_source = slow
+            answers = []
+            threads = [threading.Thread(target=lambda v=v: answers.append(
+                live.query_tagged(3, v))) for v in range(4, 10)]
+            threads[0].start()
+            assert started.wait(timeout=5)  # the leader is inside the backend
+            for thread in threads[1:]:
+                thread.start()
+            for _ in range(500):
+                if live.stats()["coalesced_queries"] == 5:
+                    break
+                time.sleep(0.01)
+            gate.set()
+            for thread in threads:
+                thread.join()
+            assert calls == [3]  # one backend computation for all six queries
+            assert live.stats()["coalesced_queries"] == 5
+            exact = original(3)
+            assert sorted(answer.value for answer in answers) == \
+                sorted(exact[v] for v in range(4, 10))
+            assert {answer.version for answer in answers} == {0}
+
 class TestDaemonHotSwap:
     """Satellite 4: hot-swap atomicity under concurrent wire clients."""
 
     def test_concurrent_wire_clients_survive_a_gated_rebuild(self):
         gate = threading.Event()
         spec = ServeSpec(live=True, seed=0, live_repair=False, live_rebuild_after=1)
-        engine = LiveEngine(GRAPH, spec, coalesce=True, loader=_gated_loader(gate))
+        engine = LiveEngine(GRAPH, spec, loader=_gated_loader(gate))
         stop = threading.Event()
         results = []
         errors = []
 
         def client(offset):
+            single_pair = (offset % 40, (offset + 7) % 40)
+            pairs = [((offset + i) % 40, (offset + 3 * i + 1) % 40)
+                     for i in range(4)]
+            pairs = [(u, v) for u, v in pairs if u != v]
             try:
-                probe = RemoteOracle(daemon.url)
-                single_pair = (offset % 40, (offset + 7) % 40)
-                pairs = [((offset + i) % 40, (offset + 3 * i + 1) % 40)
-                         for i in range(4)]
-                pairs = [(u, v) for u, v in pairs if u != v]
-                while not stop.is_set():
-                    single = probe.query_tagged(*single_pair)
-                    batch = probe.query_batch_tagged(pairs)
-                    results.append((single_pair, single, pairs, batch))
+                with RemoteOracle(daemon.url) as probe:
+                    while not stop.is_set():
+                        single = probe.query_tagged(*single_pair)
+                        batch = probe.query_batch_tagged(pairs)
+                        results.append((single_pair, single, pairs, batch))
             except Exception as error:  # pragma: no cover - surfaced below
                 errors.append(error)
 
@@ -383,10 +420,10 @@ class TestDaemonHotSwap:
             daemon.start()
             threads = [threading.Thread(target=client, args=(i * 5,), daemon=True)
                        for i in range(4)]
+            probe = RemoteOracle(daemon.url)
             try:
                 for thread in threads:
                     thread.start()
-                probe = RemoteOracle(daemon.url)
                 deadline = time.monotonic() + 60.0
                 while len(results) < 20 and time.monotonic() < deadline:
                     time.sleep(0.01)
@@ -411,6 +448,7 @@ class TestDaemonHotSwap:
                 stop.set()
                 for thread in threads:
                     thread.join(timeout=30.0)
+                probe.close()
             assert not errors
             assert len(results) >= 90, "wire clients stalled during the rebuild"
             versions_seen = set()
@@ -460,15 +498,15 @@ class TestDaemonHotSwap:
         with OracleDaemon(port=0) as daemon:
             daemon.add_oracle("default", GRAPH, ServeSpec(live=True, seed=0))
             daemon.start()
-            probe = RemoteOracle(daemon.url)
-            assert probe.is_live
-            health = daemon.healthz()["oracles"]["default"]
-            assert health["live"] and health["version"] == 0
-            edge = next(iter(sorted(GRAPH.edges())))
-            receipt = probe.mutate(deletes=[edge], wait=True)
-            assert receipt["applied"] == 1
-            assert receipt["staleness"] == 0
-            stats = probe.daemon_stats()["oracles"]["default"]["live"]
+            with RemoteOracle(daemon.url) as probe:
+                assert probe.is_live
+                health = daemon.healthz()["oracles"]["default"]
+                assert health["live"] and health["version"] == 0
+                edge = next(iter(sorted(GRAPH.edges())))
+                receipt = probe.mutate(deletes=[edge], wait=True)
+                assert receipt["applied"] == 1
+                assert receipt["staleness"] == 0
+                stats = probe.daemon_stats()["oracles"]["default"]["live"]
             assert stats["applied_mutations"] == 1
             assert stats["version"] >= 1
 
@@ -476,10 +514,10 @@ class TestDaemonHotSwap:
         with OracleDaemon(port=0) as daemon:
             daemon.add_oracle("default", GRAPH, ServeSpec(seed=0))
             daemon.start()
-            probe = RemoteOracle(daemon.url)
-            assert not probe.is_live
-            with pytest.raises(ValueError, match="not live"):
-                probe.mutate(deletes=[(0, 1)])
+            with RemoteOracle(daemon.url) as probe:
+                assert not probe.is_live
+                with pytest.raises(ValueError, match="not live"):
+                    probe.mutate(deletes=[(0, 1)])
 
 
 class TestChurnSweep:

@@ -33,28 +33,28 @@ def daemon():
 
 class TestProtocolConformance:
     def test_satisfies_the_distance_oracle_protocol(self, daemon):
-        remote = RemoteOracle(daemon.url)
-        assert isinstance(remote, DistanceOracle)
+        with RemoteOracle(daemon.url) as remote:
+            assert isinstance(remote, DistanceOracle)
 
     def test_handshake_caches_the_daemon_metadata(self, daemon):
-        remote = RemoteOracle(daemon.url)
         local = load(GRAPH, ServeSpec(backend="exact"))
-        assert remote.alpha == local.alpha
-        assert remote.beta == local.beta
-        assert remote.num_vertices == GRAPH.num_vertices
-        assert remote.space_in_edges == local.space_in_edges
-        assert remote.oracle_name == "default"
+        with RemoteOracle(daemon.url) as remote:
+            assert remote.alpha == local.alpha
+            assert remote.beta == local.beta
+            assert remote.num_vertices == GRAPH.num_vertices
+            assert remote.space_in_edges == local.space_in_edges
+            assert remote.oracle_name == "default"
 
     def test_local_error_types_survive_the_wire(self, daemon):
-        remote = RemoteOracle(daemon.url)
-        with pytest.raises(ValueError):
-            remote.query(0, 99999)  # out of range -> daemon 400 -> ValueError
+        with RemoteOracle(daemon.url) as remote:
+            with pytest.raises(ValueError):
+                remote.query(0, 99999)  # out of range -> daemon 400 -> ValueError
         with pytest.raises(KeyError):
             RemoteOracle(daemon.url, oracle="nonsense")  # daemon 404 -> KeyError
 
     def test_stats_are_local_and_count_transport_activity(self, daemon):
-        remote = RemoteOracle(daemon.url)
-        remote.query(0, 1)
+        with RemoteOracle(daemon.url) as remote:
+            remote.query(0, 1)
         stats = remote.stats()
         assert stats["backend"] == "remote"
         assert stats["requests"] == 2  # handshake + query
@@ -63,10 +63,10 @@ class TestProtocolConformance:
 
     def test_registry_path_builds_a_served_engine(self, daemon):
         spec = ServeSpec(backend="remote", options={"url": daemon.url})
-        engine = load(GRAPH, spec)
         local = load(GRAPH, ServeSpec(backend="exact"))
         pairs = generate_queries(GRAPH, "uniform", 40, seed=3)
-        assert engine.query_batch(pairs) == local.query_batch(pairs)
+        with load(GRAPH, spec) as engine:
+            assert engine.query_batch(pairs) == local.query_batch(pairs)
 
     def test_registry_path_requires_a_url(self):
         with pytest.raises(ValueError, match="url"):
@@ -91,11 +91,11 @@ class TestProtocolConformance:
     def test_pickles_without_its_connection(self, daemon):
         import pickle
 
-        remote = RemoteOracle(daemon.url)
-        remote.query(0, 1)
-        clone = pickle.loads(pickle.dumps(remote))
-        assert clone.query(0, 1) == remote.query(0, 1)
-        assert clone.num_vertices == remote.num_vertices
+        with RemoteOracle(daemon.url) as remote:
+            remote.query(0, 1)
+            with pickle.loads(pickle.dumps(remote)) as clone:
+                assert clone.query(0, 1) == remote.query(0, 1)
+                assert clone.num_vertices == remote.num_vertices
 
 
 class TestValidation:
@@ -137,6 +137,7 @@ class TestDegradation:
                 remote.query(u, v)
                 answered += 1
         except RemoteOracleError as error:
+            remote.close()
             assert "attempt" in str(error)
             assert error.__cause__ is not None  # the transport error is chained
         else:  # pragma: no cover
@@ -161,3 +162,4 @@ class TestDegradation:
             revived.start()
             assert remote.query(0, 1) == before
             assert remote.stats()["reconnects"] >= 2
+            remote.close()

@@ -323,33 +323,7 @@ class TestQueryEngine:
 
 
 class TestEngineAdmissionInterface:
-    """lookup/admit/record_queries/prewarm/stats_delta (the daemon's surface)."""
-
-    def test_lookup_counts_a_hit_only_when_cached(self, path10):
-        engine = load(path10, ServeSpec(backend="exact"))
-        assert engine.lookup(0) is None
-        assert engine.cache_hits == 0 and engine.cache_misses == 0
-        dist = engine.oracle.single_source(0)
-        engine.admit(0, dist)
-        assert engine.cache_misses == 1
-        assert engine.lookup(0) == dist
-        assert engine.cache_hits == 1
-
-    def test_lookup_refreshes_lru_recency(self, path10):
-        engine = load(path10, ServeSpec(backend="exact", cache_sources=2))
-        engine.admit(0, engine.oracle.single_source(0))
-        engine.admit(1, engine.oracle.single_source(1))
-        engine.lookup(0)  # refresh: the next admit must evict 1, not 0
-        engine.admit(2, engine.oracle.single_source(2))
-        assert engine.lookup(0) is not None
-        assert engine.lookup(1) is None
-
-    def test_record_queries_validates(self, path10):
-        engine = load(path10, ServeSpec(backend="exact"))
-        engine.record_queries(3)
-        assert engine.queries == 3
-        with pytest.raises(ValueError):
-            engine.record_queries(-1)
+    """prewarm/stats_delta (the daemon's warm-up and ``/stats`` surface)."""
 
     def test_prewarm_respects_budget_and_skips_cached(self, path10):
         engine = load(path10, ServeSpec(backend="exact", cache_sources=4))
