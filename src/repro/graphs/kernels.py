@@ -9,7 +9,10 @@ live in preallocated buffers, and an **epoch-stamped visited buffer**
 replaces the per-call membership dict (bumping one integer invalidates
 the whole buffer, so no per-call ``O(n)`` clear and no per-call
 allocation).  Results are converted to plain dicts only at the boundary,
-matching the signatures in :mod:`repro.graphs.shortest_paths`.
+matching the signatures in :mod:`repro.graphs.shortest_paths`.  The
+serving layer skips that conversion: :func:`bfs_row` and
+:func:`dijkstra_row` return scipy's dense float64 row (``inf`` for
+unreached vertices) as it is.
 
 Three backends implement the kernels:
 
@@ -76,7 +79,7 @@ import os
 import threading
 import warnings
 from heapq import heappop, heappush
-from math import floor, isinf, isnan
+from math import floor, inf, isinf, isnan
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.graphs.csr import CSRGraph, WeightedCSRGraph
@@ -88,6 +91,9 @@ __all__ = [
     "multi_source_bfs",
     "multi_source_attributed",
     "dijkstra",
+    "bfs_row",
+    "dijkstra_row",
+    "finite_entries",
     "hop_limited",
     "normalize_radius",
     "batch_chunk_size",
@@ -674,15 +680,35 @@ def _gather_neighbors(indptr, indices, frontier):
     return indices[offsets]
 
 
+def bfs_row(csr: CSRGraph, source: int, radius=None):
+    """Hop distances from ``source`` as a dense float64 row (``inf`` = unreached).
+
+    One C search (:func:`scipy.sparse.csgraph.dijkstra`, unweighted) over
+    the snapshot's cached ``csr_matrix``.  The serving layer keeps this
+    row as it is instead of converting it to an ``n``-entry dict.
+    """
+    _check_source(csr, source)
+    r = normalize_radius(radius)
+    return _scipy_row(csr, source, inf if r is None else float(r), unweighted=True)
+
+
+def _scipy_row(csr: CSRGraph, source: int, limit: float, *, unweighted: bool):
+    if not _scipy_usable(csr):
+        raise RuntimeError("dense distance rows require numpy and scipy")
+    return _scipy_csgraph_dijkstra(csr.scipy_matrix(), unweighted=unweighted,
+                                   indices=source, limit=limit)
+
+
 def _scipy_bfs(csr: CSRGraph, source: int, r: Optional[int], as_float: bool) -> Dict:
-    matrix = csr.scipy_matrix()
-    limit = _np.inf if r is None else float(r)
-    dense = _scipy_csgraph_dijkstra(matrix, unweighted=True, indices=source, limit=limit)
-    return _dense_to_dict(dense, as_float)
+    return _dense_to_dict(bfs_row(csr, source, r), as_float)
 
 
-def _dense_to_dict(dense, as_float: bool) -> Dict:
-    """Dense distance vector -> dict in canonical ``(distance, vertex)`` order."""
+def finite_entries(dense):
+    """``(vertices, distances)`` arrays of a dense row's finite entries.
+
+    Both come in the canonical ascending ``(distance, vertex)`` order
+    every kernel backend's dict iterates in.
+    """
     unreachable = _np.isinf(dense)
     if unreachable.any():
         reached = _np.flatnonzero(~unreachable)
@@ -693,8 +719,12 @@ def _dense_to_dict(dense, as_float: bool) -> Dict:
     # Stable two-key sort: distance major, vertex ID minor — the same
     # iteration order the scalar and numpy backends produce.
     order = _np.lexsort((reached, values))
-    reached = reached[order]
-    values = values[order]
+    return reached[order], values[order]
+
+
+def _dense_to_dict(dense, as_float: bool) -> Dict:
+    """Dense distance vector -> dict in canonical ``(distance, vertex)`` order."""
+    reached, values = finite_entries(dense)
     if not as_float:
         values = values.astype(_np.int64)
     return dict(zip(reached.tolist(), values.tolist()))
@@ -863,11 +893,20 @@ def dijkstra(
         and wcsr.num_vertices >= VECTOR_MIN_VERTICES and _scipy_usable(wcsr)
     ):
         if _scipy_usable(wcsr):
-            matrix = wcsr.scipy_matrix()
-            limit = _np.inf if max_distance is None else float(max_distance)
-            dense = _scipy_csgraph_dijkstra(matrix, indices=source, limit=limit)
-            return _dense_to_dict(dense, as_float=True)
+            return _dense_to_dict(dijkstra_row(wcsr, source, max_distance), as_float=True)
     return _scalar_dijkstra(wcsr, source, max_distance)
+
+
+def dijkstra_row(wcsr: WeightedCSRGraph, source: int, max_distance: Optional[float] = None):
+    """Weighted distances from ``source`` as a dense float64 row (``inf`` = unreached).
+
+    The row form of :func:`dijkstra`: one C search over the snapshot's
+    cached weighted ``csr_matrix``, with vertices beyond ``max_distance``
+    left at ``inf``.
+    """
+    _check_source(wcsr, source)
+    limit = inf if max_distance is None else float(max_distance)
+    return _scipy_row(wcsr, source, limit, unweighted=False)
 
 
 def _scalar_dijkstra(

@@ -24,6 +24,9 @@ Pieces
 :class:`DistanceOracle`
     The protocol every backend and the engine satisfy: ``query`` /
     ``query_batch`` / ``single_source`` / ``stats`` + ``alpha`` / ``beta``.
+:class:`DistanceRow`
+    The read-only single-source map the emulator, spanner and exact
+    backends return: a dense float64 row behind the ``Mapping`` API.
 :class:`QueryEngine`
     Bounded per-source LRU memoization, source-grouped batches, and a
     multi-worker mode sharding batches across a process pool.  The engine
@@ -76,6 +79,7 @@ from repro.serve.registry import (
 )
 from repro.serve.oracles import (
     DistanceOracle,
+    DistanceRow,
     EmulatorOracle,
     ExactOracle,
     HopsetOracle,
@@ -123,6 +127,7 @@ __all__ = [
     "buildable_oracles",
     "is_oracle_registered",
     "DistanceOracle",
+    "DistanceRow",
     "OracleBackend",
     "EmulatorOracle",
     "SpannerOracle",

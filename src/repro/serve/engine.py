@@ -7,9 +7,12 @@ query front end actually needs:
 * a **bounded per-source LRU memo** — production query streams cluster on
   few sources (the Zipf workloads of :mod:`repro.serve.workloads` model
   this), so memoizing single-source maps converts most queries into one
-  dictionary lookup.  The memo is bounded (``cache_sources``, true LRU:
-  reads refresh recency) so a long-tailed stream cannot grow it past
-  ``O(cache_sources * n)`` entries.
+  row lookup.  The memo keeps whatever the backend's ``single_source``
+  returns; for the emulator, spanner and exact backends that is a
+  :class:`~repro.serve.oracles.DistanceRow`, one float64 row of
+  ``8 * n`` bytes per memoized source.  The memo is bounded
+  (``cache_sources``, true LRU: reads refresh recency), so a long-tailed
+  stream cannot grow it past ``cache_sources`` rows.
 * **thread safety with miss coalescing** — memo reads, writes and
   counters go through one lock, and a miss elects exactly one *leader*
   per source: the leader runs the backend's ``single_source`` outside the
@@ -48,7 +51,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.faults import fault_point
 from repro.obs import span
@@ -112,7 +115,7 @@ class _InFlight:
 
     def __init__(self) -> None:
         self.done = threading.Event()
-        self.result: Optional[Dict[int, float]] = None
+        self.result: Optional[Mapping[int, float]] = None
         self.error: Optional[BaseException] = None
 
 
@@ -126,7 +129,7 @@ def _init_query_worker(payload: bytes) -> None:
     _WORKER_ORACLE = pickle.loads(payload)
 
 
-def _worker_single_sources(sources: List[int]) -> List[Tuple[int, Dict[int, float]]]:
+def _worker_single_sources(sources: List[int]) -> List[Tuple[int, Mapping[int, float]]]:
     """Compute single-source maps for one shard (runs inside a pool worker)."""
     oracle = _WORKER_ORACLE
     assert oracle is not None, "pool worker used before initialization"
@@ -174,7 +177,7 @@ class QueryEngine:
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         self._oracle = oracle
-        self._cache: "OrderedDict[int, Dict[int, float]]" = OrderedDict()
+        self._cache: "OrderedDict[int, Mapping[int, float]]" = OrderedDict()
         self._cache_limit = cache_sources
         self._workers = workers
         # ``_lock`` guards the memo, the in-flight table and the counters;
@@ -280,9 +283,9 @@ class QueryEngine:
         return self._distances_from(u).get(v, _INF)
 
     def single_source(self, source: int) -> Dict[int, float]:
-        """All approximate distances from ``source`` (a copy of the memoized map)."""
+        """All approximate distances from ``source`` (a fresh dict, caller-owned)."""
         self._check_vertex(source)
-        return dict(self._distances_from(source))
+        return dict(self._distances_from(source).items())
 
     def query_batch(
         self, pairs: Iterable[Tuple[int, int]], *, workers: Optional[int] = None
@@ -313,7 +316,7 @@ class QueryEngine:
             self.queries += len(pairs)
             # Repeats of a source reuse the batch's map for it.
             self.cache_hits += non_self - len(sources)
-        maps: Dict[int, Dict[int, float]] = {}
+        maps: Dict[int, Mapping[int, float]] = {}
         if workers > 1 and len(sources) > 1:
             maps = self._fill_parallel(sources, workers)
         for source in sources:
@@ -328,8 +331,11 @@ class QueryEngine:
         :class:`~repro.serve.workloads.WorkloadProfile` (and usable
         directly for in-process pre-warming).  At most
         ``min(limit, cache_sources)`` maps are computed — warming past the
-        LRU bound would evict what was just warmed.  Already-memoized
-        sources are skipped.  Warm-up is bookkept in the
+        LRU bound would evict what was just warmed.  Already-memoized and
+        in-flight sources are skipped.  Each source is computed like a
+        miss, outside the engine lock, so hits keep answering meanwhile
+        and a query for a source being warmed joins its computation.
+        Warm-up is bookkept in the
         ``prewarmed_sources`` counter, not as hits or misses, so serving
         counters still describe the query stream alone.
         """
@@ -337,16 +343,16 @@ class QueryEngine:
             raise ValueError(f"prewarm limit must be non-negative, got {limit}")
         budget = self._cache_limit if limit is None else min(limit, self._cache_limit)
         warmed = 0
-        with self._lock:
-            for source in sources:
-                if warmed >= budget:
-                    break
-                self._check_vertex(source)
-                if source in self._cache:
+        for source in sources:
+            if warmed >= budget:
+                break
+            self._check_vertex(source)
+            with self._lock:
+                if source in self._cache or source in self._inflight:
                     continue
-                self._store(source, self._oracle.single_source(source))
-                warmed += 1
-            self.prewarmed_sources += warmed
+                flight = self._inflight[source] = _InFlight()
+            self._lead(source, flight, warm=True)
+            warmed += 1
         return warmed
 
     # ------------------------------------------------------------------
@@ -375,7 +381,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _distances_from(self, source: int) -> Dict[int, float]:
+    def _distances_from(self, source: int) -> Mapping[int, float]:
         """The memoized map for ``source``, computing it at most once at a time."""
         check_deadline()
         with self._lock:
@@ -393,7 +399,7 @@ class QueryEngine:
                 self.coalesced_queries += 1
         return self._lead(source, flight) if leader else self._join(source, flight)
 
-    def _join(self, source: int, flight: _InFlight) -> Dict[int, float]:
+    def _join(self, source: int, flight: _InFlight) -> Mapping[int, float]:
         """Wait for another thread's computation of ``source`` (lock not held)."""
         # A follower with a deadline waits only as long as its budget
         # allows — a wedged leader must not pile up handler threads.
@@ -404,33 +410,40 @@ class QueryEngine:
         assert flight.result is not None
         return flight.result
 
-    def _lead(self, source: int, flight: _InFlight) -> Dict[int, float]:
+    def _lead(self, source: int, flight: _InFlight, *,
+              warm: bool = False) -> Mapping[int, float]:
         """Compute ``source`` for every waiter; the backend call runs unlocked."""
         try:
             fault_point("serve.single_source", source=source)
-            # Only the miss path is spanned: a hit is a dict lookup and
+            # Only the miss path is spanned: a hit is a memo lookup and
             # must stay one.
             with span("serve.single_source", source=source):
                 dist = self._oracle.single_source(source)
         except BaseException as error:
             self._publish(source, flight, error=error)
             raise
-        self._publish(source, flight, dist)
+        self._publish(source, flight, dist, warm=warm)
         return dist
 
     def _publish(self, source: int, flight: _InFlight,
-                 dist: Optional[Dict[int, float]] = None, *,
-                 error: Optional[BaseException] = None) -> None:
-        """Memoize a leader's result (or drop its claim) and wake the waiters."""
+                 dist: Optional[Mapping[int, float]] = None, *,
+                 error: Optional[BaseException] = None, warm: bool = False) -> None:
+        """Memoize a leader's result (or drop its claim) and wake the waiters.
+
+        The computation counts as a miss, or as a prewarmed source if ``warm``.
+        """
         with self._lock:
             if error is None:
-                self.cache_misses += 1
+                if warm:
+                    self.prewarmed_sources += 1
+                else:
+                    self.cache_misses += 1
                 self._store(source, dist)
             self._inflight.pop(source, None)
         flight.result, flight.error = dist, error
         flight.done.set()
 
-    def _store(self, source: int, dist: Dict[int, float]) -> None:
+    def _store(self, source: int, dist: Mapping[int, float]) -> None:
         """Memoize ``dist`` under the LRU bound (caller holds ``_lock``)."""
         self._cache[source] = dist
         self._cache.move_to_end(source)
@@ -482,7 +495,7 @@ class QueryEngine:
 
     def _fill_parallel(
         self, sources: List[int], workers: int
-    ) -> Dict[int, Dict[int, float]]:
+    ) -> Dict[int, Mapping[int, float]]:
         """Compute the unclaimed uncached ``sources`` on the process pool.
 
         The sources are claimed as in-flight first, so concurrent queries
@@ -496,7 +509,7 @@ class QueryEngine:
             claimed = {source: _InFlight() for source in sources
                        if source not in self._cache and source not in self._inflight}
             self._inflight.update(claimed)
-        fresh: Dict[int, Dict[int, float]] = {}
+        fresh: Dict[int, Mapping[int, float]] = {}
         try:
             if len(claimed) > 1:
                 with self._pool_lock:

@@ -72,10 +72,11 @@ from typing import (
 )
 
 from repro.faults import fault_point
+from repro.graphs import kernels
 from repro.graphs.graph import Graph
 from repro.obs import inc, set_gauge, span
 from repro.serve.engine import QueryEngine
-from repro.serve.oracles import OracleBackend
+from repro.serve.oracles import DistanceRow, OracleBackend
 from repro.serve.spec import ServeSpec
 
 __all__ = [
@@ -313,8 +314,8 @@ class _RepairedEmulatorOracle(OracleBackend):
         stats["repairs"] = self.repairs
         return stats
 
-    def _distances_from(self, source: int) -> Dict[int, float]:
-        return self._emulator.dijkstra(source)
+    def _distances_from(self, source: int) -> DistanceRow:
+        return DistanceRow(kernels.dijkstra_row(self._emulator.csr(), source))
 
 
 def _bounded_bfs(graph: Graph, source: int, bound: int) -> Dict[int, int]:

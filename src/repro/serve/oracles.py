@@ -30,11 +30,22 @@ This module defines
 Backends answer from scratch on every call; memoization, batching and
 multi-worker sharding live one layer up in
 :class:`~repro.serve.engine.QueryEngine`.
+
+A backend's ``single_source`` returns a read-only ``Mapping`` from
+vertex to distance.  The emulator, spanner and exact backends return a
+:class:`DistanceRow` over the kernel's dense float64 row (``8 * n``
+bytes, no per-vertex Python objects); the hopset backend, remote oracles
+and custom backends may return plain dicts.  Callers that need to mutate
+the map wrap it in ``dict(...)``.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
+from operator import index
 from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple, runtime_checkable
+
+import numpy as np
 
 from repro.api.facade import build as facade_build
 from repro.api.result import BuildResultAdapter
@@ -47,12 +58,15 @@ from repro.serve.spec import ServeSpec
 
 __all__ = [
     "DistanceOracle",
+    "DistanceRow",
     "OracleBackend",
     "EmulatorOracle",
     "SpannerOracle",
     "HopsetOracle",
     "ExactOracle",
 ]
+
+_INF = float("inf")
 
 
 @runtime_checkable
@@ -75,9 +89,79 @@ class DistanceOracle(Protocol):
 
     def query_batch(self, pairs: Iterable[Tuple[int, int]]) -> List[float]: ...
 
-    def single_source(self, source: int) -> Dict[int, float]: ...
+    def single_source(self, source: int) -> Mapping[int, float]: ...
 
     def stats(self) -> Dict[str, Any]: ...
+
+
+class DistanceRow(Mapping):
+    """A read-only single-source map over a dense float64 distance row.
+
+    ``row[v]`` is the distance to ``v``; ``inf`` marks an unreachable
+    vertex, which the map does not contain.  Lookups return Python
+    floats.  Iteration yields the reachable vertices in ascending
+    ``(distance, vertex)`` order, the order the kernels' dicts use, so
+    ``dict(row.items())`` equals the kernel's dict entry for entry.  The
+    row is marked non-writeable; the map takes ownership of it.
+    """
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row) -> None:
+        row = np.asarray(row, dtype=np.float64)
+        if row.ndim != 1:
+            raise ValueError(f"a distance row must be one-dimensional, got shape {row.shape}")
+        row.flags.writeable = False
+        self._row = row
+
+    @property
+    def array(self) -> np.ndarray:
+        """The underlying non-writeable float64 row (``inf`` = unreachable)."""
+        return self._row
+
+    def get(self, v, default=None):
+        """The distance to ``v`` as a float; ``default`` if ``v`` is unreachable or no vertex."""
+        if type(v) is not int:
+            try:
+                v = index(v)
+            except TypeError:
+                return default
+        if not 0 <= v < self._row.shape[0]:
+            return default
+        d = self._row[v]
+        return default if d == _INF else float(d)
+
+    def __getitem__(self, v) -> float:
+        d = self.get(v)
+        if d is None:
+            raise KeyError(v)
+        return d
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(np.isfinite(self._row)))
+
+    def __iter__(self):
+        return iter(kernels.finite_entries(self._row)[0].tolist())
+
+    def items(self) -> "_RowItems":
+        return _RowItems(self)
+
+    def __reduce__(self):
+        # Through the constructor, so the unpickled row is read-only too.
+        return DistanceRow, (self._row,)
+
+    def __repr__(self) -> str:
+        return f"DistanceRow(n={self._row.shape[0]}, reachable={len(self)})"
+
+
+class _RowItems(ItemsView):
+    """``DistanceRow.items()`` built from arrays, not ``n`` lookups."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        vertices, distances = kernels.finite_entries(self._mapping.array)
+        return zip(vertices.tolist(), distances.tolist())
 
 
 class OracleBackend:
@@ -86,6 +170,9 @@ class OracleBackend:
     Subclasses implement :meth:`_distances_from` (one fresh single-source
     computation) and :attr:`space_in_edges`; everything else — vertex
     validation, pair queries, batching, stats — is uniform.
+    ``_distances_from`` returns any ``Mapping[int, float]`` holding
+    exactly the reachable vertices: a :class:`DistanceRow` over a kernel
+    row, or a plain dict.
     """
 
     #: Registry name; set by each subclass.
@@ -152,7 +239,7 @@ class OracleBackend:
         self._check_vertex(v)
         if u == v:
             return 0.0
-        return self._distances_from(u).get(v, float("inf"))
+        return self._distances_from(u).get(v, _INF)
 
     def query_batch(self, pairs: Iterable[Tuple[int, int]]) -> List[float]:
         """Approximate distances for many pairs, grouped by source.
@@ -164,7 +251,7 @@ class OracleBackend:
         for u, v in pairs:
             self._check_vertex(u)
             self._check_vertex(v)
-        by_source: Dict[int, Dict[int, float]] = {}
+        by_source: Dict[int, Mapping[int, float]] = {}
         answers: List[float] = []
         for u, v in pairs:
             if u == v:
@@ -172,18 +259,18 @@ class OracleBackend:
                 continue
             if u not in by_source:
                 by_source[u] = self._distances_from(u)
-            answers.append(by_source[u].get(v, float("inf")))
+            answers.append(by_source[u].get(v, _INF))
         return answers
 
-    def single_source(self, source: int) -> Dict[int, float]:
-        """All approximate distances from ``source`` (a fresh map, caller-owned)."""
+    def single_source(self, source: int) -> Mapping[int, float]:
+        """All approximate distances from ``source`` (a fresh, possibly read-only map)."""
         self._check_vertex(source)
         return self._distances_from(source)
 
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _distances_from(self, source: int) -> Dict[int, float]:
+    def _distances_from(self, source: int) -> Mapping[int, float]:
         raise NotImplementedError
 
     def _check_vertex(self, v: int) -> None:
@@ -213,8 +300,8 @@ class EmulatorOracle(OracleBackend):
     def space_in_edges(self) -> int:
         return self._emulator.num_edges
 
-    def _distances_from(self, source: int) -> Dict[int, float]:
-        return self._emulator.dijkstra(source)
+    def _distances_from(self, source: int) -> DistanceRow:
+        return DistanceRow(kernels.dijkstra_row(self._emulator.csr(), source))
 
 
 class SpannerOracle(OracleBackend):
@@ -236,10 +323,8 @@ class SpannerOracle(OracleBackend):
     def space_in_edges(self) -> int:
         return self._spanner.num_edges
 
-    def _distances_from(self, source: int) -> Dict[int, float]:
-        # Straight to the flat-array kernel over the spanner's cached CSR
-        # snapshot; float output skips the int-dict round trip.
-        return kernels.bfs_distances(self._spanner.csr(), source, as_float=True)
+    def _distances_from(self, source: int) -> DistanceRow:
+        return DistanceRow(kernels.bfs_row(self._spanner.csr(), source))
 
 
 class HopsetOracle(OracleBackend):
@@ -297,10 +382,8 @@ class ExactOracle(OracleBackend):
     def space_in_edges(self) -> int:
         return self._graph.num_edges
 
-    def _distances_from(self, source: int) -> Dict[int, float]:
-        # Straight to the flat-array kernel over the graph's cached CSR
-        # snapshot; float output skips the int-dict round trip.
-        return kernels.bfs_distances(self._graph.csr(), source, as_float=True)
+    def _distances_from(self, source: int) -> DistanceRow:
+        return DistanceRow(kernels.bfs_row(self._graph.csr(), source))
 
 
 @register_oracle("emulator", description="Dijkstra on the weighted (1+eps, beta)-emulator")

@@ -44,8 +44,9 @@ class ServeSpec:
         ``G ∪ H``, ...).
     cache_sources:
         Bound on the query engine's per-source LRU memo (>= 1).  Each memo
-        entry is one single-source distance map, so memory is
-        ``O(cache_sources * n)`` in the worst case.
+        entry is one single-source distance map: for the emulator, spanner
+        and exact backends a float64 row of ``8 * n`` bytes, so the memo
+        holds at most ``8 * n * cache_sources`` bytes of distances.
     workers:
         Default number of worker processes for
         :meth:`~repro.serve.engine.QueryEngine.query_batch`; ``1`` answers

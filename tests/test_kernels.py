@@ -16,6 +16,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.graphs import kernels
@@ -255,6 +256,46 @@ def test_dijkstra_disconnected(backend):
     g = WeightedGraph(5, [(0, 1, 2.0)])
     assert g.dijkstra(0) == {0: 0.0, 1: 2.0}
     assert g.dijkstra(4) == {4: 0.0}
+
+
+def _finite_items(row):
+    """A dense row's finite entries in canonical ``(distance, vertex)`` order."""
+    vertices, distances = kernels.finite_entries(row)
+    return list(zip(vertices.tolist(), distances.tolist()))
+
+
+def _canonical(distances):
+    return sorted(((v, float(d)) for v, d in distances.items()),
+                  key=lambda item: (item[1], item[0]))
+
+
+def test_bfs_row_matches_reference():
+    for g in GRAPH_CASES:
+        csr = g.csr()
+        for s in range(g.num_vertices):
+            row = kernels.bfs_row(csr, s)
+            assert row.dtype == np.float64 and row.shape == (g.num_vertices,)
+            reference = _dict_bounded_bfs(g, s, None)
+            assert _finite_items(row) == _canonical(reference)
+            assert all(math.isinf(row[v]) for v in range(g.num_vertices)
+                       if v not in reference)
+            assert _finite_items(kernels.bfs_row(csr, s, 2)) == _canonical(
+                _dict_bounded_bfs(g, s, 2))
+
+
+def test_dijkstra_row_matches_reference():
+    disconnected = WeightedGraph(7, [(0, 1, 2.0), (1, 2, 0.5), (4, 5, 3.0)])
+    for g in (disconnected, random_weighted(30, 4.0, 1), random_weighted(90, 2.0, 2)):
+        csr = g.csr()
+        for s in range(g.num_vertices):
+            row = kernels.dijkstra_row(csr, s)
+            assert row.dtype == np.float64 and row.shape == (g.num_vertices,)
+            reference = g._dict_dijkstra(s)
+            assert _finite_items(row) == _canonical(reference)
+            assert list(reference.items()) == _canonical(reference)
+            assert sum(1 for d in row.tolist() if not math.isinf(d)) == len(reference)
+            assert _finite_items(kernels.dijkstra_row(csr, s, 5.0)) == _canonical(
+                g._dict_dijkstra(s, max_distance=5.0))
 
 
 def test_hop_limited_kernel_matches_scalar():

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import pickle
+import threading
+import time
+
+import numpy as np
 import pytest
 
 from repro.graphs import generators
 from repro.graphs.shortest_paths import bfs_distances
 from repro.serve import (
     DistanceOracle,
+    DistanceRow,
     QueryEngine,
     ServeSpec,
     available_oracles,
@@ -251,10 +257,11 @@ class TestQueryEngine:
     def test_parallel_batch_equals_serial(self):
         graph = generators.connected_erdos_renyi(70, 0.06, seed=5)
         pairs = [(i % 25, (i * 7 + 1) % 70) for i in range(120)]
-        serial = load(graph, ServeSpec()).query_batch(pairs)
-        parallel_engine = load(graph, ServeSpec())
-        parallel = parallel_engine.query_batch(pairs, workers=2)
-        assert parallel == serial
+        for backend in ("emulator", "spanner", "exact"):
+            serial = load(graph, ServeSpec(backend=backend)).query_batch(pairs)
+            with load(graph, ServeSpec(backend=backend)) as parallel_engine:
+                parallel = parallel_engine.query_batch(pairs, workers=2)
+            assert parallel == serial, backend
 
     def test_unpicklable_oracle_falls_back_serially(self, path10):
         backend = load(path10, ServeSpec(backend="exact")).oracle
@@ -322,6 +329,119 @@ class TestQueryEngine:
         assert engine._pool is None
 
 
+class TestDistanceRow:
+    """The read-only Mapping over a dense float64 row."""
+
+    INF = float("inf")
+
+    def row(self):
+        return DistanceRow(np.array([0.0, 2.0, self.INF, 1.0, 1.0]))
+
+    def test_lookups_return_floats_and_skip_unreachable(self):
+        row = self.row()
+        assert row[1] == 2.0 and type(row[1]) is float
+        assert row.get(3) == 1.0 and type(row.get(3)) is float
+        assert row[np.int64(1)] == 2.0
+        assert row.get(2) is None
+        assert row.get(2, self.INF) == self.INF
+        for missing in (2, 5, -1, 1.0, "1"):
+            assert missing not in row
+            with pytest.raises(KeyError):
+                row[missing]
+        assert 0 in row and 4 in row
+
+    def test_len_and_canonical_iteration_order(self):
+        row = self.row()
+        assert len(row) == 4
+        # Ascending (distance, vertex): ties broken toward the smaller vertex.
+        assert list(row) == [0, 3, 4, 1]
+        assert list(row.items()) == [(0, 0.0), (3, 1.0), (4, 1.0), (1, 2.0)]
+        assert list(row.values()) == [0.0, 1.0, 1.0, 2.0]
+
+    def test_equals_the_equivalent_dict(self):
+        row = self.row()
+        assert row == {0: 0.0, 1: 2.0, 3: 1.0, 4: 1.0}
+        assert row != {0: 0.0, 1: 2.0, 3: 1.0}
+        assert row != {0: 0.0, 1: 2.0, 2: self.INF, 3: 1.0, 4: 1.0}
+        assert dict(row.items()) == dict(row)
+
+    def test_rejects_writes(self):
+        row = self.row()
+        with pytest.raises(TypeError):
+            row[2] = 3.0
+        assert not row.array.flags.writeable
+        with pytest.raises(ValueError):
+            row.array[2] = 3.0
+        with pytest.raises(ValueError):
+            DistanceRow(np.zeros((2, 2)))
+
+    def test_pickle_round_trip(self):
+        row = self.row()
+        copy = pickle.loads(pickle.dumps(row))
+        assert isinstance(copy, DistanceRow)
+        assert list(copy.items()) == list(row.items())
+        assert copy.array.dtype == np.float64
+        assert not copy.array.flags.writeable
+
+    def test_engine_single_source_is_a_fresh_dict(self, path10):
+        engine = load(path10, ServeSpec(backend="exact"))
+        backend_map = engine.oracle.single_source(3)
+        assert isinstance(backend_map, DistanceRow)
+        engine_map = engine.single_source(3)
+        assert type(engine_map) is dict
+        assert list(engine_map.items()) == list(backend_map.items())
+        engine_map[3] = 99.0  # caller-owned: the memo is unaffected
+        assert engine.query(3, 4) == 1.0
+
+
+class TestRowMemo:
+    """Stock backends memoize one float64 row (8n bytes) per source."""
+
+    @pytest.mark.parametrize("backend", ["emulator", "spanner", "exact"])
+    def test_memo_entries_are_float64_rows(self, backend):
+        graph = generators.connected_erdos_renyi(70, 0.06, seed=5)
+        engine = load(graph, ServeSpec(backend=backend, cache_sources=8))
+        with engine:
+            for source in (0, 9, 33):
+                engine.query(source, 1)
+            engine.query_batch([(40, 2), (41, 3)])
+            engine.query_batch([(50, 2), (51, 3)], workers=2)  # rows from the pool
+        assert len(engine._cache) == 7
+        for entry in engine._cache.values():
+            assert isinstance(entry, DistanceRow)
+            assert entry.array.dtype == np.float64
+            assert entry.array.nbytes == 8 * graph.num_vertices
+
+
+class _GatedBackend:
+    """Wraps a backend; ``single_source(gated)`` blocks until released."""
+
+    def __init__(self, backend, gated):
+        self.backend = backend
+        self.gated = gated
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.calls = []
+        self._single_source = backend.single_source
+        backend.single_source = self.single_source
+
+    def single_source(self, source):
+        self.calls.append(source)
+        if source == self.gated:
+            self.entered.set()
+            assert self.release.wait(timeout=10)
+        return self._single_source(source)
+
+
+def _wait_for(predicate):
+    """Poll ``predicate`` until it holds (a liveness guard, not a timing check)."""
+    for _ in range(1000):
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return False
+
+
 class TestEngineAdmissionInterface:
     """prewarm/stats_delta (the daemon's warm-up and ``/stats`` surface)."""
 
@@ -338,6 +458,45 @@ class TestEngineAdmissionInterface:
             engine.prewarm([0], limit=-1)
         with pytest.raises(ValueError):
             engine.prewarm([99])  # out of range propagates
+
+    def test_prewarm_does_not_block_hits(self, path10):
+        backend = load(path10, ServeSpec(backend="exact")).oracle
+        gate = _GatedBackend(backend, gated=0)
+        engine = QueryEngine(backend, cache_sources=8)
+        assert engine.query(5, 9) == 4.0  # memoize source 5
+        warmer = threading.Thread(target=engine.prewarm, args=([0],))
+        warmer.start()
+        assert gate.entered.wait(timeout=10)  # prewarm is inside the backend
+        answered = []
+        hitter = threading.Thread(target=lambda: answered.append(engine.query(5, 0)))
+        hitter.start()
+        hitter.join(timeout=10)
+        # The hit answered while the warm-up was still blocked.
+        assert answered == [5.0] and not gate.release.is_set()
+        gate.release.set()
+        warmer.join()
+        assert engine.prewarmed_sources == 1
+        assert engine.cache_hits == 1 and engine.cache_misses == 1
+
+    def test_query_joins_an_in_flight_prewarm(self, path10):
+        backend = load(path10, ServeSpec(backend="exact")).oracle
+        gate = _GatedBackend(backend, gated=0)
+        engine = QueryEngine(backend, cache_sources=8)
+        warmer = threading.Thread(target=engine.prewarm, args=([0],))
+        warmer.start()
+        assert gate.entered.wait(timeout=10)
+        answered = []
+        asker = threading.Thread(target=lambda: answered.append(engine.query(0, 7)))
+        asker.start()
+        assert _wait_for(lambda: engine.coalesced_queries == 1)
+        gate.release.set()
+        warmer.join()
+        asker.join()
+        assert answered == [7.0]
+        assert gate.calls == [0]  # one backend computation for both
+        assert engine.coalesced_queries == 1
+        assert engine.prewarmed_sources == 1 and engine.cache_misses == 0
+        assert engine.stats()["inflight_sources"] == 0
 
     def test_stats_delta_subtracts_only_counters(self, path10):
         engine = load(path10, ServeSpec(backend="exact", cache_sources=2))
