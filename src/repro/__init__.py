@@ -65,7 +65,7 @@ from repro.api import (
 from repro import serve
 from repro.serve import DistanceOracle, QueryEngine, ServeSpec
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "Graph",

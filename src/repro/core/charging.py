@@ -15,6 +15,13 @@ Summing the per-phase bounds with ``deg_i = n^(2^i / kappa)`` telescopes to
 exactly ``n^(1+1/kappa)``.  The ledger below records every charge so that
 tests can verify the structural facts the proof relies on, not only the final
 edge count.
+
+The ledger exists only for that audit, so it is kept cheap to fill: it
+stores plain ``(u, v, weight, charged_to, kind)`` rows, appended a phase at
+a time (:meth:`ChargeLedger.record`) or one at a time
+(:meth:`ChargeLedger.charge`).  Frozen :class:`EdgeCharge` records are built
+only when a view reads them, and the ``verify_*`` checks walk the rows
+directly.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
-__all__ = ["EdgeKind", "EdgeCharge", "ChargeLedger"]
+__all__ = ["EdgeKind", "EdgeCharge", "ChargeRow", "ChargeLedger"]
 
 
 class EdgeKind(enum.Enum):
@@ -60,20 +67,43 @@ class EdgeCharge:
     kind: EdgeKind
 
 
+#: One ledger row as a builder inserts it: ``(u, v, weight, charged_to, kind)``.
+ChargeRow = Tuple[int, int, float, int, EdgeKind]
+
+
 class ChargeLedger:
-    """Records every emulator edge together with the vertex it is charged to."""
+    """Records every emulator edge together with the vertex it is charged to.
+
+    The ledger stores the builders' plain ``(u, v, weight, charged_to,
+    kind)`` rows in per-phase segments; :class:`EdgeCharge` records are
+    built only when a view (:attr:`charges`, :meth:`charges_by_vertex`,
+    :meth:`charges_by_phase`) is read.
+    """
 
     def __init__(self) -> None:
-        self._charges: List[EdgeCharge] = []
+        # (phase, rows) segments in insertion order; consecutive rows of
+        # one phase share a segment.
+        self._segments: List[Tuple[int, List[ChargeRow]]] = []
+
+    def record(self, phase: int, rows: Iterable[ChargeRow]) -> None:
+        """Record a batch of charges made in ``phase``, in order (the rows are copied)."""
+        if self._segments and self._segments[-1][0] == phase:
+            self._segments[-1][1].extend(rows)
+        else:
+            self._segments.append((phase, list(rows)))
 
     def charge(
         self, u: int, v: int, weight: float, charged_to: int, phase: int, kind: EdgeKind
     ) -> EdgeCharge:
         """Record a charge for emulator edge ``(u, v)`` and return it."""
-        edge = (u, v) if u < v else (v, u)
-        record = EdgeCharge(edge=edge, weight=weight, charged_to=charged_to, phase=phase, kind=kind)
-        self._charges.append(record)
-        return record
+        self.record(phase, ((u, v, weight, charged_to, kind),))
+        return _record(phase, u, v, weight, charged_to, kind)
+
+    def _rows(self) -> Iterator[Tuple[int, int, int, float, int, EdgeKind]]:
+        """Every row as ``(phase, u, v, weight, charged_to, kind)``, in order."""
+        for phase, rows in self._segments:
+            for row in rows:
+                yield (phase,) + row
 
     # ------------------------------------------------------------------
     # Views
@@ -81,38 +111,42 @@ class ChargeLedger:
     @property
     def charges(self) -> List[EdgeCharge]:
         """All recorded charges, in insertion order."""
-        return list(self._charges)
+        return [_record(*row) for row in self._rows()]
 
     @property
     def num_charges(self) -> int:
         """Total number of charges recorded (one per emulator-edge insertion)."""
-        return len(self._charges)
+        return sum(len(rows) for _, rows in self._segments)
 
     def charges_by_vertex(self) -> Dict[int, List[EdgeCharge]]:
         """Map ``vertex -> list of charges`` attributed to that vertex."""
         by_vertex: Dict[int, List[EdgeCharge]] = defaultdict(list)
-        for charge in self._charges:
+        for charge in self.charges:
             by_vertex[charge.charged_to].append(charge)
         return dict(by_vertex)
 
     def charges_by_phase(self) -> Dict[int, List[EdgeCharge]]:
         """Map ``phase -> list of charges`` made during that phase."""
         by_phase: Dict[int, List[EdgeCharge]] = defaultdict(list)
-        for charge in self._charges:
+        for charge in self.charges:
             by_phase[charge.phase].append(charge)
         return dict(by_phase)
 
     def edges_per_phase(self) -> Dict[int, int]:
         """Number of edges charged in each phase."""
-        return {phase: len(chs) for phase, chs in self.charges_by_phase().items()}
+        counts: Dict[int, int] = defaultdict(int)
+        for phase, rows in self._segments:
+            if rows:
+                counts[phase] += len(rows)
+        return dict(counts)
 
     def interconnection_count(self) -> int:
         """Total number of interconnection edges."""
-        return sum(1 for c in self._charges if c.kind is EdgeKind.INTERCONNECTION)
+        return sum(1 for row in self._rows() if row[5] is EdgeKind.INTERCONNECTION)
 
     def superclustering_count(self) -> int:
         """Total number of superclustering edges."""
-        return sum(1 for c in self._charges if c.kind is EdgeKind.SUPERCLUSTERING)
+        return sum(1 for row in self._rows() if row[5] is EdgeKind.SUPERCLUSTERING)
 
     # ------------------------------------------------------------------
     # Invariant checks (used by tests)
@@ -125,9 +159,9 @@ class ChargeLedger:
         than ``deg_i`` such edges (Section 2.2.1).
         """
         per_vertex_phase: Dict[Tuple[int, int], int] = defaultdict(int)
-        for charge in self._charges:
-            if charge.kind is EdgeKind.INTERCONNECTION:
-                per_vertex_phase[(charge.charged_to, charge.phase)] += 1
+        for phase, _, _, _, charged_to, kind in self._rows():
+            if kind is EdgeKind.INTERCONNECTION:
+                per_vertex_phase[(charged_to, phase)] += 1
         for (vertex, phase), count in per_vertex_phase.items():
             budget = degree_by_phase[phase]
             if count >= budget and count > 0:
@@ -139,9 +173,9 @@ class ChargeLedger:
     def verify_superclustering_budget(self) -> None:
         """Check that each vertex is charged at most one superclustering edge per phase."""
         per_vertex_phase: Dict[Tuple[int, int], int] = defaultdict(int)
-        for charge in self._charges:
-            if charge.kind is EdgeKind.SUPERCLUSTERING:
-                per_vertex_phase[(charge.charged_to, charge.phase)] += 1
+        for phase, _, _, _, charged_to, kind in self._rows():
+            if kind is EdgeKind.SUPERCLUSTERING:
+                per_vertex_phase[(charged_to, phase)] += 1
         for (vertex, phase), count in per_vertex_phase.items():
             if count > 1:
                 raise AssertionError(
@@ -156,9 +190,9 @@ class ChargeLedger:
         belong to a single phase.
         """
         phases_by_vertex: Dict[int, set] = defaultdict(set)
-        for charge in self._charges:
-            if charge.kind is EdgeKind.INTERCONNECTION:
-                phases_by_vertex[charge.charged_to].add(charge.phase)
+        for phase, _, _, _, charged_to, kind in self._rows():
+            if kind is EdgeKind.INTERCONNECTION:
+                phases_by_vertex[charged_to].add(phase)
         for vertex, phases in phases_by_vertex.items():
             if len(phases) > 1:
                 raise AssertionError(
@@ -166,11 +200,19 @@ class ChargeLedger:
                 )
 
     def __len__(self) -> int:
-        return len(self._charges)
+        return self.num_charges
 
     def __repr__(self) -> str:
         return (
-            f"ChargeLedger(total={len(self._charges)}, "
+            f"ChargeLedger(total={self.num_charges}, "
             f"interconnection={self.interconnection_count()}, "
             f"superclustering={self.superclustering_count()})"
         )
+
+
+def _record(
+    phase: int, u: int, v: int, weight: float, charged_to: int, kind: EdgeKind
+) -> EdgeCharge:
+    """The :class:`EdgeCharge` view of one ledger row."""
+    edge = (u, v) if u < v else (v, u)
+    return EdgeCharge(edge=edge, weight=weight, charged_to=charged_to, phase=phase, kind=kind)

@@ -139,8 +139,15 @@ class Partition:
     # ------------------------------------------------------------------
     @classmethod
     def singletons(cls, num_vertices: int) -> "Partition":
-        """The phase-0 partition of ``{0 .. n-1}`` into singletons."""
-        return cls(Cluster.singleton(v) for v in range(num_vertices))
+        """The phase-0 partition of ``{0 .. n-1}`` into singletons.
+
+        Singletons are disjoint by construction, so both maps are filled
+        directly instead of through :meth:`add` and its overlap check.
+        """
+        partition = cls()
+        partition._by_center = {v: Cluster.singleton(v) for v in range(num_vertices)}
+        partition._vertex_to_center = {v: v for v in range(num_vertices)}
+        return partition
 
     def add(self, cluster: Cluster) -> None:
         """Add a cluster; raises if it overlaps an existing cluster."""

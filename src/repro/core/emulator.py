@@ -29,6 +29,12 @@ The algorithm follows the superclustering-and-interconnection (SAI) scheme:
 
 Every inserted edge is recorded in a :class:`repro.core.charging.ChargeLedger`
 so the tests can check the charging invariants the size proof relies on.
+
+The builder computes only what the algorithm reads.  Each considered center
+is explored to depth ``delta_i``, which is all the neighbor set needs; only
+a popular center then fetches its ``2 * delta_i`` ball for ``N_i``.  A phase
+collects its edges as plain ``(u, v, weight, charged_to, kind)`` rows and
+hands them to ``H`` and to the ledger in one call each when it ends.
 """
 
 from __future__ import annotations
@@ -37,12 +43,12 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.charging import ChargeLedger, EdgeKind
+from repro.core.charging import ChargeLedger, ChargeRow, EdgeKind
 from repro.core.clusters import Cluster, Partition
 from repro.core.parameters import CentralizedSchedule
 from repro.core.phase_obs import annotate_phase_span
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import PhaseExplorer, active_exploration_cache
+from repro.graphs.shortest_paths import PhaseExplorer, active_exploration_cache, bounded_bfs
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs import span
 
@@ -187,7 +193,15 @@ class UltraSparseEmulatorBuilder:
     def _run_phase(
         self, phase: int, partition: Partition, *, superclustering_allowed: bool
     ) -> Partition:
-        """Execute one phase of Algorithm 1 and return ``P_{phase+1}``."""
+        """Execute one phase of Algorithm 1 and return ``P_{phase+1}``.
+
+        Centers are explored to depth ``delta`` (batched along the
+        consideration order by a :class:`PhaseExplorer`); a popular center
+        then widens its ball to ``2 * delta`` with :func:`bounded_bfs`,
+        unless its ``delta`` ball already covers its whole component.  The
+        phase's edges are inserted into ``H`` and recorded in the ledger in
+        bulk at the end, in the order the algorithm adds them.
+        """
         delta = self.schedule.delta(phase)
         degree_threshold = self.schedule.degree(phase)
         stats = PhaseStats(
@@ -201,7 +215,8 @@ class UltraSparseEmulatorBuilder:
         # awaiting consideration; ``buffered`` maps a center in N_i to the
         # supercluster center recorded when it was parked, plus the distance
         # to that supercluster center.
-        in_s: Set[int] = set(partition.centers())
+        centers = partition.centers()
+        in_s: Set[int] = set(centers)
         buffered: Dict[int, Tuple[int, float]] = {}
         next_partition = Partition()
         phase_unclustered: List[Cluster] = []
@@ -209,39 +224,43 @@ class UltraSparseEmulatorBuilder:
         # Supercluster assembly state: center -> (member clusters, radius witness).
         supercluster_members: Dict[int, List[Tuple[Cluster, float]]] = {}
 
-        # Centers absorbed into a supercluster leave ``in_s`` before they
-        # are reached, so the explorer prefetches batched chunks along the
-        # consideration order rather than exploring the whole phase up
-        # front — skipped centers cost at most one wasted chunk member.
-        explorer = PhaseExplorer(self.graph, partition.centers(), 2.0 * delta)
+        # The phase's emulator edges as ``(u, v, weight, charged_to, kind)``
+        # rows in insertion order; H and the ledger take them in one call
+        # each at the end of the phase.
+        rows: List[ChargeRow] = []
 
-        for center in partition.centers():
+        # Centers are explored to depth delta only: that ball defines the
+        # neighbor set Gamma, and only a popular center reads the 2*delta
+        # ball (Algorithm 1, lines 18-20).  Centers absorbed into a
+        # supercluster leave ``in_s`` before they are reached, so the
+        # explorer prefetches batched chunks along the consideration order
+        # rather than exploring the whole phase up front — skipped centers
+        # cost at most one wasted chunk member.
+        explorer = PhaseExplorer(self.graph, centers, delta)
+        radius = explorer.radius
+
+        for center in centers:
             if center not in in_s:
                 continue
             in_s.discard(center)
             cluster = partition.cluster_of_center(center)
 
-            # Dijkstra (bounded BFS) exploration to depth 2 * delta: distances
-            # up to delta define the neighbor set Gamma, distances in
-            # (delta, 2*delta] feed the buffer set N_i when the center turns
-            # out to be popular.
-            dist = explorer.explore(center)
-            neighbors = [
+            ball = explorer.explore(center)
+            neighbors = sorted(
                 (other, float(d))
-                for other, d in dist.items()
-                if other != center and d <= delta and (other in in_s or other in buffered)
-            ]
-            neighbors.sort()
+                for other, d in ball.items()
+                if other != center and (other in in_s or other in buffered)
+            )
 
             # Emulator edges to every neighboring center are added in both
             # the popular and the unpopular case (Algorithm 1, lines 7-8).
             is_popular = superclustering_allowed and len(neighbors) >= degree_threshold
 
             if not is_popular:
-                for other, d in neighbors:
-                    self._add_edge(center, other, d, charged_to=center, phase=phase,
-                                   kind=EdgeKind.INTERCONNECTION)
-                    stats.interconnection_edges += 1
+                rows.extend(
+                    (center, other, d, center, EdgeKind.INTERCONNECTION) for other, d in neighbors
+                )
+                stats.interconnection_edges += len(neighbors)
                 stats.unpopular_centers += 1
                 phase_unclustered.append(cluster)
                 continue
@@ -251,20 +270,21 @@ class UltraSparseEmulatorBuilder:
             stats.superclusters_formed += 1
             joined: List[Tuple[Cluster, float]] = []
             for other, d in neighbors:
-                self._add_edge(center, other, d, charged_to=other, phase=phase,
-                               kind=EdgeKind.SUPERCLUSTERING)
-                stats.superclustering_edges += 1
-                other_cluster = partition.cluster_of_center(other)
-                joined.append((other_cluster, d))
+                rows.append((center, other, d, other, EdgeKind.SUPERCLUSTERING))
+                joined.append((partition.cluster_of_center(other), d))
                 in_s.discard(other)
                 buffered.pop(other, None)
+            stats.superclustering_edges += len(neighbors)
             supercluster_members[center] = [(cluster, 0.0)] + joined
 
             # Park every still-unconsidered center within distance 2*delta in
             # the buffer set N_i, remembering this supercluster as its host of
-            # record (Algorithm 1, lines 18-20).
-            for other, d in dist.items():
-                if other in in_s and float(d) <= 2.0 * delta:
+            # record (Algorithm 1, lines 18-20).  A delta ball that stopped
+            # short of depth delta already holds the center's whole component.
+            if radius is not None and max(ball.values()) >= radius:
+                ball = bounded_bfs(self.graph, center, 2.0 * delta)
+            for other, d in ball.items():
+                if other in in_s:
                     in_s.discard(other)
                     buffered[other] = (center, float(d))
                     stats.buffered_centers += 1
@@ -273,11 +293,12 @@ class UltraSparseEmulatorBuilder:
         # supercluster recorded when they were parked (Algorithm 1, lines 22-26).
         for other in sorted(buffered):
             host, d = buffered[other]
-            self._add_edge(host, other, d, charged_to=other, phase=phase,
-                           kind=EdgeKind.SUPERCLUSTERING)
-            stats.superclustering_edges += 1
-            other_cluster = partition.cluster_of_center(other)
-            supercluster_members[host].append((other_cluster, d))
+            rows.append((host, other, d, other, EdgeKind.SUPERCLUSTERING))
+            supercluster_members[host].append((partition.cluster_of_center(other), d))
+        stats.superclustering_edges += len(buffered)
+
+        self.emulator.add_edges(rows)
+        self.ledger.record(phase, rows)
 
         # Materialize the superclusters of P_{phase+1}.
         for center in sorted(supercluster_members):
@@ -295,16 +316,6 @@ class UltraSparseEmulatorBuilder:
         self.phase_stats.append(stats)
         annotate_phase_span(stats, explorer, active_exploration_cache(self.graph))
         return next_partition
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _add_edge(
-        self, u: int, v: int, weight: float, *, charged_to: int, phase: int, kind: EdgeKind
-    ) -> None:
-        """Insert an emulator edge and record its charge."""
-        self.emulator.add_edge(u, v, weight)
-        self.ledger.charge(u, v, weight, charged_to=charged_to, phase=phase, kind=kind)
 
 
 def build_emulator(

@@ -48,6 +48,7 @@ import socket
 import sys
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
@@ -308,7 +309,10 @@ class DistCoordinator:
             self._replay_journal()
 
         self._server = _CoordinatorServer((host, int(port)), _Handler)
-        self._server.coordinator = self
+        # A weak back-reference: a strong one would make the coordinator,
+        # its task rows and every delivered result a reference cycle that
+        # outlives close() until the next full garbage collection.
+        self._server.coordinator = weakref.proxy(self)
         self.host, self.port = self._server.server_address[:2]
         self._serve_thread: Optional[threading.Thread] = None
         self._reaper_thread: Optional[threading.Thread] = None

@@ -9,7 +9,7 @@ used to evaluate distances in ``H`` when validating stretch.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["WeightedGraph"]
 
@@ -36,8 +36,7 @@ class WeightedGraph:
         self._adj: List[Dict[int, float]] = [dict() for _ in range(num_vertices)]
         self._num_edges = 0
         self._csr = None
-        for u, v, w in edges:
-            self.add_edge(u, v, w)
+        self.add_edges(edges)
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -115,6 +114,44 @@ class WeightedGraph:
         self._num_edges += 1
         self._csr = None
         return True
+
+    def add_edges(self, rows: Iterable[Sequence]) -> int:
+        """Add every ``(u, v, weight, ...)`` row in order, like :meth:`add_edge`.
+
+        Columns past the weight are ignored, so a builder's charge rows can
+        be passed as they are.  Duplicates keep the minimum weight.  Every
+        row is validated before anything is inserted, so a bad row raises
+        the same ``ValueError`` as :meth:`add_edge` and leaves the graph
+        unchanged.  Returns the number of new edges.
+        """
+        rows = list(rows)
+        n = self._n
+        for row in rows:
+            u, v, weight = row[0], row[1], row[2]
+            if not (0 <= u < n and 0 <= v < n):
+                self._check_vertex(u)
+                self._check_vertex(v)
+            if u == v:
+                raise ValueError(f"self-loops are not allowed (vertex {u})")
+            if weight <= 0:
+                raise ValueError(f"edge weight must be positive, got {weight}")
+        adj = self._adj
+        created = 0
+        for row in rows:
+            u, v, weight = row[0], row[1], row[2]
+            neighbors = adj[u]
+            old = neighbors.get(v)
+            if old is None:
+                neighbors[v] = weight
+                adj[v][u] = weight
+                created += 1
+            elif weight < old:
+                neighbors[v] = weight
+                adj[v][u] = weight
+        if rows:
+            self._num_edges += created
+            self._csr = None
+        return created
 
     def remove_edge(self, u: int, v: int) -> bool:
         """Remove edge ``(u, v)``; returns ``True`` if it was present."""

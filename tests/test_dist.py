@@ -12,9 +12,11 @@ re-run.
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import threading
+import weakref
 
 import pytest
 
@@ -301,6 +303,28 @@ class TestCoordinatorStateMachine:
             superseded = coordinator.heartbeat({
                 "worker": "w1", "task": 0, "lease": "0.999"})
             assert superseded == {"ok": False, "state": "leased"}
+
+    def test_closed_coordinator_is_freed_without_a_gc_pass(self, tmp_path):
+        # The coordinator holds every delivered result; a reference cycle
+        # through its server would keep them alive until a full collection.
+        gc.collect()
+        gc.disable()
+        try:
+            coordinator = DistCoordinator(_tasks(), ResultCache(tmp_path)).start()
+            coordinator.lease("w1")
+            host, port = coordinator.url.split("//")[1].split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=5)
+            try:
+                conn.request("GET", "/healthz")
+                assert conn.getresponse().status == 200
+            finally:
+                conn.close()
+            coordinator.close()
+            ref = weakref.ref(coordinator)
+            del coordinator
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_uncacheable_task_is_rejected_at_construction(self, tmp_path):
         spec = next(iter(SWEEP.specs()))

@@ -16,6 +16,7 @@ from repro.core.emulator import UltraSparseEmulatorBuilder, build_emulator
 from repro.core.parameters import CentralizedSchedule, size_bound, ultra_sparse_kappa
 from repro.graphs import generators
 from repro.graphs.graph import Graph
+from repro.graphs.shortest_paths import ExplorationCache, shared_explorations
 
 
 class TestSizeBound:
@@ -258,3 +259,45 @@ class TestBuilderApi:
         r1 = build_emulator(random_graph, eps=0.1, kappa=4)
         r2 = build_emulator(random_graph, eps=0.1, kappa=4)
         assert sorted(r1.emulator.edges()) == sorted(r2.emulator.edges())
+
+
+class TestExplorations:
+    """Algorithm 1 reads a center's 2*delta_i ball only when it is popular."""
+
+    @staticmethod
+    def _build_recording(graph, **params):
+        """Build under a shared cache; return the result and explored balls.
+
+        Every exploration of the graph, batched or single, lands in the
+        installed cache, so its keys list each ``(source, radius)`` asked.
+        """
+        cache = ExplorationCache(graph)
+        with shared_explorations(cache):
+            result = UltraSparseEmulatorBuilder(graph, **params).build()
+        balls = [(key[1], key[2]) for key in cache._store if key[0] == "bfs"]
+        return result, balls
+
+    @pytest.mark.parametrize("graph, params", [
+        (generators.grid_graph(12, 12), {"eps": 0.5, "kappa": 8}),
+        (generators.ring_of_cliques(12, 8), {"eps": 1.0, "kappa": 8}),
+        (generators.connected_erdos_renyi(160, 0.04, seed=5), {"eps": 0.1, "kappa": 4}),
+    ])
+    def test_only_popular_centers_fetch_the_wide_ball(self, graph, params):
+        result, balls = self._build_recording(graph, **params)
+        for stats, superclusters in zip(result.phase_stats, result.partitions[1:]):
+            wide = {source for source, radius in balls if radius == int(2 * stats.delta)}
+            # Popular centers are exactly the supercluster centers of P_{i+1}.
+            assert wide <= set(superclusters.centers())
+            if stats.phase == 0:
+                # At delta_0 = 1 a popular center's ball reaches depth 1,
+                # so it cannot prove its component exhausted: all widen.
+                assert len(wide) == stats.popular_centers > 0
+
+    def test_ball_covering_the_component_is_reused(self):
+        # delta_1 = 6 exceeds this graph's eccentricities, so the popular
+        # phase-1 center's delta ball already holds its whole component.
+        graph = generators.connected_erdos_renyi(160, 0.04, seed=5)
+        result, balls = self._build_recording(graph, eps=0.5, kappa=8)
+        stats = result.phase_stats[1]
+        assert stats.delta == 6.0 and stats.popular_centers == 1
+        assert all(radius != int(2 * stats.delta) for _, radius in balls)

@@ -80,6 +80,49 @@ class TestEdges:
         assert g.degree(1) == 1
 
 
+class TestAddEdges:
+    ROWS = [(0, 1, 5.0), (2, 1, 2.0), (1, 0, 3.0), (0, 1, 4.0), (3, 2, 1.0, "extra")]
+
+    def test_matches_per_edge_insertion(self):
+        bulk, single = WeightedGraph(4), WeightedGraph(4)
+        assert bulk.add_edges(self.ROWS) == 3
+        for u, v, w, *_ in self.ROWS:
+            single.add_edge(u, v, w)
+        assert list(bulk.edges()) == list(single.edges())
+        assert [bulk.neighbors(u) for u in range(4)] == [single.neighbors(u) for u in range(4)]
+
+    def test_duplicates_keep_minimum_and_count_exactly(self):
+        g = WeightedGraph(4, [(0, 1, 2.5)])
+        assert g.add_edges(self.ROWS) == 2
+        assert g.weight(0, 1) == 2.5  # the existing edge was already lighter
+        assert g.weight(1, 2) == 2.0
+        assert g.num_edges == 3
+
+    def test_invalidates_the_csr_snapshot(self):
+        g = WeightedGraph(4, [(0, 1, 1.0)])
+        before = g.csr()
+        g.add_edges([(2, 3, 1.0)])
+        assert g.csr() is not before
+        assert g.dijkstra(2) == {2: 0.0, 3: 1.0}
+
+    @pytest.mark.parametrize("bad, message", [
+        ((2, 2, 1.0), "self-loops"),
+        ((0, 2, 0.0), "must be positive"),
+        ((0, 2, -1.0), "must be positive"),
+        ((0, 4, 1.0), "out of range"),
+        ((-1, 2, 1.0), "out of range"),
+    ])
+    def test_bad_row_raises_before_mutating(self, bad, message):
+        g = WeightedGraph(4, [(0, 1, 2.0)])
+        with pytest.raises(ValueError, match=message) as bulk_error:
+            g.add_edges([(1, 2, 1.0), (0, 1, 1.0), bad])
+        with pytest.raises(ValueError) as single_error:
+            WeightedGraph(4).add_edge(*bad)
+        assert str(bulk_error.value) == str(single_error.value)
+        assert list(g.edges()) == [(0, 1, 2.0)]
+        assert g.num_edges == 1
+
+
 class TestDijkstra:
     def test_path_distances(self):
         g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
