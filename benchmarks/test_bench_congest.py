@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.distributed.emulator_congest import build_emulator_congest
+from repro import BuildSpec, build
 from repro.experiments.congest_experiment import format_congest_table, run_congest_experiment
 from repro.experiments.workloads import standard_workloads
 
@@ -26,11 +26,11 @@ def test_bench_e5_congest_table(benchmark, tier_n):
 def test_bench_e5_single_congest_build(benchmark, small_bench_workloads):
     """Time one CONGEST construction on a 96-vertex workload."""
     graph = small_bench_workloads[0].graph
+    spec = BuildSpec(product="emulator", method="congest", eps=0.01, kappa=4, rho=0.45)
     result = benchmark.pedantic(
-        build_emulator_congest,
-        args=(graph,),
-        kwargs={"eps": 0.01, "kappa": 4, "rho": 0.45},
+        build,
+        args=(graph, spec),
         iterations=1,
         rounds=3,
-    )
+    ).raw
     assert result.both_endpoints_know_all_edges()

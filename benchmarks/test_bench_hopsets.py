@@ -6,8 +6,8 @@ construction plus hopbound measurement.
 
 from __future__ import annotations
 
+from repro import BuildSpec, build
 from repro.experiments.hopset_experiment import format_hopset_table, run_hopset_experiment
-from repro.hopsets import build_hopset
 
 
 def test_bench_e10_hopset_table(benchmark, small_bench_workloads):
@@ -26,5 +26,6 @@ def test_bench_e10_hopset_table(benchmark, small_bench_workloads):
 
 def test_bench_e10_single_hopset(benchmark, single_random_workload):
     """Time a single ultra-sparse hopset construction."""
-    result = benchmark(build_hopset, single_random_workload.graph, 0.1)
+    spec = BuildSpec(product="hopset", eps=0.1)
+    result = benchmark(build, single_random_workload.graph, spec).raw
     assert result.num_edges <= result.emulator_result.size_bound + 1e-9

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.emulator import build_emulator
-from repro.core.fast_centralized import build_emulator_fast
+from repro import BuildSpec, build
 from repro.experiments.runtime_experiment import format_runtime_table, run_runtime_experiment
 
 
@@ -22,11 +21,13 @@ def test_bench_e7_runtime_table(benchmark, scaling_bench_workloads):
 
 def test_bench_e7_algorithm1(benchmark, single_random_workload):
     """Per-call timing of Algorithm 1 (kappa=4, 256 vertices)."""
-    result = benchmark(build_emulator, single_random_workload.graph, 0.1, 4)
+    spec = BuildSpec(product="emulator", eps=0.1, kappa=4)
+    result = benchmark(build, single_random_workload.graph, spec).raw
     assert result.within_size_bound()
 
 
 def test_bench_e7_fast_construction(benchmark, single_random_workload):
     """Per-call timing of the Section 3.3 construction (kappa=4, 256 vertices)."""
-    result = benchmark(build_emulator_fast, single_random_workload.graph, 0.01, 4, 0.45)
+    spec = BuildSpec(product="emulator", method="fast", eps=0.01, kappa=4, rho=0.45)
+    result = benchmark(build, single_random_workload.graph, spec).raw
     assert result.num_edges <= result.size_bound + 1e-9

@@ -6,7 +6,7 @@ single Algorithm 1 construction on a representative workload.
 
 from __future__ import annotations
 
-from repro.core.emulator import build_emulator
+from repro import BuildSpec, build
 from repro.experiments.size_experiment import format_size_table, run_size_experiment
 
 
@@ -25,5 +25,6 @@ def test_bench_e1_size_table(benchmark, bench_workloads):
 
 def test_bench_e1_single_construction(benchmark, single_random_workload):
     """Time a single Algorithm 1 run (kappa=4) on a 256-vertex random graph."""
-    result = benchmark(build_emulator, single_random_workload.graph, 0.1, 4)
+    spec = BuildSpec(product="emulator", eps=0.1, kappa=4)
+    result = benchmark(build, single_random_workload.graph, spec).raw
     assert result.within_size_bound()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.spanner import build_near_additive_spanner
+from repro import BuildSpec, build
 from repro.experiments.spanner_experiment import format_spanner_table, run_spanner_experiment
 
 
@@ -21,7 +21,6 @@ def test_bench_e6_spanner_table(benchmark, bench_workloads):
 
 def test_bench_e6_single_spanner_build(benchmark, single_random_workload):
     """Time one Section 4 spanner construction."""
-    result = benchmark(
-        build_near_additive_spanner, single_random_workload.graph, 0.01, 4, 0.45
-    )
+    spec = BuildSpec(product="spanner", eps=0.01, kappa=4, rho=0.45)
+    result = benchmark(build, single_random_workload.graph, spec).raw
     assert result.is_subgraph_of(single_random_workload.graph)

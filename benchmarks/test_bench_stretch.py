@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from repro import BuildSpec, build
 from repro.analysis.validation import verify_emulator
-from repro.core.emulator import build_emulator
 from repro.experiments.stretch_experiment import format_stretch_table, run_stretch_experiment
 
 
@@ -23,7 +23,7 @@ def test_bench_e3_stretch_table(benchmark, small_bench_workloads):
 def test_bench_e3_validation_cost(benchmark, single_random_workload):
     """Time the exact-pair validation itself (the measurement harness)."""
     graph = single_random_workload.graph
-    result = build_emulator(graph, eps=0.1, kappa=4)
+    result = build(graph, BuildSpec(product="emulator", eps=0.1, kappa=4)).raw
     report = benchmark(
         verify_emulator, graph, result.emulator, result.alpha, result.beta, 300
     )

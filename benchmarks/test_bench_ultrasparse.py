@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.emulator import build_emulator
+from repro import BuildSpec, build
 from repro.core.parameters import CentralizedSchedule, ultra_sparse_kappa
 from repro.experiments.ultrasparse_experiment import (
     format_ultrasparse_table,
@@ -28,5 +28,6 @@ def test_bench_e2_single_ultrasparse_build(benchmark, single_random_workload):
     n = single_random_workload.n
     schedule = CentralizedSchedule(n=n, eps=0.1, kappa=ultra_sparse_kappa(n))
 
-    result = benchmark(build_emulator, single_random_workload.graph, 0.1, 4.0, schedule)
+    spec = BuildSpec(product="emulator", schedule=schedule)
+    result = benchmark(build, single_random_workload.graph, spec).raw
     assert result.within_size_bound()

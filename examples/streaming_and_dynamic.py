@@ -7,10 +7,9 @@ Two short scenarios on the same input graph:
    classic one-pass greedy multiplicative spanner and (b) the pass-per-phase
    near-additive emulator, and report passes, peak memory, and output size.
 
-2. **Decremental.**  Edges fail over time.  A
-   :class:`~repro.applications.dynamic.DecrementalEmulatorOracle` keeps
-   answering approximate distance queries while rebuilding its emulator only
-   occasionally.
+2. **Decremental.**  Edges fail over time.  A deletion-only
+   :class:`~repro.serve.live.LiveEngine` keeps answering approximate
+   distance queries while rebuilding its emulator only occasionally.
 
 Run it with::
 
@@ -22,13 +21,13 @@ from __future__ import annotations
 import random
 
 from repro.applications import (
-    DecrementalEmulatorOracle,
     EdgeStream,
     StreamingEmulatorBuilder,
     streaming_greedy_spanner,
 )
 from repro.graphs import generators
 from repro.graphs.shortest_paths import bfs_distances
+from repro.serve import GraphMutation, LiveEngine, ServeSpec
 
 
 def streaming_scenario(graph) -> None:
@@ -49,23 +48,28 @@ def streaming_scenario(graph) -> None:
 def decremental_scenario(graph, num_failures: int = 30) -> None:
     """Delete random edges while querying distances."""
     print("\n== decremental ==")
-    oracle = DecrementalEmulatorOracle(graph, eps=0.1, rebuild_every=10)
+    # Synchronous rebuilds and no insertion repair: the classic decremental
+    # oracle.  Besides the deletions that force one, rebuild every 10.
+    spec = ServeSpec.ultra_sparse(graph.num_vertices, eps=0.1, live=True,
+                                  live_rebuild_after=10, live_repair=False, live_sync=True)
     rng = random.Random(7)
     edges = sorted(graph.edges())
     rng.shuffle(edges)
 
     u, v = 0, graph.num_vertices - 1
-    for step, edge in enumerate(edges[:num_failures], start=1):
-        oracle.delete_edge(*edge)
-        if step % 10 == 0:
-            answer = oracle.query(u, v)
-            exact = bfs_distances(oracle.graph, u).get(v, float("inf"))
-            print(f"after {step:>3} failures: oracle d({u},{v}) = {answer:>5.1f} "
-                  f"(exact {exact}), rebuilds so far: {oracle.stats.rebuilds}")
-    stats = oracle.stats
-    print(f"total: {stats.deletions} deletions, {stats.rebuilds} rebuilds "
-          f"({stats.amortized_rebuild_ratio:.2f} rebuilds per deletion, "
-          f"{stats.forced_rebuilds} forced)")
+    with LiveEngine(graph, spec) as oracle:
+        for step, edge in enumerate(edges[:num_failures], start=1):
+            oracle.apply(GraphMutation(deletes=(edge,)))
+            if step % 10 == 0:
+                answer = oracle.query(u, v)
+                exact = bfs_distances(oracle.graph, u).get(v, float("inf"))
+                print(f"after {step:>3} failures: oracle d({u},{v}) = {answer:>5.1f} "
+                      f"(exact {exact}), rebuilds so far: {oracle.stats()['live']['rebuilds']}")
+        live = oracle.stats()["live"]
+    deletions, rebuilds = live["deletes_applied"], live["rebuilds"]
+    print(f"total: {deletions} deletions, {rebuilds} rebuilds "
+          f"({rebuilds / max(1, deletions):.2f} rebuilds per deletion, "
+          f"{live['forced_rebuilds']} forced)")
 
 
 def main() -> None:

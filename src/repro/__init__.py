@@ -4,14 +4,14 @@ A reproduction of *"Ultra-Sparse Near-Additive Emulators"* (Michael Elkin and
 Shaked Matar, PODC 2021).  The package provides:
 
 * the paper's centralized construction of ``(1 + eps, beta)``-emulators with
-  at most ``n^(1 + 1/kappa)`` edges (:func:`repro.build_emulator`);
+  at most ``n^(1 + 1/kappa)`` edges (``method="centralized"``);
 * the fast, ruling-set based centralized construction of Section 3.3
-  (:func:`repro.build_emulator_fast`);
+  (``method="fast"``);
 * the distributed CONGEST construction of Section 3, executed on a
-  synchronous network simulator (:func:`repro.build_emulator_congest`);
+  synchronous network simulator (``method="congest"``);
 * the near-additive *spanner* construction of Section 4
-  (:func:`repro.build_near_additive_spanner`,
-  :func:`repro.build_spanner_congest`);
+  (``product="spanner"``) and the emulator-derived hopset
+  (``product="hopset"``);
 * baselines (EP01, TZ06, EN17a, EM19, greedy multiplicative spanners),
   validators, metrics, and the experiment/benchmark harness.
 
@@ -29,8 +29,6 @@ through the serving layer (:mod:`repro.serve`)::
 
     engine = serve.load(graph, ServeSpec(product="emulator"))
     engine.query(0, 17)
-
-The per-construction ``build_*`` functions remain as deprecated shims.
 """
 
 from repro.graphs import Graph, WeightedGraph, generators
@@ -38,15 +36,11 @@ from repro.core import (
     CentralizedSchedule,
     DistributedSchedule,
     SpannerSchedule,
-    build_emulator,
-    build_emulator_fast,
-    build_near_additive_spanner,
     size_bound,
 )
 from repro.core.parameters import ultra_sparse_kappa
-from repro.distributed import build_emulator_congest, build_spanner_congest
 from repro.analysis import verify_emulator, verify_spanner
-from repro.hopsets import build_hopset, verify_hopset
+from repro.hopsets import verify_hopset
 from repro.api import (
     METHODS,
     PRODUCTS,
@@ -65,7 +59,7 @@ from repro.api import (
 from repro import serve
 from repro.serve import DistanceOracle, QueryEngine, ServeSpec
 
-__version__ = "1.11.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Graph",
@@ -95,15 +89,9 @@ __all__ = [
     "ServeSpec",
     "DistanceOracle",
     "QueryEngine",
-    # deprecated per-construction entry points
-    "build_emulator",
-    "build_emulator_fast",
-    "build_emulator_congest",
-    "build_near_additive_spanner",
-    "build_spanner_congest",
+    # validators
     "verify_emulator",
     "verify_spanner",
-    "build_hopset",
     "verify_hopset",
     "__version__",
 ]

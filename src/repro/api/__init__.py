@@ -1,7 +1,7 @@
 """Unified build API: one facade, one spec, one result shape.
 
-This subsystem turns the package's six sibling entry points into a single
-composable surface::
+Every construction of the package — each product × method pair — is
+reached through a single composable surface::
 
     from repro import Graph, BuildSpec, build
 
@@ -28,11 +28,6 @@ Pieces
 :class:`ResultCache`
     Content-addressed on-disk memoization of build results, keyed on
     ``(graph content hash, spec fingerprint, code version)``.
-
-The legacy ``build_emulator`` / ``build_emulator_fast`` /
-``build_emulator_congest`` / ``build_near_additive_spanner`` /
-``build_spanner_congest`` / ``build_hopset`` functions survive as thin
-deprecated shims that construct a :class:`BuildSpec` and delegate here.
 """
 
 from repro.api.spec import METHODS, PRODUCTS, BuildSpec

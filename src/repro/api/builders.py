@@ -18,9 +18,9 @@ hopset      congest        emulator edge set of the CONGEST construction
 ==========  =============  ==================================================
 
 Each builder resolves the spec's ``None`` parameters to the construction's
-historical defaults, so facade builds with a bare
-``BuildSpec(product=..., method=...)`` reproduce the legacy
-``build_*()`` default behaviour exactly.
+historical defaults (see :func:`resolve_parameters`), so a bare
+``BuildSpec(product=..., method=...)`` gets the working epsilon its
+schedule assumes.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _DEFAULT_KAPPA = 4.0
 def resolve_parameters(graph: Graph, spec: BuildSpec) -> Tuple[float, float, float]:
     """Resolve a spec's ``None`` parameters to ``(eps, kappa, rho)`` defaults.
 
-    ``eps = None`` means the legacy ``build_*`` default for the
+    ``eps = None`` means the historical default for the
     (product, method) pair: ``0.1`` for centralized emulators/hopsets,
     ``0.01`` for every spanner and for the fast/congest methods (whose
     schedules assume a small working epsilon).  ``kappa = None`` means the

@@ -57,7 +57,7 @@ class BuildSpec:
         One of :data:`METHODS` — ``centralized``, ``fast`` or ``congest``.
     eps:
         Working epsilon of the distance-threshold sequence.  ``None`` picks
-        the legacy default for the (product, method) pair: ``0.1`` for
+        the historical default for the (product, method) pair: ``0.1`` for
         centralized emulators/hopsets, ``0.01`` for every spanner and for
         the ``fast`` / ``congest`` methods.
     kappa:
@@ -80,9 +80,9 @@ class BuildSpec:
     schedule:
         Optional pre-built parameter schedule
         (:class:`~repro.core.parameters.CentralizedSchedule` & friends)
-        overriding ``eps`` / ``kappa`` / ``rho``.  Mainly used by the
-        legacy ``build_*`` shims; grid sweeps should use the scalar
-        parameters instead.
+        overriding ``eps`` / ``kappa`` / ``rho``, e.g. one fixed by
+        ``CentralizedSchedule.from_target_stretch``; grid sweeps should
+        use the scalar parameters instead.
     options:
         Method-specific extras (e.g. ``{"ruling_set_mode": "distributed"}``
         for the CONGEST emulator).  Must be a mapping with string keys.

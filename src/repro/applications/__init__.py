@@ -17,9 +17,10 @@ two most direct applications:
   (cluster-center) based approximate routing / distance labelling.
 * :mod:`repro.applications.streaming` — semi-streaming spanner and emulator
   construction with pass / memory accounting.
-* :class:`repro.applications.dynamic.DecrementalEmulatorOracle` —
-  deletion-only approximate distances, now a deprecated shim over the
-  live serving engine (:class:`repro.serve.live.LiveEngine`).
+
+Dynamic (deletion-only and fully dynamic) approximate distances live in
+the serving layer too: ``repro.serve.load(graph, ServeSpec(..., live=True))``
+returns a :class:`repro.serve.live.LiveEngine`.
 """
 
 from repro.applications.almost_shortest_paths import (
@@ -33,7 +34,6 @@ from repro.applications.streaming import (
     StreamingStats,
     streaming_greedy_spanner,
 )
-from repro.applications.dynamic import DecrementalEmulatorOracle, DecrementalStats
 from repro.applications.path_reporting import PathReportingOracle
 
 __all__ = [
@@ -46,6 +46,4 @@ __all__ = [
     "StreamingEmulatorBuilder",
     "StreamingStats",
     "streaming_greedy_spanner",
-    "DecrementalEmulatorOracle",
-    "DecrementalStats",
 ]

@@ -11,7 +11,7 @@ Sub-commands
     Build any product (``--product emulator|spanner|hopset``) with any
     method (``--method centralized|fast|congest``) for a graph read from an
     edge-list file (or a generated workload) and write it out as an edge
-    list.  The legacy ``--algorithm`` flag remains as an alias.
+    list.
 ``verify``
     Check a previously built emulator against its graph.
 ``experiments``
@@ -53,8 +53,6 @@ Sub-commands
 ``mutate``
     Send a batch of edge insertions/deletions to a live oracle served by
     a running daemon and print the mutation receipt.
-``oracle``
-    Legacy alias of ``query`` pinned to the ultra-sparse emulator backend.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ import argparse
 import signal
 import sys
 import threading
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.analysis.validation import verify_emulator
 from repro.api import (
@@ -103,15 +101,6 @@ from repro.serve import (
 from repro.serve import load as serve_load
 
 __all__ = ["main", "build_parser"]
-
-#: Legacy ``--algorithm`` values and the (product, method) pair they mean.
-_ALGORITHM_ALIASES = {
-    "centralized": ("emulator", "centralized"),
-    "fast": ("emulator", "fast"),
-    "congest": ("emulator", "congest"),
-    "spanner": ("spanner", "centralized"),
-}
-
 
 def _add_graph_arguments(parser: argparse.ArgumentParser, default_n: int = 256) -> None:
     """The shared graph-input arguments (edge-list file or generated family)."""
@@ -159,24 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
         "build", help="build an emulator, spanner, or hopset via the unified facade"
     )
     _add_graph_arguments(build_cmd)
-    build_cmd.add_argument(
-        "--product",
-        choices=list(PRODUCTS),
-        default=None,
-        help="what to build (default: emulator, or whatever --algorithm implies)",
-    )
-    build_cmd.add_argument(
-        "--method",
-        choices=list(METHODS),
-        default=None,
-        help="which construction to run (default: centralized)",
-    )
-    build_cmd.add_argument(
-        "--algorithm",
-        choices=sorted(_ALGORITHM_ALIASES),
-        default="centralized",
-        help="legacy alias for --product/--method (ignored when those are given)",
-    )
+    build_cmd.add_argument("--product", choices=list(PRODUCTS), default="emulator",
+                           help="what to build")
+    build_cmd.add_argument("--method", choices=list(METHODS), default="centralized",
+                           help="which construction to run")
     build_cmd.add_argument("--eps", type=float, default=0.1, help="epsilon parameter")
     build_cmd.add_argument("--kappa", type=float, default=4.0,
                            help="kappa (sparsity) parameter")
@@ -407,16 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="block until the mutations are absorbed into a "
                              "fresh oracle version before returning")
 
-    oracle = subparsers.add_parser(
-        "oracle", help="answer approximate distance queries (legacy ultra-sparse emulator)"
-    )
-    _add_graph_arguments(oracle)
-    oracle.add_argument("--eps", type=float, default=0.1, help="epsilon parameter")
-    oracle.add_argument("--kappa", type=float, default=None,
-                        help="kappa parameter (default: ultra-sparse omega(log n))")
-    oracle.add_argument("--queries", nargs="+", default=[],
-                        help="queries as 'u:v' pairs, e.g. 0:17 3:42")
-
     obs_report = subparsers.add_parser(
         "obs-report",
         help="summarize a Chrome trace written by --trace as a per-span table",
@@ -436,18 +401,6 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         return graph_io.read_edge_list(args.input)
     family = args.family or "erdos-renyi"
     return workload_by_name(family, args.n, seed=args.seed).graph
-
-
-def _resolve_product_method(args: argparse.Namespace) -> Tuple[str, str]:
-    """Resolve ``--product`` / ``--method``, honoring the legacy ``--algorithm``.
-
-    Whichever of the two halves is not given explicitly falls back to what
-    ``--algorithm`` implies (default: emulator/centralized), so e.g.
-    ``--algorithm congest --product emulator`` still runs the CONGEST
-    construction rather than silently switching to centralized.
-    """
-    alias_product, alias_method = _ALGORITHM_ALIASES[args.algorithm]
-    return args.product or alias_product, args.method or alias_method
 
 
 def _clamped_eps(eps: float, product: str, method: str) -> float:
@@ -488,7 +441,7 @@ def _serve_spec(args: argparse.Namespace) -> ServeSpec:
 
 def _command_build(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    product, method = _resolve_product_method(args)
+    product, method = args.product, args.method
     eps = _clamped_eps(args.eps, product, method)
     result = build(
         graph,
@@ -821,21 +774,6 @@ def _command_mutate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_oracle(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    queries = _parse_queries(args.queries)
-    engine = serve_load(
-        graph,
-        ServeSpec.ultra_sparse(graph.num_vertices, eps=args.eps, kappa=args.kappa,
-                               seed=args.seed),
-    )
-    print(f"oracle: {engine.space_in_edges} stored edges "
-          f"(alpha {engine.alpha:.3f}, beta {engine.beta:.1f})")
-    for u, v in queries:
-        print(f"d({u}, {v}) <= {engine.query(u, v)}")
-    return 0
-
-
 def _command_obs_report(args: argparse.Namespace) -> int:
     try:
         events = load_trace(args.trace)
@@ -890,8 +828,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return _run_facade_command(_command_serve_daemon, args)
     if args.command == "mutate":
         return _run_facade_command(_command_mutate, args)
-    if args.command == "oracle":
-        return _run_facade_command(_command_oracle, args)
     if args.command == "obs-report":
         return _command_obs_report(args)
     parser.error(f"unknown command {args.command!r}")

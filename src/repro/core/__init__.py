@@ -2,10 +2,9 @@
 
 Public entry points:
 
-* :class:`repro.core.emulator.UltraSparseEmulatorBuilder` /
-  :func:`repro.core.emulator.build_emulator` — Algorithm 1 of the paper, the
-  centralized construction of a ``(1 + eps, beta)``-emulator with at most
-  ``n^(1 + 1/kappa)`` edges.
+* :class:`repro.core.emulator.UltraSparseEmulatorBuilder` — Algorithm 1 of
+  the paper, the centralized construction of a ``(1 + eps, beta)``-emulator
+  with at most ``n^(1 + 1/kappa)`` edges.
 * :class:`repro.core.parameters.CentralizedSchedule`,
   :class:`repro.core.parameters.DistributedSchedule`,
   :class:`repro.core.parameters.SpannerSchedule` — the parameter sequences
@@ -14,8 +13,11 @@ Public entry points:
 * :class:`repro.core.fast_centralized.FastCentralizedBuilder` — the
   Section 3.3 construction (ruling-set superclustering, ``O(|E| beta n^rho)``
   time flavour).
-* :func:`repro.core.spanner.build_near_additive_spanner` — the Section 4
+* :class:`repro.core.spanner.NearAdditiveSpannerBuilder` — the Section 4
   subgraph (spanner) variant.
+
+Callers reach every construction through :func:`repro.build` with a
+:class:`repro.BuildSpec`; the builders here are what it dispatches to.
 """
 
 from repro.core.parameters import (
@@ -26,13 +28,9 @@ from repro.core.parameters import (
 )
 from repro.core.clusters import Cluster, Partition
 from repro.core.charging import ChargeLedger, EdgeCharge, EdgeKind
-from repro.core.emulator import (
-    EmulatorResult,
-    UltraSparseEmulatorBuilder,
-    build_emulator,
-)
-from repro.core.fast_centralized import FastCentralizedBuilder, build_emulator_fast
-from repro.core.spanner import SpannerResult, build_near_additive_spanner
+from repro.core.emulator import EmulatorResult, UltraSparseEmulatorBuilder
+from repro.core.fast_centralized import FastCentralizedBuilder
+from repro.core.spanner import SpannerResult
 
 __all__ = [
     "CentralizedSchedule",
@@ -46,9 +44,6 @@ __all__ = [
     "EdgeKind",
     "EmulatorResult",
     "UltraSparseEmulatorBuilder",
-    "build_emulator",
     "FastCentralizedBuilder",
-    "build_emulator_fast",
     "SpannerResult",
-    "build_near_additive_spanner",
 ]

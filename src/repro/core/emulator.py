@@ -39,7 +39,6 @@ hands them to ``H`` and to the ledger in one call each when it ends.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -52,7 +51,7 @@ from repro.graphs.shortest_paths import PhaseExplorer, active_exploration_cache,
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs import span
 
-__all__ = ["PhaseStats", "EmulatorResult", "UltraSparseEmulatorBuilder", "build_emulator"]
+__all__ = ["PhaseStats", "EmulatorResult", "UltraSparseEmulatorBuilder"]
 
 
 @dataclass
@@ -316,47 +315,3 @@ class UltraSparseEmulatorBuilder:
         self.phase_stats.append(stats)
         annotate_phase_span(stats, explorer, active_exploration_cache(self.graph))
         return next_partition
-
-
-def build_emulator(
-    graph: Graph,
-    eps: float = 0.1,
-    kappa: float = 4.0,
-    schedule: Optional[CentralizedSchedule] = None,
-) -> EmulatorResult:
-    """Build a ``(1 + eps', beta)``-emulator with at most ``n^(1+1/kappa)`` edges.
-
-    Convenience wrapper around :class:`UltraSparseEmulatorBuilder`.
-
-    Parameters
-    ----------
-    graph:
-        Unweighted undirected input graph.
-    eps:
-        Working epsilon of the distance-threshold sequence (the guaranteed
-        multiplicative stretch is ``1 + 34 * eps * ell``; use
-        ``CentralizedSchedule.from_target_stretch`` to fix the final stretch
-        instead).
-    kappa:
-        Sparsity parameter (``>= 2``); the emulator has at most
-        ``n^(1 + 1/kappa)`` edges.
-    schedule:
-        Optional pre-built schedule overriding ``eps`` / ``kappa``.
-
-    .. deprecated:: 1.2.0
-        Use ``repro.build(graph, BuildSpec(product="emulator",
-        method="centralized", ...))`` instead.
-    """
-    warnings.warn(
-        "build_emulator() is deprecated; use repro.build(graph, "
-        "BuildSpec(product='emulator', method='centralized', ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import BuildSpec, build
-
-    return build(
-        graph,
-        BuildSpec(product="emulator", method="centralized", eps=eps, kappa=kappa,
-                  schedule=schedule),
-    ).raw

@@ -20,7 +20,6 @@ The resulting emulator satisfies the same ``n^(1 + 1/kappa)`` size bound
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.congest.ruling_sets import greedy_ruling_set
@@ -38,7 +37,7 @@ from repro.graphs.shortest_paths import (
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs import span
 
-__all__ = ["FastCentralizedBuilder", "build_emulator_fast"]
+__all__ = ["FastCentralizedBuilder"]
 
 
 class FastCentralizedBuilder:
@@ -202,34 +201,3 @@ class FastCentralizedBuilder:
         """Insert an emulator edge and record its charge."""
         self.emulator.add_edge(u, v, weight)
         self.ledger.charge(u, v, weight, charged_to=charged_to, phase=phase, kind=kind)
-
-
-def build_emulator_fast(
-    graph: Graph,
-    eps: float = 0.01,
-    kappa: float = 4.0,
-    rho: float = 0.45,
-    schedule: Optional[DistributedSchedule] = None,
-) -> EmulatorResult:
-    """Build an emulator with the Section 3.3 ruling-set construction.
-
-    Produces a ``(1 + 90 eps ell / rho, 75/rho (1/eps)^(ell-1))``-emulator
-    with at most ``n^(1 + 1/kappa)`` edges.
-
-    .. deprecated:: 1.2.0
-        Use ``repro.build(graph, BuildSpec(product="emulator",
-        method="fast", ...))`` instead.
-    """
-    warnings.warn(
-        "build_emulator_fast() is deprecated; use repro.build(graph, "
-        "BuildSpec(product='emulator', method='fast', ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import BuildSpec, build
-
-    return build(
-        graph,
-        BuildSpec(product="emulator", method="fast", eps=eps, kappa=kappa, rho=rho,
-                  schedule=schedule),
-    ).raw

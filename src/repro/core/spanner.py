@@ -14,7 +14,6 @@ contributions decay geometrically; the total is ``O(n^(1 + 1/kappa))`` edges
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -35,7 +34,6 @@ from repro.obs import span
 __all__ = [
     "SpannerResult",
     "NearAdditiveSpannerBuilder",
-    "build_near_additive_spanner",
     "spanner_from_emulator",
 ]
 
@@ -336,31 +334,3 @@ def spanner_from_emulator(graph: Graph, emulator_result) -> SpannerResult:
         superclustering_edges=0,
         interconnection_edges=added,
     )
-
-
-def build_near_additive_spanner(
-    graph: Graph,
-    eps: float = 0.01,
-    kappa: float = 4.0,
-    rho: float = 0.45,
-    schedule: Optional[SpannerSchedule] = None,
-) -> SpannerResult:
-    """Build a near-additive spanner (subgraph) per Section 4 of the paper.
-
-    .. deprecated:: 1.2.0
-        Use ``repro.build(graph, BuildSpec(product="spanner",
-        method="centralized", ...))`` instead.
-    """
-    warnings.warn(
-        "build_near_additive_spanner() is deprecated; use repro.build(graph, "
-        "BuildSpec(product='spanner', method='centralized', ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import BuildSpec, build
-
-    return build(
-        graph,
-        BuildSpec(product="spanner", method="centralized", eps=eps, kappa=kappa, rho=rho,
-                  schedule=schedule),
-    ).raw

@@ -13,19 +13,15 @@ report CONGEST rounds and message counts.
 from repro.distributed.emulator_congest import (
     DistributedEmulatorBuilder,
     DistributedEmulatorResult,
-    build_emulator_congest,
 )
 from repro.distributed.spanner_congest import (
     DistributedSpannerBuilder,
     DistributedSpannerResult,
-    build_spanner_congest,
 )
 
 __all__ = [
     "DistributedEmulatorBuilder",
     "DistributedEmulatorResult",
-    "build_emulator_congest",
     "DistributedSpannerBuilder",
     "DistributedSpannerResult",
-    "build_spanner_congest",
 ]

@@ -33,7 +33,6 @@ of CONGEST rounds and messages used, which experiment E5 compares against the
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -51,7 +50,6 @@ from repro.graphs.weighted_graph import WeightedGraph
 __all__ = [
     "DistributedEmulatorResult",
     "DistributedEmulatorBuilder",
-    "build_emulator_congest",
 ]
 
 
@@ -413,36 +411,3 @@ class DistributedEmulatorBuilder:
         edge = (u, v) if u < v else (v, u)
         self.knowledge[u].add(edge)
         self.knowledge[v].add(edge)
-
-
-def build_emulator_congest(
-    graph: Graph,
-    eps: float = 0.01,
-    kappa: float = 4.0,
-    rho: float = 0.45,
-    schedule: Optional[DistributedSchedule] = None,
-    ruling_set_mode: str = "greedy",
-) -> DistributedEmulatorResult:
-    """Build an ultra-sparse near-additive emulator in the CONGEST model.
-
-    Returns a :class:`DistributedEmulatorResult` with the emulator, the
-    charging ledger, and the round / message counts of the simulated
-    execution.
-
-    .. deprecated:: 1.2.0
-        Use ``repro.build(graph, BuildSpec(product="emulator",
-        method="congest", ...))`` instead.
-    """
-    warnings.warn(
-        "build_emulator_congest() is deprecated; use repro.build(graph, "
-        "BuildSpec(product='emulator', method='congest', ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import BuildSpec, build
-
-    return build(
-        graph,
-        BuildSpec(product="emulator", method="congest", eps=eps, kappa=kappa, rho=rho,
-                  schedule=schedule, options={"ruling_set_mode": ruling_set_mode}),
-    ).raw

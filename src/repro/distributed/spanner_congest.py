@@ -16,7 +16,6 @@ contributions decay geometrically and the total size is
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -34,7 +33,6 @@ from repro.graphs.weighted_graph import WeightedGraph
 __all__ = [
     "DistributedSpannerResult",
     "DistributedSpannerBuilder",
-    "build_spanner_congest",
 ]
 
 
@@ -236,31 +234,3 @@ class DistributedSpannerBuilder:
                 added += 1
             u = p
         return added
-
-
-def build_spanner_congest(
-    graph: Graph,
-    eps: float = 0.01,
-    kappa: float = 4.0,
-    rho: float = 0.45,
-    schedule: Optional[SpannerSchedule] = None,
-) -> DistributedSpannerResult:
-    """Build a near-additive spanner in the CONGEST model (Section 4).
-
-    .. deprecated:: 1.2.0
-        Use ``repro.build(graph, BuildSpec(product="spanner",
-        method="congest", ...))`` instead.
-    """
-    warnings.warn(
-        "build_spanner_congest() is deprecated; use repro.build(graph, "
-        "BuildSpec(product='spanner', method='congest', ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import BuildSpec, build
-
-    return build(
-        graph,
-        BuildSpec(product="spanner", method="congest", eps=eps, kappa=kappa, rho=rho,
-                  schedule=schedule),
-    ).raw

@@ -13,9 +13,7 @@ user of those applications would care about:
 * the **streaming** construction: passes over the edge stream and peak
   memory;
 * the **decremental oracle**: rebuilds per deletion after a batch of random
-  deletions — served by a deletions-only :class:`~repro.serve.live.LiveEngine`
-  (the live serving stack that replaced the legacy
-  ``DecrementalEmulatorOracle``, which survives only as a deprecated shim).
+  deletions — served by a deletions-only :class:`~repro.serve.live.LiveEngine`.
 """
 
 from __future__ import annotations

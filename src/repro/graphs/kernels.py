@@ -62,12 +62,11 @@ distance dict per source, each **byte-identical** (same entries, same
 canonical iteration order) to what :func:`bounded_bfs` returns for that
 source.  The chunk size is driven by a byte budget
 (``REPRO_BATCH_MEMORY_BUDGET``, default 64 MiB) so a 10k-center phase
-never materializes a dense ``centers x n`` matrix, and
-``REPRO_BATCH_DISABLE=1`` collapses the whole layer back to per-source
-calls for transparency diffs.  :func:`multi_source_attributed` covers
-the call sites that only need Voronoi-style nearest-source assignments:
-one pass returning each vertex's closest source and distance with the
-documented smallest-source-ID tie-break.  The one exception is :func:`hop_limited`, whose
+never materializes a dense ``centers x n`` matrix.
+:func:`multi_source_attributed` covers the call sites that only need
+Voronoi-style nearest-source assignments: one pass returning each
+vertex's closest source and distance with the documented
+smallest-source-ID tie-break.  The one exception is :func:`hop_limited`, whose
 vectorized path emits ascending vertex order while the scalar loop in
 :mod:`repro.hopsets.bounded_hop` emits discovery order — its consumers
 are lookup-only.
@@ -97,7 +96,6 @@ __all__ = [
     "hop_limited",
     "normalize_radius",
     "batch_chunk_size",
-    "batching_disabled",
     "set_backend",
     "get_backend",
     "available_backends",
@@ -244,18 +242,6 @@ _GATHER_BYTES_PER_EDGE = 24
 BATCH_VECTOR_MIN_CELLS = 32768
 
 
-def batching_disabled() -> bool:
-    """Whether ``REPRO_BATCH_DISABLE`` forces per-source explorations.
-
-    The knob exists for transparency checks: batched and per-source
-    explorations are byte-identical, and CI diffs full build outputs
-    with the layer on and off to enforce that.
-    """
-    return os.environ.get("REPRO_BATCH_DISABLE", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
 def _memory_budget(memory_budget: Optional[int]) -> int:
     if memory_budget is None:
         raw = os.environ.get("REPRO_BATCH_MEMORY_BUDGET", "").strip()
@@ -313,8 +299,7 @@ def batched_bfs(
     Backend selection mirrors the single-source kernels: the scipy
     ``indices=`` batch when scipy is usable, a slot-flattened numpy
     frontier expansion when only numpy is, otherwise a scalar per-source
-    loop.  ``REPRO_KERNEL_BACKEND`` forces one; ``REPRO_BATCH_DISABLE=1``
-    bypasses batching entirely and yields per-source results.
+    loop.  ``REPRO_KERNEL_BACKEND`` forces one.
 
     ``memory_budget`` bounds the bytes one chunk may materialize — both
     the per-chunk dense planes (see :func:`batch_chunk_size`) and the
@@ -327,10 +312,6 @@ def batched_bfs(
         _check_source(csr, s)
     r = normalize_radius(radius)
     if not source_list:
-        return
-    if batching_disabled():
-        for s in source_list:
-            yield bounded_bfs(csr, s, r, as_float=as_float)
         return
     chunk = batch_chunk_size(csr.num_vertices, len(source_list), memory_budget)
     backend = _BACKEND

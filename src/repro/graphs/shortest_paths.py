@@ -28,8 +28,7 @@ per chunk instead of one Python BFS per center), feeding any installed
 :class:`ExplorationCache` along the way, and
 :func:`multi_source_attributed` collapses "closest center" assignments
 into a single pass.  Both are byte-identical to the per-center calls
-they replace; ``REPRO_BATCH_DISABLE=1`` switches the whole layer back
-to per-center explorations for transparency diffs.
+they replace; the golden build corpus pins that.
 """
 
 from __future__ import annotations
@@ -232,9 +231,7 @@ class PhaseExplorer:
     When an :class:`ExplorationCache` is installed for the same graph
     (:func:`shared_explorations`), the explorer serves hits from it and
     seeds every batched result into it, so cross-spec sharing and
-    batching compose.  With ``REPRO_BATCH_DISABLE=1`` the explorer
-    degrades to exactly the historical per-center call, prefetching
-    nothing.
+    batching compose.
 
     The chunk size follows the byte budget of the kernel layer
     (``memory_budget`` / ``REPRO_BATCH_MEMORY_BUDGET``).
@@ -267,7 +264,6 @@ class PhaseExplorer:
         self._memory_budget = memory_budget
         self._store: Dict[int, Dict[int, int]] = {}
         self._computed: set = set()
-        self._disabled = kernels.batching_disabled()
         self._budget_chunk: Optional[int] = None
         self._no_speculation = False
         self._result_entries = 0
@@ -283,8 +279,6 @@ class PhaseExplorer:
         matching the fresh dict a per-center call would return); asking
         again recomputes, exactly like the historical loop did.
         """
-        if self._disabled:
-            return bounded_bfs(self.graph, source, self.radius)
         if self._no_speculation:
             # Locked to single fetches: this is the per-center loop with
             # one extra dict probe (earlier speculation may still hold a
@@ -429,9 +423,15 @@ def bounded_bfs(graph: Graph, source: int, radius: Optional[float]) -> Dict[int,
 
 
 def bfs_tree(graph: Graph, source: int, radius: Optional[float] = None) -> Dict[int, int]:
-    """BFS tree from ``source``: map ``vertex -> parent`` (source maps to itself)."""
+    """BFS tree from ``source``: map ``vertex -> parent`` (source maps to itself).
+
+    The tree spans exactly the vertices :func:`bounded_bfs` reaches: the
+    radius is clamped the same way, and a negative one raises
+    ``ValueError``.
+    """
     if source not in graph:
         raise ValueError(f"source {source} not in graph")
+    radius = kernels.normalize_radius(radius)
     parent: Dict[int, int] = {source: source}
     dist: Dict[int, int] = {source: 0}
     queue: deque = deque([source])

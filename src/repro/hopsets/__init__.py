@@ -12,9 +12,9 @@ This package provides:
 * :mod:`repro.hopsets.bounded_hop` — hop-limited distance computations on
   weighted graphs (the ``d^{(t)}`` semantics hopsets are defined with) and
   the graph ∪ hopset union helper.
-* :mod:`repro.hopsets.hopset` — construction of ``(beta, eps)``-hopsets from
-  the emulator machinery, verification, and measurement of the effective
-  hopbound.
+* :mod:`repro.hopsets.hopset` — the hopset result object, verification, and
+  measurement of the effective hopbound.  Hopsets are built through
+  ``repro.build(graph, BuildSpec(product="hopset", method=...))``.
 """
 
 from repro.hopsets.bounded_hop import (
@@ -24,7 +24,6 @@ from repro.hopsets.bounded_hop import (
 )
 from repro.hopsets.hopset import (
     HopsetResult,
-    build_hopset,
     measured_hopbound,
     verify_hopset,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "hop_limited_distance",
     "union_with_graph",
     "HopsetResult",
-    "build_hopset",
     "measured_hopbound",
     "verify_hopset",
 ]

@@ -19,7 +19,6 @@ and we *measure* the effective hopbound rather than trusting the analysis:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -33,7 +32,6 @@ from repro.hopsets.bounded_hop import hop_limited_distances, union_with_graph
 
 __all__ = [
     "HopsetResult",
-    "build_hopset",
     "measured_hopbound",
     "exact_hopbound",
     "verify_hopset",
@@ -54,7 +52,7 @@ class HopsetResult:
         ``alpha * d_G + beta`` once the hop budget is large enough.
     hopbound_estimate:
         An a-priori estimate of the sufficient hop budget, derived from the
-        emulator schedule (see :func:`build_hopset`).
+        emulator schedule (see :func:`_hopbound_estimate`).
     emulator_result:
         The emulator construction this hopset was derived from.
     """
@@ -91,51 +89,6 @@ def _hopbound_estimate(schedule: CentralizedSchedule) -> int:
     experiments show is far above the measured hopbound.
     """
     return int(math.ceil(schedule.beta + 1.0 / schedule.eps + schedule.ell)) + 1
-
-
-def build_hopset(
-    graph: Graph,
-    eps: float = 0.1,
-    kappa: Optional[float] = None,
-    schedule: Optional[CentralizedSchedule] = None,
-) -> HopsetResult:
-    """Build a near-exact hopset for ``graph`` from an ultra-sparse emulator.
-
-    Parameters
-    ----------
-    graph:
-        The unweighted input graph ``G``.
-    eps:
-        Working epsilon of the emulator schedule.
-    kappa:
-        Sparsity parameter; ``None`` selects the ultra-sparse regime, so the
-        hopset has ``n + o(n)`` edges.
-    schedule:
-        Optional pre-built schedule overriding ``eps`` / ``kappa``.
-
-    Returns
-    -------
-    HopsetResult
-        The hopset (= the emulator's edge set), its inherited ``(alpha,
-        beta)`` guarantee and an a-priori hopbound estimate.
-
-    .. deprecated:: 1.2.0
-        Use ``repro.build(graph, BuildSpec(product="hopset",
-        method="centralized", ...))`` instead.
-    """
-    warnings.warn(
-        "build_hopset() is deprecated; use repro.build(graph, "
-        "BuildSpec(product='hopset', method='centralized', ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import BuildSpec, build
-
-    return build(
-        graph,
-        BuildSpec(product="hopset", method="centralized", eps=eps, kappa=kappa,
-                  schedule=schedule),
-    ).raw
 
 
 def _pairs_by_source(

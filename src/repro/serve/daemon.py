@@ -58,7 +58,7 @@ import json
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -151,6 +151,12 @@ class OracleConfig:
         spec_data = data.get("spec", {})
         if not isinstance(spec_data, Mapping):
             raise ValueError(f"oracle config 'spec' must be an object, got {spec_data!r}")
+        spec_keys = {f.name for f in fields(ServeSpec)}
+        unknown = set(spec_data) - spec_keys
+        if unknown:
+            raise ValueError(
+                f"unknown oracle spec keys {sorted(unknown)}; valid keys: {sorted(spec_keys)}"
+            )
         return cls(
             spec=ServeSpec(**spec_data),
             graph_path=data.get("graph_path"),

@@ -2,9 +2,9 @@
 
 The rest of :mod:`repro.serve` answers queries on a *frozen* graph; this
 module is the ingestion half of the ROADMAP's "streaming + dynamic
-serving" item — one mutation API shared by the decremental oracle, the
-streaming builder, and the daemon, and a :class:`LiveEngine` that keeps
-serving while the graph underneath it churns:
+serving" item — one mutation API shared by deletion-only (decremental)
+serving, the streaming builder, and the daemon, and a :class:`LiveEngine`
+that keeps serving while the graph underneath it churns:
 
 * a :class:`GraphMutation` is one validated, JSON-round-trippable batch
   of edge insertions/deletions — the *single* edge-batch type used by
@@ -364,11 +364,10 @@ class _Generation:
     def support(self) -> Optional[Set[Tuple[int, int]]]:
         """Graph edges whose deletion invalidates this generation's guarantee.
 
-        Computed once per generation and cached (the satellite-3 fix: the
-        legacy decremental oracle rescanned the emulator on *every*
-        deletion); the swap to the next generation invalidates it for
-        free.  ``None`` means the backend gives no cheap support signal
-        and every deletion must force a rebuild.
+        Computed once per generation and cached rather than rescanning the
+        emulator on every deletion; the swap to the next generation
+        invalidates it for free.  ``None`` means the backend gives no
+        cheap support signal and every deletion must force a rebuild.
         """
         if self._support is _UNCOMPUTED:
             if self.emulator is not None:
@@ -411,7 +410,8 @@ class LiveEngine:
         when forced), ``live_repair`` (enable the phase-local insertion
         fast path) and ``live_sync`` (rebuild inline inside
         :meth:`apply` instead of on the background thread — the
-        deterministic mode the deprecated decremental shim runs in).
+        deterministic mode; with ``live_repair=False`` and deletions only
+        this is the classic decremental oracle).
     loader:
         The ``(graph, spec) -> QueryEngine`` factory each generation is
         built with; defaults to :func:`repro.serve.load`.  Tests inject a

@@ -71,7 +71,7 @@ class ServeSpec:
     live_sync:
         Rebuild inline inside :meth:`~repro.serve.live.LiveEngine.apply`
         instead of on the background thread — deterministic, at the cost
-        of blocking the mutator (the deprecated decremental shim's mode).
+        of blocking the mutator.
     """
 
     product: str = "emulator"

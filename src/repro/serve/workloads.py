@@ -121,7 +121,7 @@ def local_queries(
         raise ValueError(f"radius must be at least 1, got {radius}")
     rng = random.Random(seed)
     balls: Dict[int, List[int]] = {}
-    if 2 * num_queries >= n and not kernels.batching_disabled():
+    if 2 * num_queries >= n:
         explorations = kernels.batched_bfs(graph.csr(), range(n), radius)
         for u, dist in zip(range(n), explorations):
             balls[u] = [v for v in dist if v != u]

@@ -1,4 +1,4 @@
-"""Tests for the unified build API: spec, registry, facade, result, shims."""
+"""Tests for the unified build API: spec, registry, facade, result, sweeps."""
 
 from __future__ import annotations
 
@@ -253,88 +253,6 @@ class TestFacade:
         clear_build_hooks()
         build(grid25, BuildSpec())
         assert events == []
-
-
-class TestDeprecatedShims:
-    def _edge_set(self, weighted):
-        return {(u, v, w) for u, v, w in weighted.edges()}
-
-    def test_build_emulator_shim(self, grid25):
-        from repro.core.emulator import build_emulator
-
-        with pytest.warns(DeprecationWarning, match="build_emulator"):
-            legacy = build_emulator(grid25, eps=0.1, kappa=4.0)
-        facade = build(grid25, BuildSpec(product="emulator", eps=0.1, kappa=4.0))
-        assert self._edge_set(legacy.emulator) == self._edge_set(facade.raw.emulator)
-        assert legacy.alpha == facade.alpha
-        assert legacy.beta == facade.beta
-
-    def test_build_emulator_fast_shim(self, grid25):
-        from repro.core.fast_centralized import build_emulator_fast
-
-        with pytest.warns(DeprecationWarning, match="build_emulator_fast"):
-            legacy = build_emulator_fast(grid25)
-        facade = build(grid25, BuildSpec(product="emulator", method="fast"))
-        assert self._edge_set(legacy.emulator) == self._edge_set(facade.raw.emulator)
-
-    def test_build_emulator_congest_shim(self, grid25):
-        from repro.distributed.emulator_congest import build_emulator_congest
-
-        with pytest.warns(DeprecationWarning, match="build_emulator_congest"):
-            legacy = build_emulator_congest(grid25)
-        facade = build(grid25, BuildSpec(product="emulator", method="congest"))
-        assert self._edge_set(legacy.emulator) == self._edge_set(facade.raw.emulator)
-        assert legacy.rounds == facade.raw.rounds
-
-    def test_build_near_additive_spanner_shim(self, grid25):
-        from repro.core.spanner import build_near_additive_spanner
-
-        with pytest.warns(DeprecationWarning, match="build_near_additive_spanner"):
-            legacy = build_near_additive_spanner(grid25)
-        facade = build(grid25, BuildSpec(product="spanner"))
-        assert set(legacy.spanner.edges()) == set(facade.raw.spanner.edges())
-        assert legacy.alpha == facade.alpha
-        assert legacy.beta == facade.beta
-
-    def test_build_spanner_congest_shim(self, grid25):
-        from repro.distributed.spanner_congest import build_spanner_congest
-
-        with pytest.warns(DeprecationWarning, match="build_spanner_congest"):
-            legacy = build_spanner_congest(grid25)
-        facade = build(grid25, BuildSpec(product="spanner", method="congest"))
-        assert set(legacy.spanner.edges()) == set(facade.raw.spanner.edges())
-
-    def test_build_hopset_shim(self, grid25):
-        from repro.hopsets.hopset import build_hopset
-
-        with pytest.warns(DeprecationWarning, match="build_hopset"):
-            legacy = build_hopset(grid25)
-        facade = build(grid25, BuildSpec(product="hopset"))
-        assert self._edge_set(legacy.hopset) == self._edge_set(facade.raw.hopset)
-        assert legacy.hopbound_estimate == facade.raw.hopbound_estimate
-        assert legacy.alpha == facade.alpha
-        assert legacy.beta == facade.beta
-
-    def test_each_shim_warns_exactly_once(self, grid25):
-        import warnings as warnings_module
-
-        from repro import (
-            build_emulator,
-            build_emulator_congest,
-            build_emulator_fast,
-            build_hopset,
-            build_near_additive_spanner,
-            build_spanner_congest,
-        )
-
-        for shim in (build_emulator, build_emulator_fast, build_emulator_congest,
-                     build_near_additive_spanner, build_spanner_congest, build_hopset):
-            with warnings_module.catch_warnings(record=True) as caught:
-                warnings_module.simplefilter("always")
-                shim(grid25)
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1, shim.__name__
 
 
 class TestGridSweep:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import BuildSpec, build
 from repro.applications.almost_shortest_paths import (
     all_sources_almost_shortest_paths,
     almost_shortest_path_lengths,
@@ -99,10 +100,8 @@ class TestAlmostShortestPaths:
             assert lengths[v] <= sched.alpha * d + sched.beta + 1e-9
 
     def test_reuse_prebuilt_emulator(self):
-        from repro.core.emulator import build_emulator
-
         graph = generators.cycle_graph(30)
-        result = build_emulator(graph, eps=0.1, kappa=4)
+        result = build(graph, BuildSpec(product="emulator", eps=0.1, kappa=4)).raw
         a = almost_shortest_path_lengths(graph, 0, emulator_result=result)
         b = almost_shortest_path_lengths(graph, 0, emulator_result=result)
         assert a == b

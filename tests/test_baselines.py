@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro import BuildSpec, build
 from repro.analysis.validation import verify_no_shortening, verify_spanner
 from repro.baselines.elkin_neiman import build_elkin_neiman_emulator
 from repro.baselines.elkin_peleg import build_elkin_peleg_emulator
 from repro.baselines.em19_spanner import build_em19_spanner
 from repro.baselines.multiplicative import bfs_tree_spanner, greedy_multiplicative_spanner
 from repro.baselines.thorup_zwick import build_thorup_zwick_emulator
-from repro.core.emulator import build_emulator
 from repro.graphs import generators
 from repro.graphs.shortest_paths import bfs_distances
 
@@ -38,7 +38,7 @@ class TestElkinPeleg:
         # edges at their sparsest, ours pays n + o(n).
         graph = generators.connected_erdos_renyi(150, 0.05, seed=17)
         kappa = 16
-        ours = build_emulator(graph, eps=0.1, kappa=kappa).num_edges
+        ours = build(graph, BuildSpec(product="emulator", eps=0.1, kappa=kappa)).raw.num_edges
         ep01 = build_elkin_peleg_emulator(graph, eps=0.1, kappa=kappa).num_edges
         assert ep01 > ours
 
@@ -105,9 +105,7 @@ class TestEm19Spanner:
         assert report.valid
 
     def test_never_sparser_than_section4_by_much(self, random_graph):
-        from repro.core.spanner import build_near_additive_spanner
-
-        ours = build_near_additive_spanner(random_graph, eps=0.01, kappa=4, rho=0.45)
+        ours = build(random_graph, BuildSpec(product="spanner", eps=0.01, kappa=4, rho=0.45)).raw
         em19 = build_em19_spanner(random_graph, eps=0.01, kappa=4, rho=0.45)
         assert ours.num_edges <= em19.num_edges * 1.1 + 5
 

@@ -7,10 +7,11 @@ stand-ins for the per-source calls they batch — same entries, same
 canonical ``(distance, vertex)`` iteration order — on every importable
 backend, every graph shape (random, disconnected, empty, edgeless),
 every radius shape (0, fractional, ``inf``, unbounded), and every chunk
-boundary (budgets forcing 1-source chunks).  On top of the kernel
-contract, every rewired construction and the ``local`` query workload
-must emit identical output with batching enabled and disabled
-(``REPRO_BATCH_DISABLE=1``).
+boundary (budgets forcing 1-source chunks).  The reference for the
+kernels is the dict-based ``_dict_*`` implementation; whole builds are
+pinned by the golden corpus (``tests/test_build_golden.py``), and the
+``local`` query workload must emit the same stream on its lazy and its
+batched path.
 """
 
 from __future__ import annotations
@@ -41,12 +42,6 @@ def backend(request):
     kernels.set_backend(request.param)
     yield request.param
     kernels.set_backend("auto")
-
-
-@pytest.fixture
-def batching_disabled_env(monkeypatch):
-    """Force the per-source fallback path."""
-    monkeypatch.setenv("REPRO_BATCH_DISABLE", "1")
 
 
 def random_graph(n, avg_degree, seed):
@@ -151,15 +146,6 @@ def test_batched_bfs_validates_inputs(backend):
         list(kernels.batched_bfs(g.csr(), [0], -1))
     with pytest.raises(ValueError):
         list(kernels.batched_bfs(g.csr(), [0], 2, memory_budget=0))
-
-
-def test_batched_bfs_disable_env(backend, batching_disabled_env):
-    g = random_graph(60, 4.0, 24)
-    csr = g.csr()
-    sources = list(range(0, 60, 7))
-    assert list(kernels.batched_bfs(csr, sources, 3)) == [
-        kernels.bounded_bfs(csr, s, 3) for s in sources
-    ]
 
 
 def test_batch_chunk_size_policy():
@@ -321,23 +307,8 @@ def test_phase_explorer_feeds_shared_cache():
         assert cache.stats()["hits"] >= len(centers)
 
 
-def test_phase_explorer_disable_matches_batched(backend, monkeypatch):
-    g = random_graph(70, 4.0, 37)
-    centers = sorted(random.Random(3).sample(range(70), 25))
-    batched = PhaseExplorer(g, centers, 3)
-    batched_results = [batched.explore(c) for c in centers]
-    monkeypatch.setenv("REPRO_BATCH_DISABLE", "1")
-    disabled = PhaseExplorer(g, centers, 3)
-    disabled_results = [disabled.explore(c) for c in centers]
-    assert disabled.batched_passes == 0
-    assert batched_results == disabled_results
-    assert [list(d.items()) for d in batched_results] == [
-        list(d.items()) for d in disabled_results
-    ]
-
-
 # ----------------------------------------------------------------------
-# Build transparency: batched == disabled, on every backend
+# Build transparency under chunk boundaries
 # ----------------------------------------------------------------------
 def _facade_snapshot(graph):
     from repro.api import BuildSpec, build
@@ -357,32 +328,6 @@ def _facade_snapshot(graph):
         )
         snap.append((spec.product, spec.method, edges, result.size))
     return snap
-
-
-def _baseline_snapshot(graph):
-    from repro.baselines.elkin_neiman import build_elkin_neiman_emulator
-    from repro.baselines.elkin_peleg import build_elkin_peleg_emulator
-    from repro.baselines.thorup_zwick import build_thorup_zwick_emulator
-
-    ep = build_elkin_peleg_emulator(graph, eps=0.1, kappa=3.0)
-    en = build_elkin_neiman_emulator(graph, eps=0.1, kappa=3.0, seed=7)
-    tz = build_thorup_zwick_emulator(graph, kappa=3.0, seed=7)
-    return [
-        sorted(ep.emulator.edges()), ep.ground_forest_edges,
-        ep.superclustering_edges, ep.interconnection_edges,
-        sorted(en.emulator.edges()), en.superclustering_edges,
-        en.interconnection_edges,
-        sorted(tz.emulator.edges()), tz.superclustering_edges,
-        tz.interconnection_edges,
-    ]
-
-
-def test_builds_identical_batched_vs_disabled(backend, monkeypatch):
-    graph = random_graph(110, 4.0, 40)
-    batched = _facade_snapshot(graph) + _baseline_snapshot(graph)
-    monkeypatch.setenv("REPRO_BATCH_DISABLE", "1")
-    disabled = _facade_snapshot(graph) + _baseline_snapshot(graph)
-    assert batched == disabled
 
 
 def test_builds_identical_under_tiny_batch_budget(monkeypatch):
@@ -433,17 +378,15 @@ def test_bitwise_ruling_set_merge_explores_once_per_candidate(monkeypatch):
     assert len(calls) == len(set(calls))  # one exploration per candidate
 
 
-def test_local_workload_identical_lazy_vs_batched(monkeypatch):
+def test_local_workload_identical_lazy_vs_batched():
     from repro.serve.workloads import generate_queries
 
     graph = random_graph(100, 4.0, 44)
-    # 10 queries: lazy path; 300 queries: batched precompute path.
-    for num in (10, 49, 50, 300):
-        batched = generate_queries(graph, "local", num, seed=9)
-        monkeypatch.setenv("REPRO_BATCH_DISABLE", "1")
-        lazy = generate_queries(graph, "local", num, seed=9)
-        monkeypatch.delenv("REPRO_BATCH_DISABLE")
-        assert batched == lazy, num
+    # 300 queries take the batched precompute path, 10 and 49 the lazy
+    # per-source one; both draw from the same seeded stream.
+    batched = generate_queries(graph, "local", 300, seed=9)
+    for num in (10, 49):
+        assert batched[:num] == generate_queries(graph, "local", num, seed=9), num
 
 
 def test_local_workload_identical_across_backends_and_disconnected():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import BuildSpec, build
 from repro.cli import build_parser, main
 from repro.graphs import generators, io
 
@@ -21,8 +22,18 @@ class TestParser:
 
     def test_build_defaults(self):
         args = build_parser().parse_args(["build"])
-        assert args.algorithm == "centralized"
+        assert (args.product, args.method) == ("emulator", "centralized")
         assert args.kappa == 4.0
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--family", "grid", "--n", "16", "--queries", "0:1"],
+        ["build", "--family", "grid", "--n", "16", "--algorithm", "fast"],
+    ])
+    def test_removed_spellings_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_experiments_only_choice_validated(self):
         with pytest.raises(SystemExit):
@@ -48,12 +59,12 @@ class TestBuildCommand:
         assert emulator.num_edges > 0
 
     def test_build_fast(self, capsys):
-        code = main(["build", "--family", "grid", "--n", "36", "--algorithm", "fast"])
+        code = main(["build", "--family", "grid", "--n", "36", "--method", "fast"])
         assert code == 0
         assert "fast" in capsys.readouterr().out
 
     def test_build_congest(self, capsys):
-        code = main(["build", "--family", "grid", "--n", "25", "--algorithm", "congest"])
+        code = main(["build", "--family", "grid", "--n", "25", "--method", "congest"])
         assert code == 0
         out = capsys.readouterr().out
         assert "rounds" in out
@@ -63,14 +74,6 @@ class TestBuildCommand:
                      "--method", "congest"])
         assert code == 0
         assert "spanner (CONGEST):" in capsys.readouterr().out
-
-    def test_algorithm_fills_missing_half_of_product_method(self, capsys):
-        # --algorithm congest must not be silently discarded when only
-        # --product is pinned.
-        code = main(["build", "--family", "grid", "--n", "25", "--algorithm", "congest",
-                     "--product", "emulator"])
-        assert code == 0
-        assert "rounds" in capsys.readouterr().out
 
     def test_build_unsupported_combo_clean_error(self, capsys, monkeypatch):
         # Every vocabulary combo is registered now; deregister one so the
@@ -157,7 +160,7 @@ class TestBuildCommand:
 
     def test_build_spanner_with_output(self, tmp_path, capsys):
         out_path = tmp_path / "spanner.txt"
-        code = main(["build", "--family", "grid", "--n", "36", "--algorithm", "spanner",
+        code = main(["build", "--family", "grid", "--n", "36", "--product", "spanner",
                      "--output", str(out_path)])
         assert code == 0
         spanner = io.read_edge_list(out_path)
@@ -166,10 +169,8 @@ class TestBuildCommand:
 
 class TestVerifyCommand:
     def test_verify_roundtrip(self, tmp_path, capsys):
-        from repro.core.emulator import build_emulator
-
         g = generators.connected_erdos_renyi(30, 0.1, seed=4)
-        result = build_emulator(g, eps=0.1, kappa=4)
+        result = build(g, BuildSpec(product="emulator", eps=0.1, kappa=4)).raw
         graph_path = tmp_path / "g.txt"
         emulator_path = tmp_path / "h.txt"
         io.write_edge_list(g, graph_path)

@@ -31,19 +31,6 @@ class TestHopsetCommand:
         assert "hopset" in capsys.readouterr().out
 
 
-class TestOracleCommand:
-    def test_oracle_answers_queries(self, capsys):
-        exit_code = main(["oracle", "--family", "grid", "--n", "36",
-                          "--queries", "0:35", "0:6", "3:3"])
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        assert out.count("d(") == 3
-
-    def test_oracle_rejects_malformed_query(self):
-        with pytest.raises(SystemExit):
-            main(["oracle", "--family", "grid", "--n", "36", "--queries", "zero:one"])
-
-
 class TestQueryCommand:
     def test_query_answers_from_any_backend(self, capsys):
         exit_code = main(["query", "--family", "grid", "--n", "36",
@@ -138,7 +125,6 @@ class TestParser:
         parser = build_parser()
         text = parser.format_help()
         assert "hopset" in text
-        assert "oracle" in text
         assert "query" in text
         assert "bench-serve" in text
 

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.graphs import generators
 from repro.serve import (
     DaemonConfig,
@@ -445,6 +446,18 @@ class TestDaemonConfig:
             OracleConfig.from_dict({"nonsense": 1})
         with pytest.raises(ValueError, match="'oracles'"):
             DaemonConfig.from_dict({})
+
+    def test_misspelled_spec_key_is_a_clean_cli_error(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match=r"unknown oracle spec keys \['prodcut'\]"):
+            OracleConfig.from_dict({"spec": {"prodcut": "emulator"}})
+        config_path = tmp_path / "daemon.json"
+        config_path.write_text(json.dumps(
+            {"oracles": {"main": {"spec": {"prodcut": "emulator"}, "n": 16}}}
+        ))
+        assert cli_main(["serve-daemon", "--config", str(config_path), "--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown oracle spec keys ['prodcut']")
+        assert "'product'" in err
 
     def test_from_config_file_serves_and_warms(self, tmp_path):
         queries = generate_queries(GRAPH, "zipf", 100, seed=1)

@@ -4,21 +4,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro import BuildSpec, build
 from repro.analysis.validation import verify_emulator, verify_no_shortening
 from repro.core.parameters import DistributedSchedule, size_bound
 from repro.distributed.emulator_congest import (
     DistributedEmulatorBuilder,
-    build_emulator_congest,
 )
 from repro.graphs import generators
 from repro.graphs.graph import Graph
+
+
+CONGEST_EMULATOR = BuildSpec(product="emulator", method="congest", eps=0.01, kappa=4, rho=0.45)
 
 
 @pytest.fixture(scope="module")
 def congest_result():
     """One shared construction on a 60-vertex random graph (module-scoped for speed)."""
     graph = generators.connected_erdos_renyi(60, 0.08, seed=11)
-    return graph, build_emulator_congest(graph, eps=0.01, kappa=4, rho=0.45)
+    return graph, build(graph, CONGEST_EMULATOR).raw
 
 
 class TestSizeAndStretch:
@@ -38,7 +41,7 @@ class TestSizeAndStretch:
 
     def test_small_grid(self):
         graph = generators.grid_graph(6, 6)
-        result = build_emulator_congest(graph, eps=0.01, kappa=4, rho=0.45)
+        result = build(graph, CONGEST_EMULATOR).raw
         assert result.num_edges <= size_bound(36, 4) + 1e-9
         report = verify_emulator(graph, result.emulator,
                                  result.schedule.alpha, result.schedule.beta)
@@ -46,7 +49,7 @@ class TestSizeAndStretch:
 
     def test_star_graph(self):
         graph = generators.star_graph(30)
-        result = build_emulator_congest(graph, eps=0.01, kappa=4, rho=0.45)
+        result = build(graph, CONGEST_EMULATOR).raw
         assert result.num_edges <= size_bound(30, 4) + 1e-9
         report = verify_emulator(graph, result.emulator,
                                  result.schedule.alpha, result.schedule.beta)
@@ -54,15 +57,15 @@ class TestSizeAndStretch:
 
     def test_ring_of_cliques(self):
         graph = generators.ring_of_cliques(5, 6)
-        result = build_emulator_congest(graph, eps=0.01, kappa=3, rho=0.4)
+        result = build(graph, CONGEST_EMULATOR.replace(kappa=3, rho=0.4)).raw
         assert result.num_edges <= size_bound(30, 3) + 1e-9
 
     def test_empty_graph(self):
-        result = build_emulator_congest(Graph(5), eps=0.01, kappa=4, rho=0.45)
+        result = build(Graph(5), CONGEST_EMULATOR).raw
         assert result.num_edges == 0
 
     def test_disconnected(self, disconnected_graph):
-        result = build_emulator_congest(disconnected_graph, eps=0.01, kappa=4, rho=0.45)
+        result = build(disconnected_graph, CONGEST_EMULATOR).raw
         assert result.num_edges <= size_bound(10, 4) + 1e-9
 
 
@@ -105,8 +108,8 @@ class TestDistributedGuarantees:
 class TestRulingSetModes:
     def test_bitwise_mode_also_valid(self):
         graph = generators.connected_erdos_renyi(40, 0.1, seed=5)
-        result = build_emulator_congest(graph, eps=0.01, kappa=4, rho=0.45,
-                                        ruling_set_mode="bitwise")
+        spec = CONGEST_EMULATOR.replace(options={"ruling_set_mode": "bitwise"})
+        result = build(graph, spec).raw
         assert result.num_edges <= size_bound(40, 4) + 1e-9
         assert verify_no_shortening(graph, result.emulator, sample_pairs=None)
         assert result.both_endpoints_know_all_edges()
@@ -125,7 +128,7 @@ class TestAgreementWithCentralized:
     def test_same_size_bound_and_validity_across_rhos(self):
         graph = generators.connected_erdos_renyi(50, 0.08, seed=9)
         for rho in (0.3, 0.45):
-            result = build_emulator_congest(graph, eps=0.01, kappa=4, rho=rho)
+            result = build(graph, CONGEST_EMULATOR.replace(rho=rho)).raw
             assert result.num_edges <= size_bound(50, 4) + 1e-9
             report = verify_emulator(graph, result.emulator,
                                      result.schedule.alpha, result.schedule.beta)
@@ -133,7 +136,7 @@ class TestAgreementWithCentralized:
 
     def test_deterministic(self):
         graph = generators.connected_erdos_renyi(40, 0.1, seed=13)
-        r1 = build_emulator_congest(graph, eps=0.01, kappa=4, rho=0.45)
-        r2 = build_emulator_congest(graph, eps=0.01, kappa=4, rho=0.45)
+        r1 = build(graph, CONGEST_EMULATOR).raw
+        r2 = build(graph, CONGEST_EMULATOR).raw
         assert sorted(r1.emulator.edges()) == sorted(r2.emulator.edges())
         assert r1.rounds == r2.rounds

@@ -4,20 +4,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro import BuildSpec, build
 from repro.analysis.validation import verify_spanner
 from repro.core.parameters import SpannerSchedule, size_bound
 from repro.distributed.spanner_congest import (
     DistributedSpannerBuilder,
-    build_spanner_congest,
 )
 from repro.graphs import generators
 from repro.graphs.graph import Graph
 
 
+CONGEST_SPANNER = BuildSpec(product="spanner", method="congest", eps=0.01, kappa=4, rho=0.45)
+
+
 @pytest.fixture(scope="module")
 def spanner_result():
     graph = generators.connected_erdos_renyi(60, 0.08, seed=21)
-    return graph, build_spanner_congest(graph, eps=0.01, kappa=4, rho=0.45)
+    return graph, build(graph, CONGEST_SPANNER).raw
 
 
 class TestSubgraphAndStretch:
@@ -36,17 +39,17 @@ class TestSubgraphAndStretch:
 
     def test_grid(self):
         graph = generators.grid_graph(6, 6)
-        result = build_spanner_congest(graph, eps=0.01, kappa=4, rho=0.45)
+        result = build(graph, CONGEST_SPANNER).raw
         assert result.is_subgraph_of(graph)
         report = verify_spanner(graph, result.spanner, result.alpha, result.beta)
         assert report.valid
 
     def test_empty_graph(self):
-        result = build_spanner_congest(Graph(4), eps=0.01, kappa=4, rho=0.45)
+        result = build(Graph(4), CONGEST_SPANNER).raw
         assert result.num_edges == 0
 
     def test_disconnected(self, disconnected_graph):
-        result = build_spanner_congest(disconnected_graph, eps=0.01, kappa=4, rho=0.45)
+        result = build(disconnected_graph, CONGEST_SPANNER).raw
         assert result.is_subgraph_of(disconnected_graph)
         assert len(result.spanner.connected_components()) == len(
             disconnected_graph.connected_components()
@@ -90,8 +93,8 @@ class TestBuilderApi:
 
     def test_deterministic(self):
         graph = generators.connected_erdos_renyi(40, 0.1, seed=31)
-        r1 = build_spanner_congest(graph, eps=0.01, kappa=4, rho=0.45)
-        r2 = build_spanner_congest(graph, eps=0.01, kappa=4, rho=0.45)
+        r1 = build(graph, CONGEST_SPANNER).raw
+        r2 = build(graph, CONGEST_SPANNER).raw
         assert sorted(r1.spanner.edges()) == sorted(r2.spanner.edges())
         assert r1.rounds == r2.rounds
 
@@ -99,7 +102,7 @@ class TestBuilderApi:
         from repro.baselines.em19_spanner import build_em19_spanner
 
         graph = generators.erdos_renyi(60, 0.3, seed=4)
-        ours = build_spanner_congest(graph, eps=0.01, kappa=3, rho=0.4)
+        ours = build(graph, CONGEST_SPANNER.replace(kappa=3, rho=0.4)).raw
         em19 = build_em19_spanner(graph, eps=0.01, kappa=3, rho=0.4)
         # The Section 4 spanner is never (meaningfully) denser than EM19.
         assert ours.num_edges <= em19.num_edges * 1.1 + 5

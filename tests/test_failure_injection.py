@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro import BuildSpec, build
 from repro.analysis.validation import verify_emulator
 from repro.congest.network import BandwidthViolation, SynchronousNetwork
 from repro.core.clusters import Cluster, Partition
-from repro.core.emulator import UltraSparseEmulatorBuilder, build_emulator
+from repro.core.emulator import UltraSparseEmulatorBuilder
 from repro.core.parameters import CentralizedSchedule, DistributedSchedule
 from repro.graphs import generators, io
 from repro.graphs.graph import Graph
 from repro.graphs.weighted_graph import WeightedGraph
+
+
+EMULATOR = BuildSpec(product="emulator", eps=0.1, kappa=4)
 
 
 class TestMalformedInputs:
@@ -93,12 +97,12 @@ class TestBandwidthViolations:
 
 class TestDegenerateGraphs:
     def test_emulator_on_edgeless_graph(self):
-        result = build_emulator(Graph(25), eps=0.1, kappa=4)
+        result = build(Graph(25), EMULATOR).raw
         assert result.num_edges == 0
         assert result.within_size_bound()
 
     def test_emulator_on_two_vertices(self):
-        result = build_emulator(Graph(2, [(0, 1)]), eps=0.1, kappa=2)
+        result = build(Graph(2, [(0, 1)]), EMULATOR.replace(kappa=2)).raw
         assert result.num_edges <= 2
         report = verify_emulator(Graph(2, [(0, 1)]), result.emulator,
                                  result.alpha, result.beta)
@@ -109,20 +113,17 @@ class TestDegenerateGraphs:
         for i in range(5):
             for j in range(i + 1, 5):
                 g.add_edge(i, j)
-        result = build_emulator(g, eps=0.1, kappa=4)
+        result = build(g, EMULATOR).raw
         assert result.within_size_bound()
         report = verify_emulator(g, result.emulator, result.alpha, result.beta)
         assert report.valid
 
     def test_spanner_on_edgeless_graph(self):
-        from repro.core.spanner import build_near_additive_spanner
-
-        result = build_near_additive_spanner(Graph(10), eps=0.01, kappa=4, rho=0.45)
+        result = build(Graph(10), BuildSpec(product="spanner", eps=0.01, kappa=4, rho=0.45)).raw
         assert result.num_edges == 0
 
     def test_congest_on_single_edge(self):
-        from repro.distributed.emulator_congest import build_emulator_congest
-
-        result = build_emulator_congest(Graph(2, [(0, 1)]), eps=0.01, kappa=4, rho=0.45)
+        spec = BuildSpec(product="emulator", method="congest", eps=0.01, kappa=4, rho=0.45)
+        result = build(Graph(2, [(0, 1)]), spec).raw
         assert result.num_edges <= 2
         assert result.both_endpoints_know_all_edges()

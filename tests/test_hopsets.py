@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro import BuildSpec, build
 from repro.graphs.shortest_paths import bfs_distances
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.hopsets import (
-    build_hopset,
     hop_limited_distance,
     hop_limited_distances,
     union_with_graph,
     verify_hopset,
 )
 from repro.hopsets.hopset import exact_hopbound, measured_hopbound
+
+
+HOPSET = BuildSpec(product="hopset", eps=0.1, kappa=4.0)
 
 
 class TestUnionWithGraph:
@@ -87,25 +90,25 @@ class TestHopLimitedDistances:
 
 class TestBuildHopset:
     def test_hopset_edges_are_the_emulator_edges(self, random_graph):
-        result = build_hopset(random_graph, eps=0.1, kappa=4.0)
+        result = build(random_graph, HOPSET).raw
         assert result.hopset is result.emulator_result.emulator
         assert result.num_vertices == random_graph.num_vertices
 
     def test_hopset_respects_emulator_size_bound(self, random_graph):
-        result = build_hopset(random_graph, eps=0.1, kappa=4.0)
+        result = build(random_graph, HOPSET).raw
         assert result.num_edges <= result.emulator_result.size_bound + 1e-9
 
     def test_ultra_sparse_default_kappa(self, random_graph):
-        result = build_hopset(random_graph, eps=0.1)
+        result = build(random_graph, BuildSpec(product="hopset", eps=0.1)).raw
         # Ultra-sparse regime: barely more than n edges.
         assert result.num_edges <= random_graph.num_vertices * 1.2
 
     def test_hopbound_estimate_positive(self, small_random_graph):
-        result = build_hopset(small_random_graph, eps=0.1, kappa=4.0)
+        result = build(small_random_graph, HOPSET).raw
         assert result.hopbound_estimate >= 1
 
     def test_union_helper_on_result(self, small_random_graph):
-        result = build_hopset(small_random_graph, eps=0.1, kappa=4.0)
+        result = build(small_random_graph, HOPSET).raw
         union = result.union(small_random_graph)
         assert union.num_vertices == small_random_graph.num_vertices
         assert union.num_edges >= small_random_graph.num_edges
@@ -113,7 +116,7 @@ class TestBuildHopset:
 
 class TestVerifyAndMeasure:
     def test_verify_hopset_accepts_generous_budget(self, small_random_graph):
-        result = build_hopset(small_random_graph, eps=0.1, kappa=4.0)
+        result = build(small_random_graph, HOPSET).raw
         valid, excess = verify_hopset(
             small_random_graph,
             result.hopset,
@@ -133,7 +136,7 @@ class TestVerifyAndMeasure:
         assert excess > 0
 
     def test_measured_hopbound_at_most_graph_diameter(self, grid6x6):
-        result = build_hopset(grid6x6, eps=0.1, kappa=4.0)
+        result = build(grid6x6, HOPSET).raw
         measured = measured_hopbound(
             grid6x6, result.hopset, result.alpha, result.beta, sample_pairs=None
         )
@@ -145,7 +148,7 @@ class TestVerifyAndMeasure:
     def test_exact_hopbound_is_at_least_guarantee_hopbound(self, grid6x6):
         # Matching the full union distance is a stricter requirement than
         # meeting the (alpha, beta) guarantee, so it needs at least as many hops.
-        result = build_hopset(grid6x6, eps=0.1, kappa=4.0)
+        result = build(grid6x6, HOPSET).raw
         guarantee = measured_hopbound(
             grid6x6, result.hopset, result.alpha, result.beta, sample_pairs=None
         )
@@ -153,7 +156,7 @@ class TestVerifyAndMeasure:
         assert exact >= guarantee
 
     def test_exact_hopbound_one_on_a_clique(self, clique8):
-        result = build_hopset(clique8, eps=0.1, kappa=4.0)
+        result = build(clique8, HOPSET).raw
         assert exact_hopbound(clique8, result.hopset, sample_pairs=None) == 1
 
     def test_verify_raises_on_undershooting_hopset(self, path10):
@@ -164,7 +167,7 @@ class TestVerifyAndMeasure:
             verify_hopset(path10, cheating, hopbound=10, alpha=10.0, beta=100.0)
 
     def test_star_graph_needs_two_hops(self, star20):
-        result = build_hopset(star20, eps=0.1, kappa=4.0)
+        result = build(star20, HOPSET).raw
         # Leaf-to-leaf distances are 2 and the hopset cannot beat 2 hops
         # unless it contains a direct leaf-leaf edge of weight 2; either way
         # the exact hopbound is at most 2.

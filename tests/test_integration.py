@@ -10,10 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro import (
-    build_emulator,
-    build_emulator_congest,
-    build_emulator_fast,
-    build_near_additive_spanner,
+    BuildSpec,
+    build,
     size_bound,
     ultra_sparse_kappa,
     verify_emulator,
@@ -29,6 +27,10 @@ from repro.core.parameters import CentralizedSchedule
 from repro.graphs import generators, io
 
 
+CONGEST_EMULATOR = BuildSpec(product="emulator", method="congest", eps=0.01, kappa=4, rho=0.45)
+EMULATOR = BuildSpec(product="emulator", eps=0.1, kappa=4)
+FAST_EMULATOR = BuildSpec(product="emulator", method="fast", eps=0.01, kappa=4, rho=0.45)
+
 FAMILIES = {
     "erdos-renyi": lambda: generators.connected_erdos_renyi(90, 0.06, seed=5),
     "grid": lambda: generators.grid_graph(9, 10),
@@ -43,7 +45,7 @@ class TestAllConstructionsAcrossFamilies:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_centralized_pipeline(self, family):
         graph = FAMILIES[family]()
-        result = build_emulator(graph, eps=0.1, kappa=4)
+        result = build(graph, EMULATOR).raw
         assert result.within_size_bound()
         report = verify_emulator(graph, result.emulator, result.alpha, result.beta,
                                  sample_pairs=200)
@@ -52,7 +54,7 @@ class TestAllConstructionsAcrossFamilies:
     @pytest.mark.parametrize("family", ["erdos-renyi", "grid", "ring-of-cliques"])
     def test_fast_pipeline(self, family):
         graph = FAMILIES[family]()
-        result = build_emulator_fast(graph, eps=0.01, kappa=4, rho=0.45)
+        result = build(graph, FAST_EMULATOR).raw
         assert result.num_edges <= size_bound(graph.num_vertices, 4) + 1e-9
         report = verify_emulator(graph, result.emulator, result.schedule.alpha,
                                  result.schedule.beta, sample_pairs=200)
@@ -61,14 +63,14 @@ class TestAllConstructionsAcrossFamilies:
     @pytest.mark.parametrize("family", ["grid", "tree"])
     def test_congest_pipeline(self, family):
         graph = FAMILIES[family]()
-        result = build_emulator_congest(graph, eps=0.01, kappa=4, rho=0.45)
+        result = build(graph, CONGEST_EMULATOR).raw
         assert result.num_edges <= size_bound(graph.num_vertices, 4) + 1e-9
         assert result.both_endpoints_know_all_edges()
 
     @pytest.mark.parametrize("family", ["erdos-renyi", "hypercube"])
     def test_spanner_pipeline(self, family):
         graph = FAMILIES[family]()
-        result = build_near_additive_spanner(graph, eps=0.01, kappa=4, rho=0.45)
+        result = build(graph, BuildSpec(product="spanner", eps=0.01, kappa=4, rho=0.45)).raw
         report = verify_spanner(graph, result.spanner, result.alpha, result.beta,
                                 sample_pairs=200)
         assert report.valid
@@ -78,7 +80,7 @@ class TestUltraSparseEndToEnd:
     def test_ultra_sparse_emulator_is_near_linear(self):
         graph = generators.connected_erdos_renyi(300, 0.03, seed=8)
         kappa = ultra_sparse_kappa(300)
-        result = build_emulator(graph, eps=0.1, kappa=kappa)
+        result = build(graph, EMULATOR.replace(kappa=kappa)).raw
         report = size_report(result.emulator, kappa=kappa)
         assert report.within_bound
         # n + o(n): the allowance itself is tiny, and we respect it.
@@ -89,7 +91,7 @@ class TestUltraSparseEndToEnd:
         graph = generators.connected_erdos_renyi(200, 0.04, seed=9)
         kappa = ultra_sparse_kappa(200)
         schedule = CentralizedSchedule(n=200, eps=0.1, kappa=kappa)
-        ours = build_emulator(graph, schedule=schedule).num_edges
+        ours = build(graph, BuildSpec(product="emulator", schedule=schedule)).raw.num_edges
         ep01 = build_elkin_peleg_emulator(graph, eps=0.1, kappa=kappa).num_edges
         tz06 = build_thorup_zwick_emulator(graph, kappa=kappa, seed=3).num_edges
         en17 = build_elkin_neiman_emulator(graph, eps=0.1, kappa=kappa, seed=3).num_edges
@@ -98,7 +100,7 @@ class TestUltraSparseEndToEnd:
     def test_stretch_distribution_reasonable_in_ultra_sparse_regime(self):
         graph = generators.grid_graph(12, 12)
         kappa = ultra_sparse_kappa(144)
-        result = build_emulator(graph, eps=0.1, kappa=kappa)
+        result = build(graph, EMULATOR.replace(kappa=kappa)).raw
         dist = stretch_distribution(graph, result.emulator, sample_pairs=300)
         # The observed additive error must stay below the schedule's beta.
         assert dist["max_additive"] <= result.beta
@@ -107,7 +109,7 @@ class TestUltraSparseEndToEnd:
 class TestPersistenceRoundTrip:
     def test_emulator_roundtrip_preserves_validity(self, tmp_path):
         graph = generators.connected_erdos_renyi(70, 0.08, seed=12)
-        result = build_emulator(graph, eps=0.1, kappa=4)
+        result = build(graph, EMULATOR).raw
         graph_path = tmp_path / "graph.txt"
         emulator_path = tmp_path / "emulator.txt"
         io.write_edge_list(graph, graph_path)
@@ -122,9 +124,9 @@ class TestPersistenceRoundTrip:
 class TestCrossConstructionConsistency:
     def test_all_three_emulator_builders_valid_on_same_graph(self):
         graph = generators.connected_erdos_renyi(64, 0.08, seed=15)
-        central = build_emulator(graph, eps=0.1, kappa=4)
-        fast = build_emulator_fast(graph, eps=0.01, kappa=4, rho=0.45)
-        congest = build_emulator_congest(graph, eps=0.01, kappa=4, rho=0.45)
+        central = build(graph, EMULATOR).raw
+        fast = build(graph, FAST_EMULATOR).raw
+        congest = build(graph, CONGEST_EMULATOR).raw
         for result, alpha, beta in (
             (central, central.alpha, central.beta),
             (fast, fast.schedule.alpha, fast.schedule.beta),
@@ -136,8 +138,8 @@ class TestCrossConstructionConsistency:
 
     def test_fast_and_congest_agree_on_edge_count_order(self):
         graph = generators.grid_graph(8, 8)
-        fast = build_emulator_fast(graph, eps=0.01, kappa=4, rho=0.45)
-        congest = build_emulator_congest(graph, eps=0.01, kappa=4, rho=0.45)
+        fast = build(graph, FAST_EMULATOR).raw
+        congest = build(graph, CONGEST_EMULATOR).raw
         # Same schedule family; sizes should be in the same ballpark.
         assert abs(fast.num_edges - congest.num_edges) <= 0.5 * max(
             fast.num_edges, congest.num_edges

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import BuildSpec, build
 from repro.graphs import generators, io
 from repro.graphs.graph import Graph
 from repro.graphs.weighted_graph import WeightedGraph
@@ -79,9 +80,7 @@ class TestWeightedIo:
             io.read_weighted_edge_list(path)
 
     def test_emulator_roundtrip(self, tmp_path, small_random_graph):
-        from repro.core.emulator import build_emulator
-
-        result = build_emulator(small_random_graph, eps=0.1, kappa=4)
+        result = build(small_random_graph, BuildSpec(product="emulator", eps=0.1, kappa=4)).raw
         path = tmp_path / "emulator.txt"
         io.write_weighted_edge_list(result.emulator, path)
         back = io.read_weighted_edge_list(path)

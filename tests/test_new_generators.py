@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.emulator import build_emulator
+from repro import BuildSpec, build
 from repro.graphs import generators
 from repro.graphs.shortest_paths import diameter
 
@@ -32,7 +32,7 @@ class TestLollipop:
 
     def test_emulator_size_bound_holds_on_lollipop(self):
         g = generators.lollipop_graph(12, 20)
-        result = build_emulator(g, eps=0.1, kappa=4.0)
+        result = build(g, BuildSpec(product="emulator", eps=0.1, kappa=4.0)).raw
         assert result.within_size_bound()
 
 
@@ -85,5 +85,5 @@ class TestCompleteBipartite:
     def test_emulator_on_star_like_bipartite(self):
         # K_{1,r} is the star; K_{2,r} stresses the popular-cluster logic.
         g = generators.complete_bipartite_graph(2, 30)
-        result = build_emulator(g, eps=0.1, kappa=4.0)
+        result = build(g, BuildSpec(product="emulator", eps=0.1, kappa=4.0)).raw
         assert result.within_size_bound()

@@ -18,12 +18,11 @@ import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import BuildSpec, build
 from repro.analysis.validation import verify_emulator
 from repro.congest.bellman_ford import detect_popular_clusters
 from repro.congest.ruling_sets import greedy_ruling_set, verify_ruling_set
-from repro.core.emulator import build_emulator
 from repro.core.parameters import CentralizedSchedule, size_bound
-from repro.core.spanner import build_near_additive_spanner
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import bfs_distances
 
@@ -65,20 +64,20 @@ class TestEmulatorProperties:
     @given(graph=random_graphs(), kappa=st.sampled_from([2, 3, 4, 8]))
     @settings(**SETTINGS)
     def test_size_bound_always_holds(self, graph, kappa):
-        result = build_emulator(graph, eps=0.1, kappa=kappa)
+        result = build(graph, BuildSpec(product="emulator", eps=0.1, kappa=kappa)).raw
         assert result.num_edges <= size_bound(graph.num_vertices, kappa) + 1e-9
 
     @given(graph=connected_graphs(), kappa=st.sampled_from([2, 4]))
     @settings(**SETTINGS)
     def test_stretch_guarantee_always_holds(self, graph, kappa):
-        result = build_emulator(graph, eps=0.1, kappa=kappa)
+        result = build(graph, BuildSpec(product="emulator", eps=0.1, kappa=kappa)).raw
         report = verify_emulator(graph, result.emulator, result.alpha, result.beta)
         assert report.valid
 
     @given(graph=connected_graphs(max_vertices=24))
     @settings(**SETTINGS)
     def test_distances_never_shortened(self, graph):
-        result = build_emulator(graph, eps=0.1, kappa=4)
+        result = build(graph, BuildSpec(product="emulator", eps=0.1, kappa=4)).raw
         for source in range(graph.num_vertices):
             dg = bfs_distances(graph, source)
             dh = result.emulator.dijkstra(source)
@@ -88,7 +87,7 @@ class TestEmulatorProperties:
     @given(graph=random_graphs(), kappa=st.sampled_from([2, 4, 8]))
     @settings(**SETTINGS)
     def test_charging_invariants(self, graph, kappa):
-        result = build_emulator(graph, eps=0.1, kappa=kappa)
+        result = build(graph, BuildSpec(product="emulator", eps=0.1, kappa=kappa)).raw
         degree_by_phase = {
             i: result.schedule.degree(i) for i in range(result.schedule.num_phases)
         }
@@ -99,7 +98,7 @@ class TestEmulatorProperties:
     @given(graph=random_graphs())
     @settings(**SETTINGS)
     def test_edge_weights_upper_bound_distances(self, graph):
-        result = build_emulator(graph, eps=0.1, kappa=4)
+        result = build(graph, BuildSpec(product="emulator", eps=0.1, kappa=4)).raw
         for u, v, w in result.emulator.edges():
             assert w >= bfs_distances(graph, u).get(v, float("inf")) - 1e-9
 
@@ -108,13 +107,13 @@ class TestSpannerProperties:
     @given(graph=connected_graphs(max_vertices=26))
     @settings(**SETTINGS)
     def test_spanner_is_always_subgraph(self, graph):
-        result = build_near_additive_spanner(graph, eps=0.01, kappa=4, rho=0.45)
+        result = build(graph, BuildSpec(product="spanner", eps=0.01, kappa=4, rho=0.45)).raw
         assert result.is_subgraph_of(graph)
 
     @given(graph=connected_graphs(max_vertices=22))
     @settings(**SETTINGS)
     def test_spanner_preserves_connectivity(self, graph):
-        result = build_near_additive_spanner(graph, eps=0.01, kappa=4, rho=0.45)
+        result = build(graph, BuildSpec(product="spanner", eps=0.01, kappa=4, rho=0.45)).raw
         assert len(result.spanner.connected_components()) == len(graph.connected_components())
 
 

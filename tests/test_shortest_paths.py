@@ -83,6 +83,17 @@ class TestBfsTree:
         with pytest.raises(ValueError):
             bfs_tree(Graph(2), 9)
 
+    @pytest.mark.parametrize("radius", [2.5, 0, 0.5, float("inf")])
+    def test_radius_handled_like_bounded_bfs(self, path10, radius):
+        assert set(bfs_tree(path10, 0, radius)) == set(bounded_bfs(path10, 0, radius))
+
+    @pytest.mark.parametrize("radius", [-1, -0.5, float("-inf")])
+    def test_negative_radius_rejected_like_bounded_bfs(self, path10, radius):
+        with pytest.raises(ValueError):
+            bounded_bfs(path10, 0, radius)
+        with pytest.raises(ValueError):
+            bfs_tree(path10, 0, radius)
+
 
 class TestMultiSourceBfs:
     def test_single_source_matches(self, grid6x6):

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro import BuildSpec, build
 from repro.analysis.validation import verify_spanner
 from repro.applications.streaming import (
     EdgeStream,
     StreamingEmulatorBuilder,
     streaming_greedy_spanner,
 )
-from repro.core.emulator import build_emulator
 from repro.graphs import generators
 
 
@@ -87,7 +87,8 @@ class TestStreamingEmulatorBuilder:
         stream = EdgeStream.from_graph(small_random_graph)
         builder = StreamingEmulatorBuilder(stream, eps=0.1, kappa=4.0)
         result, _ = builder.build()
-        centralized = build_emulator(small_random_graph, schedule=builder.schedule)
+        spec = BuildSpec(product="emulator", schedule=builder.schedule)
+        centralized = build(small_random_graph, spec).raw
         assert sorted(result.emulator.edges()) == sorted(centralized.emulator.edges())
 
     def test_one_pass_per_phase(self, small_random_graph):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import BuildSpec, build
 from repro.analysis.metrics import size_report, sparsity_ratio, stretch_distribution
 from repro.analysis.sampling import sample_vertex_pairs
 from repro.analysis.reporting import format_markdown_table, format_table
@@ -15,6 +16,9 @@ from repro.analysis.validation import (
 )
 from repro.graphs.graph import Graph
 from repro.graphs.weighted_graph import WeightedGraph
+
+
+EMULATOR = BuildSpec(product="emulator", eps=0.1, kappa=4)
 
 
 class TestStretchReport:
@@ -65,9 +69,7 @@ class TestVerifyEmulator:
         assert report.shortening_violations
 
     def test_sampled_mode(self, random_graph):
-        from repro.core.emulator import build_emulator
-
-        result = build_emulator(random_graph, eps=0.1, kappa=4)
+        result = build(random_graph, EMULATOR).raw
         report = verify_emulator(random_graph, result.emulator, result.alpha, result.beta,
                                  sample_pairs=50)
         assert report.valid
@@ -106,9 +108,7 @@ class TestVerifySpanner:
 
 class TestMetrics:
     def test_size_report(self, small_random_graph):
-        from repro.core.emulator import build_emulator
-
-        result = build_emulator(small_random_graph, eps=0.1, kappa=4)
+        result = build(small_random_graph, EMULATOR).raw
         report = size_report(result.emulator, kappa=4)
         assert report.within_bound
         assert report.ratio_to_bound <= 1.0
@@ -125,9 +125,7 @@ class TestMetrics:
         assert sparsity_ratio(Graph(3), Graph(3)) == 0.0
 
     def test_stretch_distribution(self, small_random_graph):
-        from repro.core.emulator import build_emulator
-
-        result = build_emulator(small_random_graph, eps=0.1, kappa=4)
+        result = build(small_random_graph, EMULATOR).raw
         dist = stretch_distribution(small_random_graph, result.emulator)
         assert dist["pairs"] > 0
         assert dist["max_multiplicative"] >= dist["mean_multiplicative"] >= 1.0
