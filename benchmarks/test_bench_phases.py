@@ -3,8 +3,10 @@
 Times one superclustering-phase-shaped workload — many bounded
 explorations from a center set at one radius — through
 :func:`repro.graphs.kernels.batched_bfs` against the per-center loop it
-replaced, plus full emulator/spanner builds that exercise the
-:class:`~repro.graphs.shortest_paths.PhaseExplorer` end to end.  The
+replaced, plus full emulator/spanner builds (the fast emulator and the
+spanner exercise the :class:`~repro.graphs.shortest_paths.PhaseExplorer`
+end to end; Algorithm 1 reads its balls with
+:func:`repro.graphs.kernels.ball`).  The
 headline check: the batched pass must be at least **2x** faster than
 per-center exploration at the active workload tier whenever a
 vectorized backend is importable (the batching layer exists for exactly
@@ -101,7 +103,7 @@ def _build_graph(tier_n, seed=3):
 
 
 def test_bench_emulator_full_build(benchmark, tier_n):
-    """Algorithm 1 end to end (PhaseExplorer-backed phases)."""
+    """Algorithm 1 end to end (CSR-row balls, array-backed partitions)."""
     graph = _build_graph(tier_n)
     spec = BuildSpec(product="emulator", method="centralized", eps=0.1, kappa=3.0)
 

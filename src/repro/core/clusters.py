@@ -13,13 +13,23 @@ This module provides:
   member set, and a radius witness (the distance in the emulator built so
   far from the center to the farthest member);
 * :class:`Partition` — a collection of pairwise-disjoint clusters with
-  membership lookup, used for ``P_i``.
+  membership lookup, used for ``P_i``.  It is stored as flat arrays (a
+  center label per vertex, a radius and a creation phase per center):
+  ``P_0`` costs ``O(n)`` array fills, Algorithm 1 forms ``P_{i+1}`` by
+  relabelling ``P_i`` (:meth:`Partition.regroup`), and the
+  :class:`Cluster` views are built only when a caller reads them.  The
+  other builders still assemble partitions cluster by cluster with
+  :meth:`Partition.add`.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
+
+import numpy as _np
 
 __all__ = ["Cluster", "Partition"]
 
@@ -122,15 +132,24 @@ class Cluster:
 
 
 class Partition:
-    """A partial partition: a collection of pairwise-disjoint clusters.
+    """A partial partition: pairwise-disjoint clusters kept as flat arrays.
 
-    Supports lookup of the cluster containing a vertex, lookup by center,
-    and validation that clusters are indeed disjoint.
+    ``center_of[v]`` is the center of the cluster holding vertex ``v``
+    (``-1`` when ``v`` is uncovered); each center ``c`` has its witnessed
+    radius at ``radius[c]`` and its phase at ``phase_created[c]``.  A
+    vertex carries one label, so clusters are disjoint by construction.
+    :class:`Cluster` objects are built only when a caller reads them: all
+    at once, by one pass over ``center_of``, and cached until the
+    partition changes.  A partition pickles as its arrays.
     """
 
     def __init__(self, clusters: Iterable[Cluster] = ()) -> None:
-        self._by_center: Dict[int, Cluster] = {}
-        self._vertex_to_center: Dict[int, int] = {}
+        self._center_of = array("l")
+        self._radius = array("d")
+        self._phase = array("l")
+        self._centers = array("l")  # ascending
+        self._num_covered = 0
+        self._clusters: Optional[Dict[int, Cluster]] = None
         for cluster in clusters:
             self.add(cluster)
 
@@ -139,70 +158,138 @@ class Partition:
     # ------------------------------------------------------------------
     @classmethod
     def singletons(cls, num_vertices: int) -> "Partition":
-        """The phase-0 partition of ``{0 .. n-1}`` into singletons.
-
-        Singletons are disjoint by construction, so both maps are filled
-        directly instead of through :meth:`add` and its overlap check.
-        """
+        """The phase-0 partition of ``{0 .. n-1}`` into singletons."""
         partition = cls()
-        partition._by_center = {v: Cluster.singleton(v) for v in range(num_vertices)}
-        partition._vertex_to_center = {v: v for v in range(num_vertices)}
+        partition._grow(num_vertices)  # radius 0.0 and phase 0 everywhere
+        partition._center_of = array("l", range(num_vertices))
+        partition._centers = array("l", partition._center_of)
+        partition._num_covered = num_vertices
         return partition
 
     def add(self, cluster: Cluster) -> None:
-        """Add a cluster; raises if it overlaps an existing cluster."""
-        if cluster.center in self._by_center:
-            raise ValueError(f"a cluster centered at {cluster.center} already exists")
+        """Add a cluster; raises if it overlaps an existing cluster.
+
+        Radii are stored as floats.
+        """
+        center = cluster.center
+        if self.has_center(center):
+            raise ValueError(f"a cluster centered at {center} already exists")
+        if min(cluster.members) < 0:
+            raise ValueError(f"cluster {cluster!r} has a negative vertex")
+        self._grow(max(cluster.members) + 1)
+        center_of = self._center_of
         for v in cluster.members:
-            if v in self._vertex_to_center:
+            if center_of[v] >= 0:
                 raise ValueError(
-                    f"vertex {v} already belongs to the cluster centered at "
-                    f"{self._vertex_to_center[v]}"
+                    f"vertex {v} already belongs to the cluster centered at {center_of[v]}"
                 )
-        self._by_center[cluster.center] = cluster
         for v in cluster.members:
-            self._vertex_to_center[v] = cluster.center
+            center_of[v] = center
+        self._radius[center] = cluster.radius
+        self._phase[center] = cluster.phase_created
+        insort(self._centers, center)
+        self._num_covered += len(cluster.members)
+        self._clusters = None
 
     def remove(self, center: int) -> Cluster:
         """Remove and return the cluster centered at ``center``."""
-        cluster = self._by_center.pop(center)
+        cluster = self.cluster_of_center(center)
         for v in cluster.members:
-            del self._vertex_to_center[v]
+            self._center_of[v] = -1
+        del self._centers[bisect_left(self._centers, center)]
+        self._num_covered -= len(cluster.members)
+        del self._clusters[center]
         return cluster
+
+    def regroup(self, host: array, offset: array, phase_created: int) -> "Partition":
+        """The partition of superclusters assembled from this one's clusters.
+
+        ``host`` and ``offset`` are indexed by vertex: the cluster centered
+        at ``c`` joins the supercluster centered at ``host[c]``, at distance
+        ``offset[c]`` from it, or drops out when ``host[c]`` is ``-1``.
+        Every host hosts itself at distance 0.  A supercluster's radius is
+        the largest ``offset[c] + radius[c]`` over its pieces.  Every vertex
+        is relabelled in one array pass.
+        """
+        n = len(self._center_of)
+        host_of = _np.asarray(host)
+        centers = _np.asarray(self._centers)
+        pieces = centers[host_of[centers] >= 0]
+        hosts = host_of[pieces]
+        lookup = _np.full(n, -1, dtype="l")
+        lookup[pieces] = hosts
+        labels = _np.asarray(self._center_of)
+        relabelled = _np.where(labels >= 0, lookup[labels], -1)
+        radius = _np.zeros(n)
+        reach = _np.asarray(offset)[pieces] + _np.asarray(self._radius)[pieces]
+        _np.maximum.at(radius, hosts, reach)
+        phase = _np.zeros(n, dtype="l")
+        phase[hosts] = phase_created
+        result = Partition()
+        result._center_of = array("l", relabelled.tobytes())
+        result._radius = array("d", radius.tobytes())
+        result._phase = array("l", phase.tobytes())
+        result._centers = array("l", _np.unique(hosts).tobytes())
+        result._num_covered = int(_np.count_nonzero(relabelled >= 0))
+        return result
+
+    def _grow(self, size: int) -> None:
+        """Extend the vertex-indexed arrays to ``size`` entries."""
+        extra = size - len(self._center_of)
+        if extra > 0:
+            self._center_of.extend(array("l", [-1]) * extra)
+            self._radius.extend(array("d", bytes(self._radius.itemsize * extra)))
+            self._phase.extend(array("l", bytes(self._phase.itemsize * extra)))
+
+    def _grouped(self) -> Dict[int, Cluster]:
+        """Every cluster by center: member sets grouped in one pass."""
+        if self._clusters is None:
+            members: Dict[int, Set[int]] = {c: set() for c in self._centers}
+            for v, c in enumerate(self._center_of):
+                if c >= 0:
+                    members[c].add(v)
+            radius, phase = self._radius, self._phase
+            self._clusters = {
+                c: Cluster(center=c, members=vs, radius=radius[c], phase_created=phase[c])
+                for c, vs in members.items()
+            }
+        return self._clusters
+
+    def __getstate__(self) -> Dict[str, object]:
+        return dict(self.__dict__, _clusters=None)
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
     def cluster_of_center(self, center: int) -> Cluster:
         """The cluster whose center is ``center`` (KeyError if absent)."""
-        return self._by_center[center]
+        return self._grouped()[center]
 
     def cluster_of_vertex(self, vertex: int) -> Optional[Cluster]:
         """The cluster containing ``vertex``, or ``None`` if unclustered."""
-        center = self._vertex_to_center.get(vertex)
-        if center is None:
+        if not self.covers(vertex):
             return None
-        return self._by_center[center]
+        return self._grouped()[self._center_of[vertex]]
 
     def has_center(self, center: int) -> bool:
         """Whether some cluster is centered at ``center``."""
-        return center in self._by_center
+        return 0 <= center < len(self._center_of) and self._center_of[center] == center
 
     def covers(self, vertex: int) -> bool:
         """Whether ``vertex`` belongs to some cluster of this partition."""
-        return vertex in self._vertex_to_center
+        return 0 <= vertex < len(self._center_of) and self._center_of[vertex] >= 0
 
     def centers(self) -> List[int]:
         """Sorted list of all cluster centers."""
-        return sorted(self._by_center)
+        return self._centers.tolist()
 
     def clusters(self) -> List[Cluster]:
         """All clusters, sorted by center ID (deterministic order)."""
-        return [self._by_center[c] for c in sorted(self._by_center)]
+        return list(self._grouped().values())
 
     def covered_vertices(self) -> Set[int]:
         """The union of all clusters."""
-        return set(self._vertex_to_center)
+        return {v for v, c in enumerate(self._center_of) if c >= 0}
 
     # ------------------------------------------------------------------
     # Metrics / invariants
@@ -210,42 +297,57 @@ class Partition:
     @property
     def num_clusters(self) -> int:
         """Number of clusters in the partial partition."""
-        return len(self._by_center)
+        return len(self._centers)
 
     @property
     def num_covered(self) -> int:
         """Number of vertices covered by the partial partition."""
-        return len(self._vertex_to_center)
+        return self._num_covered
 
     def max_radius(self) -> float:
         """The maximum witnessed radius over all clusters (0 for empty)."""
-        if not self._by_center:
-            return 0.0
-        return max(c.radius for c in self._by_center.values())
+        return max((self._radius[c] for c in self._centers), default=0.0)
 
     def is_partition_of(self, num_vertices: int) -> bool:
         """Whether this partial partition actually covers all of ``0 .. n-1``."""
-        return len(self._vertex_to_center) == num_vertices and all(
-            0 <= v < num_vertices for v in self._vertex_to_center
+        return self._num_covered == num_vertices and all(
+            c < 0 for c in self._center_of[num_vertices:]
         )
 
     def validate_disjoint(self) -> None:
-        """Re-validate disjointness from scratch (defensive check for tests)."""
-        seen: Set[int] = set()
-        for cluster in self._by_center.values():
-            overlap = seen & cluster.members
-            if overlap:
-                raise AssertionError(f"clusters overlap on vertices {sorted(overlap)[:5]}")
-            seen |= cluster.members
+        """Re-derive the clusters from the labels and check they are disjoint.
+
+        Each center must label itself (a center labelled otherwise would lie
+        in two clusters), each label must name a center, and the labels
+        must cover exactly ``num_covered`` vertices.
+        """
+        center_of = self._center_of
+        centers = set(self._centers)
+        if len(centers) != len(self._centers):
+            raise AssertionError("a center is listed twice")
+        for c in self._centers:
+            if not self.has_center(c):
+                label = center_of[c] if c < len(center_of) else -1
+                raise AssertionError(
+                    f"clusters overlap on vertex {c}: it is a center but labelled {label}"
+                )
+        covered = 0
+        for v, c in enumerate(center_of):
+            if c >= 0:
+                if c not in centers:
+                    raise AssertionError(f"vertex {v} is labelled {c}, which is not a center")
+                covered += 1
+        if covered != self._num_covered:
+            raise AssertionError(f"{covered} vertices labelled, {self._num_covered} recorded")
 
     # ------------------------------------------------------------------
     # Dunder methods
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._by_center)
+        return len(self._centers)
 
     def __iter__(self) -> Iterator[Cluster]:
         return iter(self.clusters())
 
     def __repr__(self) -> str:
-        return f"Partition(clusters={len(self._by_center)}, covered={self.num_covered})"
+        return f"Partition(clusters={self.num_clusters}, covered={self.num_covered})"

@@ -30,28 +30,42 @@ The algorithm follows the superclustering-and-interconnection (SAI) scheme:
 Every inserted edge is recorded in a :class:`repro.core.charging.ChargeLedger`
 so the tests can check the charging invariants the size proof relies on.
 
-The builder computes only what the algorithm reads.  Each considered center
-is explored to depth ``delta_i``, which is all the neighbor set needs; only
-a popular center then fetches its ``2 * delta_i`` ball for ``N_i``.  A phase
-collects its edges as plain ``(u, v, weight, charged_to, kind)`` rows and
-hands them to ``H`` and to the ledger in one call each when it ends.
+The builder reads only what the algorithm reads, straight from the
+graph's CSR snapshot.  Each considered center takes one
+:func:`repro.graphs.kernels.ball` of radius ``delta_i`` (at ``delta_0 = 1``
+that is the center's adjacency row); only a popular center then reads its
+``2 * delta_i`` ball for ``N_i``.  The live center set is one
+``bytearray`` (gone, in ``S``, buffered) that deep balls mask through a
+zero-copy numpy view.  A phase collects its edges as plain
+``(u, v, weight, charged_to, kind)`` rows and hands them to ``H`` and to
+the ledger in one call each when it ends, and ``P_{i+1}`` is ``P_i``
+relabelled through each cluster's host (:meth:`Partition.regroup`).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import compress
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.charging import ChargeLedger, ChargeRow, EdgeKind
 from repro.core.clusters import Cluster, Partition
 from repro.core.parameters import CentralizedSchedule
 from repro.core.phase_obs import annotate_phase_span
+from repro.graphs import kernels
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import PhaseExplorer, active_exploration_cache, bounded_bfs
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs import span
 
 __all__ = ["PhaseStats", "EmulatorResult", "UltraSparseEmulatorBuilder"]
+
+# States of a phase's vertices in the builder's bytearray: not (or no
+# longer) a live center, a center in S awaiting consideration, a center
+# parked in the buffer set N_i.
+_GONE, _IN_S, _BUFFERED = 0, 1, 2
 
 
 @dataclass
@@ -89,8 +103,10 @@ class EmulatorResult:
         The edge-charging ledger (one record per inserted edge).
     phase_stats:
         Per-phase statistics in phase order.
-    unclustered:
-        ``U_i`` sets: map ``phase -> list of clusters`` that joined ``U_i``.
+    unclustered_centers:
+        ``phase -> centers`` of the clusters of ``P_phase`` that joined
+        ``U_phase``, in the order they were considered;
+        :attr:`unclustered` builds the clusters themselves.
     partitions:
         The partial partitions ``P_0 .. P_{ell+1}`` (``P_{ell+1}`` is empty
         when the canonical schedule is used).
@@ -100,8 +116,16 @@ class EmulatorResult:
     schedule: CentralizedSchedule
     ledger: ChargeLedger
     phase_stats: List[PhaseStats]
-    unclustered: Dict[int, List[Cluster]]
+    unclustered_centers: Dict[int, List[int]]
     partitions: List[Partition]
+
+    @property
+    def unclustered(self) -> Dict[int, List[Cluster]]:
+        """``U_i`` sets: map ``phase -> list of clusters`` that joined ``U_i``."""
+        return {
+            phase: [self.partitions[phase].cluster_of_center(c) for c in centers]
+            for phase, centers in self.unclustered_centers.items()
+        }
 
     @property
     def num_edges(self) -> int:
@@ -158,18 +182,22 @@ class UltraSparseEmulatorBuilder:
                 f"schedule built for n={schedule.n} but graph has {graph.num_vertices} vertices"
             )
         self.schedule = schedule
-        self.emulator = WeightedGraph(graph.num_vertices)
-        self.ledger = ChargeLedger()
-        self.phase_stats: List[PhaseStats] = []
-        self.unclustered: Dict[int, List[Cluster]] = {}
-        self.partitions: List[Partition] = []
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def build(self) -> EmulatorResult:
-        """Run all phases and return the construction result."""
+        """Run all phases and return the construction result.
+
+        Every call starts from an empty ``H``, ledger and phase record, so
+        building again returns an equal result and leaves earlier ones
+        untouched.
+        """
         n = self.graph.num_vertices
+        self.emulator = WeightedGraph(n)
+        self.ledger = ChargeLedger()
+        self.phase_stats: List[PhaseStats] = []
+        self.unclustered_centers: Dict[int, List[int]] = {}
         current = Partition.singletons(n)
         self.partitions = [current]
         for phase in range(self.schedule.num_phases):
@@ -182,7 +210,7 @@ class UltraSparseEmulatorBuilder:
             schedule=self.schedule,
             ledger=self.ledger,
             phase_stats=self.phase_stats,
-            unclustered=self.unclustered,
+            unclustered_centers=self.unclustered_centers,
             partitions=self.partitions,
         )
 
@@ -194,12 +222,15 @@ class UltraSparseEmulatorBuilder:
     ) -> Partition:
         """Execute one phase of Algorithm 1 and return ``P_{phase+1}``.
 
-        Centers are explored to depth ``delta`` (batched along the
-        consideration order by a :class:`PhaseExplorer`); a popular center
-        then widens its ball to ``2 * delta`` with :func:`bounded_bfs`,
-        unless its ``delta`` ball already covers its whole component.  The
-        phase's edges are inserted into ``H`` and recorded in the ledger in
-        bulk at the end, in the order the algorithm adds them.
+        Centers are considered in ascending order, each through one
+        :func:`kernels.ball` of radius ``delta`` (the center's CSR row at
+        ``delta = 1``).  A popular center then reads its ``2 * delta``
+        ball, unless its ``delta`` ball already holds its whole component.
+        Which centers are still in ``S`` or buffered in ``N_i`` lives in one
+        ``bytearray`` indexed by vertex.  The phase's edges are inserted
+        into ``H`` and recorded in the ledger in bulk at the end, in the
+        order the algorithm adds them, and ``P_{phase+1}`` is ``P_phase``
+        relabelled through each cluster's host.
         """
         delta = self.schedule.delta(phase)
         degree_threshold = self.schedule.degree(phase)
@@ -209,47 +240,34 @@ class UltraSparseEmulatorBuilder:
             delta=delta,
             degree_threshold=degree_threshold,
         )
+        csr = self.graph.csr()
+        radius = kernels.normalize_radius(delta)
 
-        # Live center sets for this phase.  ``in_s`` are centers still
-        # awaiting consideration; ``buffered`` maps a center in N_i to the
-        # supercluster center recorded when it was parked, plus the distance
-        # to that supercluster center.
+        n = self.graph.num_vertices
         centers = partition.centers()
-        in_s: Set[int] = set(centers)
-        buffered: Dict[int, Tuple[int, float]] = {}
-        next_partition = Partition()
-        phase_unclustered: List[Cluster] = []
-
-        # Supercluster assembly state: center -> (member clusters, radius witness).
-        supercluster_members: Dict[int, List[Tuple[Cluster, float]]] = {}
-
+        state = bytearray(n)
+        for center in centers:
+            state[center] = _IN_S
+        # host[c] = h, offset[c] = d: the cluster centered at c joins the
+        # supercluster centered at h, at distance d (-1: it joins none).  A
+        # buffered center's entry is its host of record, overwritten if
+        # another supercluster absorbs it.
+        host = array("l", [-1]) * n
+        offset = array("d", bytes(8 * n))
+        unpopular: List[int] = []
         # The phase's emulator edges as ``(u, v, weight, charged_to, kind)``
         # rows in insertion order; H and the ledger take them in one call
         # each at the end of the phase.
         rows: List[ChargeRow] = []
-
-        # Centers are explored to depth delta only: that ball defines the
-        # neighbor set Gamma, and only a popular center reads the 2*delta
-        # ball (Algorithm 1, lines 18-20).  Centers absorbed into a
-        # supercluster leave ``in_s`` before they are reached, so the
-        # explorer prefetches batched chunks along the consideration order
-        # rather than exploring the whole phase up front — skipped centers
-        # cost at most one wasted chunk member.
-        explorer = PhaseExplorer(self.graph, centers, delta)
-        radius = explorer.radius
+        explored = 0
 
         for center in centers:
-            if center not in in_s:
+            if state[center] != _IN_S:
                 continue
-            in_s.discard(center)
-            cluster = partition.cluster_of_center(center)
-
-            ball = explorer.explore(center)
-            neighbors = sorted(
-                (other, float(d))
-                for other, d in ball.items()
-                if other != center and (other in in_s or other in buffered)
-            )
+            state[center] = _GONE
+            explored += 1
+            ball = kernels.ball(csr, center, radius)
+            neighbors = _live_centers(ball, state)
 
             # Emulator edges to every neighboring center are added in both
             # the popular and the unpopular case (Algorithm 1, lines 7-8).
@@ -261,57 +279,74 @@ class UltraSparseEmulatorBuilder:
                 )
                 stats.interconnection_edges += len(neighbors)
                 stats.unpopular_centers += 1
-                phase_unclustered.append(cluster)
+                unpopular.append(center)
                 continue
 
-            # Popular center: form a supercluster around it.
+            # Popular center: form a supercluster around it (its offset
+            # stays 0: a center in S was never buffered).
             stats.popular_centers += 1
             stats.superclusters_formed += 1
-            joined: List[Tuple[Cluster, float]] = []
+            host[center] = center
             for other, d in neighbors:
                 rows.append((center, other, d, other, EdgeKind.SUPERCLUSTERING))
-                joined.append((partition.cluster_of_center(other), d))
-                in_s.discard(other)
-                buffered.pop(other, None)
+                host[other] = center
+                offset[other] = d
+                state[other] = _GONE
             stats.superclustering_edges += len(neighbors)
-            supercluster_members[center] = [(cluster, 0.0)] + joined
 
             # Park every still-unconsidered center within distance 2*delta in
-            # the buffer set N_i, remembering this supercluster as its host of
+            # the buffer set N_i, with this supercluster as its host of
             # record (Algorithm 1, lines 18-20).  A delta ball that stopped
             # short of depth delta already holds the center's whole component.
-            if radius is not None and max(ball.values()) >= radius:
-                ball = bounded_bfs(self.graph, center, 2.0 * delta)
-            for other, d in ball.items():
-                if other in in_s:
-                    in_s.discard(other)
-                    buffered[other] = (center, float(d))
-                    stats.buffered_centers += 1
+            _, _, depth = ball
+            if radius is not None and depth >= radius:
+                ball = kernels.ball(csr, center, 2.0 * delta)
+            stats.buffered_centers += _park(ball, state, center, host, offset)
 
         # End of phase: buffered centers that were never absorbed join the
         # supercluster recorded when they were parked (Algorithm 1, lines 22-26).
-        for other in sorted(buffered):
-            host, d = buffered[other]
-            rows.append((host, other, d, other, EdgeKind.SUPERCLUSTERING))
-            supercluster_members[host].append((partition.cluster_of_center(other), d))
-        stats.superclustering_edges += len(buffered)
+        parked = [v for v in centers if state[v] == _BUFFERED]
+        rows.extend((host[v], v, offset[v], v, EdgeKind.SUPERCLUSTERING) for v in parked)
+        stats.superclustering_edges += len(parked)
 
         self.emulator.add_edges(rows)
         self.ledger.record(phase, rows)
-
-        # Materialize the superclusters of P_{phase+1}.
-        for center in sorted(supercluster_members):
-            pieces = supercluster_members[center]
-            members: Set[int] = set()
-            radius = 0.0
-            for piece_cluster, d in pieces:
-                members |= piece_cluster.members
-                radius = max(radius, d + piece_cluster.radius)
-            next_partition.add(
-                Cluster(center=center, members=members, radius=radius, phase_created=phase + 1)
-            )
-
-        self.unclustered[phase] = phase_unclustered
+        self.unclustered_centers[phase] = unpopular
         self.phase_stats.append(stats)
-        annotate_phase_span(stats, explorer, active_exploration_cache(self.graph))
-        return next_partition
+        annotate_phase_span(stats, centers_explored=explored)
+        return partition.regroup(host, offset, phase + 1)
+
+
+def _live_centers(ball, state: bytearray) -> List[Tuple[int, float]]:
+    """The ball's centers still in S or buffered, as ``(vertex, distance)`` by vertex."""
+    vertices, distances, _ = ball
+    if isinstance(vertices, list):
+        # C-level filter: keep the pairs whose state byte is nonzero.
+        live = list(compress(zip(vertices, distances), map(state.__getitem__, vertices)))
+        live.sort()
+        return live
+    keep = np.frombuffer(state, dtype=np.uint8)[vertices] != _GONE
+    vertices, distances = vertices[keep], distances[keep]
+    order = np.argsort(vertices, kind="stable")
+    return list(zip(vertices[order].tolist(), distances[order].tolist()))
+
+
+def _park(ball, state: bytearray, center: int, host: array, offset: array) -> int:
+    """Buffer the ball's centers still in S under ``center``; return how many."""
+    vertices, distances, _ = ball
+    if isinstance(vertices, list):
+        parked = 0
+        for v, d in zip(vertices, distances):
+            if state[v] == _IN_S:
+                state[v] = _BUFFERED
+                host[v] = center
+                offset[v] = d
+                parked += 1
+        return parked
+    view = np.frombuffer(state, dtype=np.uint8)
+    keep = view[vertices] == _IN_S
+    vertices = vertices[keep]
+    view[vertices] = _BUFFERED
+    np.asarray(host)[vertices] = center
+    np.asarray(offset)[vertices] = distances[keep]
+    return len(vertices)

@@ -27,7 +27,7 @@ from repro.core.charging import ChargeLedger, EdgeKind
 from repro.core.clusters import Cluster, Partition
 from repro.core.emulator import EmulatorResult, PhaseStats
 from repro.core.parameters import DistributedSchedule
-from repro.core.phase_obs import annotate_phase_span
+from repro.core.phase_obs import annotate_phase_span, explorer_counts
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import (
     PhaseExplorer,
@@ -73,18 +73,22 @@ class FastCentralizedBuilder:
                 f"schedule built for n={schedule.n} but graph has {graph.num_vertices} vertices"
             )
         self.schedule = schedule
-        self.emulator = WeightedGraph(graph.num_vertices)
-        self.ledger = ChargeLedger()
-        self.phase_stats: List[PhaseStats] = []
-        self.unclustered: Dict[int, List[Cluster]] = {}
-        self.partitions: List[Partition] = []
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def build(self) -> EmulatorResult:
-        """Run all phases and return the construction result."""
+        """Run all phases and return the construction result.
+
+        Every call starts from an empty ``H``, ledger and phase record, so
+        building again returns an equal result and leaves earlier ones
+        untouched.
+        """
         n = self.graph.num_vertices
+        self.emulator = WeightedGraph(n)
+        self.ledger = ChargeLedger()
+        self.phase_stats: List[PhaseStats] = []
+        self.unclustered_centers: Dict[int, List[int]] = {}
         current = Partition.singletons(n)
         self.partitions = [current]
         for phase in range(self.schedule.num_phases):
@@ -97,7 +101,7 @@ class FastCentralizedBuilder:
             schedule=self.schedule,  # type: ignore[arg-type]
             ledger=self.ledger,
             phase_stats=self.phase_stats,
-            unclustered=self.unclustered,
+            unclustered_centers=self.unclustered_centers,
             partitions=self.partitions,
         )
 
@@ -173,12 +177,11 @@ class FastCentralizedBuilder:
 
         # Interconnection step: clusters that were not superclustered join
         # U_i and connect to all of their neighboring clusters.
-        phase_unclustered: List[Cluster] = []
+        phase_unclustered: List[int] = []
         for center in centers:
             if center in superclustered:
                 continue
-            cluster = partition.cluster_of_center(center)
-            phase_unclustered.append(cluster)
+            phase_unclustered.append(center)
             stats.unpopular_centers += 1
             for other, d in sorted(neighbor_map[center].items()):
                 added = self.emulator.has_edge(center, other)
@@ -187,9 +190,10 @@ class FastCentralizedBuilder:
                 if not added:
                     stats.interconnection_edges += 1
 
-        self.unclustered[phase] = phase_unclustered
+        self.unclustered_centers[phase] = phase_unclustered
         self.phase_stats.append(stats)
-        annotate_phase_span(stats, explorer, active_exploration_cache(self.graph))
+        cache = active_exploration_cache(self.graph)
+        annotate_phase_span(stats, **explorer_counts(explorer, cache))
         return next_partition
 
     # ------------------------------------------------------------------

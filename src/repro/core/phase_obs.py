@@ -1,12 +1,16 @@
 """Span annotation shared by the phase-structured builders.
 
-The three builders (centralized emulator, distributed-simulation
-emulator, spanner) all run the superclustering-and-interconnection loop
-of Algorithm 1; their ``build`` loops wrap each ``_run_phase`` call in a
-``repro.obs`` span, and :func:`annotate_phase_span` copies the phase's
-outcome — the :class:`~repro.core.emulator.PhaseStats` counters, the
-explorer's batching behaviour, the kernel backend, the shared
-exploration-cache counters — onto that span once the phase is done.
+The three builders (centralized emulator, fast emulator, spanner) all
+run the superclustering-and-interconnection loop of Algorithm 1; their
+``build`` loops wrap each ``_run_phase`` call in a ``repro.obs`` span,
+and :func:`annotate_phase_span` copies the phase's outcome — the
+:class:`~repro.core.emulator.PhaseStats` counters, the kernel backend and
+whatever plain counts the builder passes — onto that span once the phase
+is done.  Algorithm 1 passes ``centers_explored`` (the centers whose
+``delta_i`` ball it read); the builders still driven by a
+:class:`~repro.graphs.shortest_paths.PhaseExplorer` pass
+:func:`explorer_counts`, which adds the explorer's batching counters and
+the shared exploration-cache counters.
 
 Only counts land on spans, never timings or timestamps: traces of the
 same seeded build must be identical up to clock values (the trace
@@ -15,41 +19,48 @@ determinism test relies on it).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.graphs import kernels
 from repro.obs import current_span
 
-__all__ = ["annotate_phase_span"]
+__all__ = ["annotate_phase_span", "explorer_counts"]
 
 
-def annotate_phase_span(stats: Any, explorer: Any = None, cache: Any = None) -> None:
-    """Copy the finished phase's counters onto the enclosing span.
+def annotate_phase_span(stats: Any, **counts: int) -> None:
+    """Copy the finished phase's counters and ``counts`` onto the enclosing span.
 
-    ``stats`` is the phase's :class:`~repro.core.emulator.PhaseStats`;
-    ``explorer`` the phase's :class:`~repro.graphs.shortest_paths.PhaseExplorer`
-    (if one was used); ``cache`` the active
-    :class:`~repro.graphs.shortest_paths.ExplorationCache` (if installed).
-    A no-op when telemetry is disabled or no span is open.
+    ``stats`` is the phase's :class:`~repro.core.emulator.PhaseStats`.  A
+    no-op when telemetry is disabled or no span is open.
     """
     record = current_span()
     if record is None:
         return
-    attrs: Dict[str, Any] = {
-        "clusters": stats.num_clusters,
-        "popular_centers": stats.popular_centers,
-        "unpopular_centers": stats.unpopular_centers,
-        "superclusters": stats.superclusters_formed,
-        "buffered_centers": stats.buffered_centers,
-        "interconnection_edges": stats.interconnection_edges,
-        "superclustering_edges": stats.superclustering_edges,
-        "backend": kernels.get_backend(),
+    record.set(
+        clusters=stats.num_clusters,
+        popular_centers=stats.popular_centers,
+        unpopular_centers=stats.unpopular_centers,
+        superclusters=stats.superclusters_formed,
+        buffered_centers=stats.buffered_centers,
+        interconnection_edges=stats.interconnection_edges,
+        superclustering_edges=stats.superclustering_edges,
+        backend=kernels.get_backend(),
+        **counts,
+    )
+
+
+def explorer_counts(explorer: Any, cache: Any = None) -> Dict[str, int]:
+    """The counts of a :class:`~repro.graphs.shortest_paths.PhaseExplorer` phase.
+
+    ``cache`` is the active
+    :class:`~repro.graphs.shortest_paths.ExplorationCache` (if installed).
+    """
+    counts = {
+        "centers_explored": explorer.consumed,
+        "batched_passes": explorer.batched_passes,
+        "prefetched": explorer.prefetched,
     }
-    if explorer is not None:
-        attrs["centers_explored"] = explorer.consumed
-        attrs["batched_passes"] = explorer.batched_passes
-        attrs["prefetched"] = explorer.prefetched
     if cache is not None:
-        attrs["cache_hits"] = cache.hits
-        attrs["cache_misses"] = cache.misses
-    record.set(**attrs)
+        counts["cache_hits"] = cache.hits
+        counts["cache_misses"] = cache.misses
+    return counts

@@ -21,7 +21,7 @@ from repro.congest.ruling_sets import greedy_ruling_set
 from repro.core.clusters import Cluster, Partition
 from repro.core.emulator import PhaseStats
 from repro.core.parameters import SpannerSchedule
-from repro.core.phase_obs import annotate_phase_span
+from repro.core.phase_obs import annotate_phase_span, explorer_counts
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import (
     PhaseExplorer,
@@ -111,17 +111,22 @@ class NearAdditiveSpannerBuilder:
                 f"schedule built for n={schedule.n} but graph has {graph.num_vertices} vertices"
             )
         self.schedule = schedule
-        self.spanner = Graph(graph.num_vertices)
-        self.phase_stats: List[PhaseStats] = []
-        self._superclustering_edges = 0
-        self._interconnection_edges = 0
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def build(self) -> SpannerResult:
-        """Run all phases and return the spanner."""
+        """Run all phases and return the spanner.
+
+        Every call starts from an empty spanner and phase record, so
+        building again returns an equal result and leaves earlier ones
+        untouched.
+        """
         n = self.graph.num_vertices
+        self.spanner = Graph(n)
+        self.phase_stats: List[PhaseStats] = []
+        self._superclustering_edges = 0
+        self._interconnection_edges = 0
         current = Partition.singletons(n)
         for phase in range(self.schedule.num_phases):
             is_last = phase == self.schedule.ell
@@ -213,7 +218,8 @@ class NearAdditiveSpannerBuilder:
                 self._interconnection_edges += added
 
         self.phase_stats.append(stats)
-        annotate_phase_span(stats, explorer, active_exploration_cache(self.graph))
+        cache = active_exploration_cache(self.graph)
+        annotate_phase_span(stats, **explorer_counts(explorer, cache))
         return next_partition
 
     # ------------------------------------------------------------------

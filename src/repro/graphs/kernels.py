@@ -12,7 +12,9 @@ allocation).  Results are converted to plain dicts only at the boundary,
 matching the signatures in :mod:`repro.graphs.shortest_paths`.  The
 serving layer skips that conversion: :func:`bfs_row` and
 :func:`dijkstra_row` return scipy's dense float64 row (``inf`` for
-unreached vertices) as it is.
+unreached vertices) as it is.  Algorithm 1, which reads one center's
+ball at a time, takes :func:`ball`: an adjacency-list walk up to radius
+2, one :func:`bfs_row` search beyond.
 
 Three backends implement the kernels:
 
@@ -93,6 +95,7 @@ __all__ = [
     "bfs_row",
     "dijkstra_row",
     "finite_entries",
+    "ball",
     "hop_limited",
     "normalize_radius",
     "batch_chunk_size",
@@ -709,6 +712,47 @@ def _dense_to_dict(dense, as_float: bool) -> Dict:
     if not as_float:
         values = values.astype(_np.int64)
     return dict(zip(reached.tolist(), values.tolist()))
+
+
+# ----------------------------------------------------------------------
+# Balls (one center's exploration in a construction phase)
+# ----------------------------------------------------------------------
+#: Balls up to this radius walk the snapshot's adjacency lists; deeper
+#: ones take one :func:`bfs_row` C search.  A radius-2 walk reads only
+#: the source's row and its neighbors' rows; a radius-3 walk may read
+#: most of the edge set.  Per ball on gnm graphs, walk vs row (2-vCPU
+#: x86 VM, Python 3.11, scipy 1.17): n = 5000, mean degree 8: radius 2
+#: 17 vs 75 us, radius 3 139 vs 156 us; mean degree 40: radius 2 324 vs
+#: 696 us, radius 3 2942 vs 1642 us (n = 20000: 8.5 vs 6.9 ms).
+BALL_WALK_MAX_RADIUS = 2
+
+
+def ball(csr: CSRGraph, source: int, radius) -> Tuple[Any, Any, int]:
+    """The vertices within ``radius`` of ``source``: ``(vertices, distances, depth)``.
+
+    ``vertices`` and ``distances`` come in the canonical ascending
+    ``(distance, vertex)`` order (``source`` first), distances as floats
+    like the emulator's edge weights, and ``depth`` is the largest
+    distance reached: a ball whose depth stays below its radius holds the
+    source's whole component.  Radii clamp like :func:`bounded_bfs`
+    (``None`` = unbounded).
+
+    Balls up to :data:`BALL_WALK_MAX_RADIUS` walk the adjacency lists and
+    come back as lists (a radius-1 ball is the source's row); deeper balls
+    are one :func:`bfs_row` search (so they need scipy), returned as the
+    numpy arrays of :func:`finite_entries` so callers can mask them
+    without a Python loop.
+    """
+    _check_source(csr, source)
+    r = normalize_radius(radius)
+    if r is not None and r <= BALL_WALK_MAX_RADIUS:
+        if r == 1:
+            row = csr.adjacency()[source]
+            return [source] + row, [0.0] + [1.0] * len(row), 1 if row else 0
+        dist = _scalar_bfs(csr, source, r, True)
+        return list(dist), list(dist.values()), int(next(reversed(dist.values())))
+    vertices, distances = finite_entries(bfs_row(csr, source, r))
+    return vertices, distances, int(distances[-1])
 
 
 # ----------------------------------------------------------------------

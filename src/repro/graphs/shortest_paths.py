@@ -28,7 +28,10 @@ per chunk instead of one Python BFS per center), feeding any installed
 :class:`ExplorationCache` along the way, and
 :func:`multi_source_attributed` collapses "closest center" assignments
 into a single pass.  Both are byte-identical to the per-center calls
-they replace; the golden build corpus pins that.
+they replace; the golden build corpus pins that.  The fast emulator,
+the spanner and the baselines use them; Algorithm 1
+(:mod:`repro.core.emulator`) no longer does: it reads each center's ball
+with :func:`repro.graphs.kernels.ball` and bypasses the cache.
 """
 
 from __future__ import annotations
@@ -202,9 +205,9 @@ class PhaseExplorer:
 
     Every construction phase explores the graph from its cluster centers
     at one fixed radius, consuming the centers in a known order (sorted
-    center IDs) but possibly *skipping* some — Algorithm 1 discards
-    centers absorbed into an earlier supercluster before they are ever
-    explored.  A ``PhaseExplorer`` is created with that consumption
+    center IDs) but possibly *skipping* some — a sequential greedy phase
+    discards centers absorbed into an earlier supercluster before they
+    are ever explored.  A ``PhaseExplorer`` is created with that consumption
     order and serves :meth:`explore` calls from **sequential chunked
     prefetches** through :func:`repro.graphs.kernels.batched_bfs`: a
     miss batches the next chunk of still-pending sources starting at the
@@ -220,10 +223,10 @@ class PhaseExplorer:
       window (:data:`OBSERVATION_WINDOW` sources) and speculates beyond
       the asked-for source only while at least three quarters of the
       passed sources were actually consumed, keeping the computed total
-      under ``2 * consumed``.  Algorithm 1 routinely explores under 10% of a
-      phase's centers — such a phase degrades to exactly the per-center
-      loop — while full-consumption loops grow their chunks
-      geometrically into budget-sized passes; and
+      under ``2 * consumed``.  A phase that explores under 10% of its
+      centers degrades to exactly the per-center loop, while
+      full-consumption loops grow their chunks geometrically into
+      budget-sized passes; and
     * results are byte-identical to per-center :func:`bounded_bfs` calls
       — the explorations themselves do not depend on what the phase
       skipped, only the caller's post-filtering does.
@@ -521,7 +524,7 @@ def dijkstra(
 
 
 def bounded_dijkstra(graph: Graph, source: int, radius: float) -> Dict[int, int]:
-    """Bounded exploration used by the phase loop of Algorithm 1.
+    """Bounded exploration in the paper's terms (a "Dijkstra exploration").
 
     On unweighted graphs a Dijkstra exploration to depth ``radius`` is a
     bounded BFS; this thin wrapper keeps the paper's terminology at call

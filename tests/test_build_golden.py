@@ -24,13 +24,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import io
 import json
+import pickle
 import sys
 from pathlib import Path
 
 import pytest
 
 from repro.api import BuildSpec, build
+from repro.core.emulator import UltraSparseEmulatorBuilder
+from repro.core.fast_centralized import FastCentralizedBuilder
+from repro.core.spanner import NearAdditiveSpannerBuilder, SpannerResult
 from repro.graphs import generators
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "builds.json"
@@ -76,21 +81,29 @@ def _cluster_key(cluster):
 
 def _snapshot(family, spec):
     """The pinned view of one build: plain values and digests."""
-    result = build(FAMILIES[family](), spec)
+    return _result_snapshot(build(FAMILIES[family](), spec), spec)
+
+
+def _result_snapshot(result, spec):
     snapshot = {
         "edges": _digest(sorted(result.edges)),
         "size": result.size,
         "alpha": result.alpha,
         "beta": result.beta,
     }
-    if spec.product != "emulator":
-        return snapshot
-    raw = result.raw
-    snapshot["h_edges"] = _digest(list(raw.emulator.edges()))
-    snapshot["ledger"] = _digest([
-        (c.edge, c.weight, c.charged_to, c.phase, c.kind.value) for c in raw.ledger.charges
-    ])
-    snapshot["phase_stats"] = _digest([dataclasses.asdict(s) for s in raw.phase_stats])
+    if spec.product == "emulator":
+        snapshot.update(_emulator_internals(result.raw))
+    return snapshot
+
+
+def _emulator_internals(raw):
+    snapshot = {
+        "h_edges": _digest(list(raw.emulator.edges())),
+        "ledger": _digest([
+            (c.edge, c.weight, c.charged_to, c.phase, c.kind.value) for c in raw.ledger.charges
+        ]),
+        "phase_stats": _digest([dataclasses.asdict(s) for s in raw.phase_stats]),
+    }
     partitions = getattr(raw, "partitions", None)
     if partitions is not None:
         snapshot["partitions"] = _digest(
@@ -116,6 +129,51 @@ def test_corpus_covers_every_case():
 def test_build_digests_are_pinned(name):
     family, spec = CASES[name]
     assert _snapshot(family, spec) == _golden()[name]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_pickled_emulator_keeps_its_digests_and_no_clusters(family):
+    spec = BuildSpec(product="emulator", method="centralized")
+    result = build(FAMILIES[family](), spec)
+    result.raw.unclustered  # built on read; nothing read may travel
+    found = set()
+
+    class Recording(pickle.Unpickler):
+        def find_class(self, module, name):
+            found.add(name)
+            return super().find_class(module, name)
+
+    restored = Recording(io.BytesIO(pickle.dumps(result))).load()
+    assert "Partition" in found and "Cluster" not in found
+    assert _result_snapshot(restored, spec) == _golden()[f"{family}/emulator/centralized"]
+
+
+def _raw_snapshot(raw):
+    if isinstance(raw, SpannerResult):
+        return {
+            "edges": _digest(sorted(raw.spanner.edges())),
+            "phase_stats": _digest([dataclasses.asdict(s) for s in raw.phase_stats]),
+            "counts": (raw.superclustering_edges, raw.interconnection_edges),
+        }
+    return _emulator_internals(raw)
+
+
+@pytest.mark.parametrize("builder_cls", [
+    UltraSparseEmulatorBuilder, FastCentralizedBuilder, NearAdditiveSpannerBuilder])
+def test_building_twice_repeats_the_first_build(builder_cls):
+    builder = builder_cls(FAMILIES["erdos-renyi"]())
+    first = builder.build()
+    pinned = _raw_snapshot(first)
+    second = builder.build()
+    assert _raw_snapshot(second) == pinned
+    assert _raw_snapshot(first) == pinned  # the first result was not touched
+    for result in (first, second):
+        ledger = getattr(result, "ledger", None)
+        if ledger is not None:
+            ledger.verify_interconnection_budget(
+                {s.phase: s.degree_threshold for s in result.phase_stats})
+            ledger.verify_superclustering_budget()
+            ledger.verify_single_charging_phase()
 
 
 if __name__ == "__main__":

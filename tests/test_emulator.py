@@ -12,12 +12,12 @@ import pytest
 
 from repro import BuildSpec, build
 from repro.analysis.validation import verify_emulator, verify_no_shortening
+from repro.core import emulator as emulator_module
 from repro.core.charging import EdgeKind
 from repro.core.emulator import UltraSparseEmulatorBuilder
 from repro.core.parameters import CentralizedSchedule, size_bound, ultra_sparse_kappa
 from repro.graphs import generators
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import ExplorationCache, shared_explorations
 
 
 EMULATOR = BuildSpec(product="emulator", eps=0.1, kappa=4)
@@ -269,16 +269,17 @@ class TestExplorations:
     """Algorithm 1 reads a center's 2*delta_i ball only when it is popular."""
 
     @staticmethod
-    def _build_recording(graph, **params):
-        """Build under a shared cache; return the result and explored balls.
+    def _build_recording(monkeypatch, graph, **params):
+        """Build while recording every ``(source, radius)`` ball the builder asks for."""
+        balls = []
+        real = emulator_module.kernels.ball
 
-        Every exploration of the graph, batched or single, lands in the
-        installed cache, so its keys list each ``(source, radius)`` asked.
-        """
-        cache = ExplorationCache(graph)
-        with shared_explorations(cache):
-            result = UltraSparseEmulatorBuilder(graph, **params).build()
-        balls = [(key[1], key[2]) for key in cache._store if key[0] == "bfs"]
+        def recording(csr, source, radius):
+            balls.append((source, radius))
+            return real(csr, source, radius)
+
+        monkeypatch.setattr(emulator_module.kernels, "ball", recording)
+        result = UltraSparseEmulatorBuilder(graph, **params).build()
         return result, balls
 
     @pytest.mark.parametrize("graph, params", [
@@ -286,22 +287,23 @@ class TestExplorations:
         (generators.ring_of_cliques(12, 8), {"eps": 1.0, "kappa": 8}),
         (generators.connected_erdos_renyi(160, 0.04, seed=5), {"eps": 0.1, "kappa": 4}),
     ])
-    def test_only_popular_centers_fetch_the_wide_ball(self, graph, params):
-        result, balls = self._build_recording(graph, **params)
+    def test_only_popular_centers_fetch_the_wide_ball(self, monkeypatch, graph, params):
+        result, balls = self._build_recording(monkeypatch, graph, **params)
         for stats, superclusters in zip(result.phase_stats, result.partitions[1:]):
-            wide = {source for source, radius in balls if radius == int(2 * stats.delta)}
+            wide = [source for source, radius in balls if radius == 2 * stats.delta]
             # Popular centers are exactly the supercluster centers of P_{i+1}.
-            assert wide <= set(superclusters.centers())
+            assert set(wide) <= set(superclusters.centers())
             if stats.phase == 0:
                 # At delta_0 = 1 a popular center's ball reaches depth 1,
                 # so it cannot prove its component exhausted: all widen.
                 assert len(wide) == stats.popular_centers > 0
 
-    def test_ball_covering_the_component_is_reused(self):
+    def test_ball_covering_the_component_is_reused(self, monkeypatch):
         # delta_1 = 6 exceeds this graph's eccentricities, so the popular
         # phase-1 center's delta ball already holds its whole component.
         graph = generators.connected_erdos_renyi(160, 0.04, seed=5)
-        result, balls = self._build_recording(graph, eps=0.5, kappa=8)
+        result, balls = self._build_recording(monkeypatch, graph, eps=0.5, kappa=8)
         stats = result.phase_stats[1]
         assert stats.delta == 6.0 and stats.popular_centers == 1
-        assert all(radius != int(2 * stats.delta) for _, radius in balls)
+        assert stats.delta in {radius for _, radius in balls}
+        assert all(radius != 2 * stats.delta for _, radius in balls)

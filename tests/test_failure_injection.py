@@ -68,9 +68,10 @@ class TestPartitionMisuse:
 
     def test_validate_disjoint_catches_corruption(self):
         partition = Partition([Cluster(center=0, members={0, 1})])
-        # Corrupt the internal structure deliberately (simulating a buggy caller).
-        partition._by_center[2] = Cluster(center=2, members={1, 2})  # type: ignore[attr-defined]
-        with pytest.raises(AssertionError):
+        # Corrupt the internal arrays deliberately (simulating a buggy
+        # caller): list vertex 1, a member of 0's cluster, as a second center.
+        partition._centers.append(1)  # type: ignore[attr-defined]
+        with pytest.raises(AssertionError, match="overlap on vertex 1"):
             partition.validate_disjoint()
 
 

@@ -19,7 +19,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.graphs import kernels
+from repro.graphs import generators, kernels
 from repro.graphs.csr import CSRGraph, WeightedCSRGraph
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import (
@@ -28,6 +28,7 @@ from repro.graphs.shortest_paths import (
     _dict_multi_source_bfs,
     bfs_distances,
     bounded_bfs,
+    diameter,
     multi_source_bfs,
     shared_explorations,
 )
@@ -296,6 +297,55 @@ def test_dijkstra_row_matches_reference():
             assert sum(1 for d in row.tolist() if not math.isinf(d)) == len(reference)
             assert _finite_items(kernels.dijkstra_row(csr, s, 5.0)) == _canonical(
                 g._dict_dijkstra(s, max_distance=5.0))
+
+
+# ----------------------------------------------------------------------
+# Balls
+# ----------------------------------------------------------------------
+BALL_GRAPHS = {
+    "gnm": generators.gnm_random_graph(120, 300, seed=4),
+    "grid": generators.grid_graph(9, 11),
+    "disconnected": disconnected_graph(8),  # vertices 50..59 are isolated
+}
+
+
+def _plain(values):
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
+@pytest.mark.parametrize("walk_max", [kernels.BALL_WALK_MAX_RADIUS, -1, 10**6],
+                         ids=["default", "row-only", "walk-only"])
+@pytest.mark.parametrize("name", sorted(BALL_GRAPHS))
+def test_ball_matches_reference(monkeypatch, name, walk_max):
+    """Entries, order and depth of the dict BFS, on both sides of the crossover."""
+    monkeypatch.setattr(kernels, "BALL_WALK_MAX_RADIUS", walk_max)
+    graph = BALL_GRAPHS[name]
+    csr = graph.csr()
+    radii = (0, 1, 2, 3, 7, diameter(graph) + 1)
+    for s in range(graph.num_vertices):
+        for r in radii:
+            vertices, distances, depth = kernels.ball(csr, s, r)
+            assert isinstance(vertices, list) == (r <= walk_max)
+            reference = _dict_bounded_bfs(graph, s, r)
+            items = list(zip(_plain(vertices), _plain(distances)))
+            assert items == _canonical(reference)
+            assert all(type(d) is float for _, d in items)
+            assert depth == max(reference.values())
+
+
+def test_ball_of_an_isolated_source_is_the_source():
+    csr = BALL_GRAPHS["disconnected"].csr()
+    for r in (0, 1, 2, 3, None):
+        vertices, distances, depth = kernels.ball(csr, 55, r)
+        assert (_plain(vertices), _plain(distances), depth) == ([55], [0.0], 0)
+
+
+def test_ball_rejects_bad_arguments():
+    csr = BALL_GRAPHS["grid"].csr()
+    with pytest.raises(ValueError):
+        kernels.ball(csr, 99, 1)
+    with pytest.raises(ValueError):
+        kernels.ball(csr, 0, -1)
 
 
 def test_hop_limited_kernel_matches_scalar():
