@@ -1,10 +1,8 @@
-"""Benchmarks for the flat-array CSR kernels and exploration sharing.
+"""Benchmarks for the flat-array CSR kernels.
 
 Times the kernel layer (:mod:`repro.graphs.kernels`) against the
 reference dict implementations it replaced, on graphs large enough that
-exploration cost — not per-call overhead — dominates, plus the
-E14-flavoured sweep with and without the executor's shared-exploration
-cache.  The headline check: CSR BFS must be at least **3x** faster than
+exploration cost — not per-call overhead — dominates.  The headline check: CSR BFS must be at least **3x** faster than
 the dict BFS at the active workload tier (the kernels exist for exactly
 this reason; a regression below that is a bug, not noise).
 """
@@ -14,7 +12,6 @@ from __future__ import annotations
 import random
 import time
 
-from repro.api.pipeline import GridSweep, run_sweep
 from repro.graphs import generators, kernels
 from repro.graphs.shortest_paths import (
     _dict_bfs_distances,
@@ -117,32 +114,3 @@ def test_bench_kernel_dijkstra(benchmark, tier_n):
 
     result = benchmark(lambda: [kernels.dijkstra(wcsr, s) for s in sources])
     assert len(result) == len(sources)
-
-
-def test_bench_sweep_shared_explorations(benchmark, tier_n):
-    """E14-flavoured BFS-dominated sweep with the exploration cache on."""
-    graph = generators.erdos_renyi(tier_n(512), 10 / tier_n(512), seed=3)
-    sweep = GridSweep(products=("emulator", "spanner"),
-                      methods=("centralized", "fast"),
-                      eps_values=(0.1, 0.05), kappas=(3.0,))
-
-    def run():
-        return run_sweep({"bench": graph}, sweep, verify=20)
-
-    records = benchmark.pedantic(run, iterations=1, rounds=3)
-    assert all(r.verified for r in records)
-
-
-def test_bench_sweep_unshared_explorations(benchmark, tier_n):
-    """The same sweep with sharing disabled (for the ratio)."""
-    graph = generators.erdos_renyi(tier_n(512), 10 / tier_n(512), seed=3)
-    sweep = GridSweep(products=("emulator", "spanner"),
-                      methods=("centralized", "fast"),
-                      eps_values=(0.1, 0.05), kappas=(3.0,))
-
-    def run():
-        return run_sweep({"bench": graph}, sweep, verify=20,
-                         share_explorations=False)
-
-    records = benchmark.pedantic(run, iterations=1, rounds=3)
-    assert all(r.verified for r in records)

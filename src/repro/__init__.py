@@ -59,7 +59,7 @@ from repro.api import (
 from repro import serve
 from repro.serve import DistanceOracle, QueryEngine, ServeSpec
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Graph",

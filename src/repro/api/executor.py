@@ -16,18 +16,14 @@ sub-command and the experiment harness).  It takes the fully expanded grid
    back from a worker — parallelism is an optimization, never a
    correctness requirement, and ``workers=1`` never touches
    ``multiprocessing`` at all.
-3. **Shared explorations.**  Specs chunked onto one graph install a
-   :class:`~repro.graphs.shortest_paths.ExplorationCache` around their
-   builds, so cluster-center explorations repeated across specs at equal
-   radii run once per ``(graph, source, radius)`` instead of once per
-   spec.  Cache hits hand out dict copies with the original insertion
-   order, so records are byte-identical with and without sharing
-   (``share_explorations=False`` turns it off).
-4. **Batched verification.**  Verification of every result on the same
+3. **Batched verification.**  Verification of every result on the same
    graph shares one :class:`GraphBaseline`, so the graph-side BFS
    distances (the expensive half of every stretch check) are computed
-   once per graph instead of once per spec — and, when explorations are
-   shared, baselines reuse the builders' unbounded explorations too.
+   once per graph instead of once per spec.
+
+Builds share nothing else: each builder reads its own per-center balls
+(:func:`repro.graphs.kernels.ball`), which measured no slower than
+sharing explorations across the specs of a sweep.
 
 The records come back in deterministic grid order (graphs outer, specs
 inner) regardless of worker scheduling, so parallel runs are
@@ -59,11 +55,7 @@ from repro.api.result import BuildResultAdapter
 from repro.api.spec import BuildSpec
 from repro.graphs.graph import Graph
 from repro.faults import fault_point
-from repro.graphs.shortest_paths import (
-    ExplorationCache,
-    bfs_distances,
-    shared_explorations,
-)
+from repro.graphs.shortest_paths import bfs_distances
 from repro.obs import capture_spans, freeze_spans, merge_spans, span
 
 __all__ = ["GraphBaseline", "execute_sweep", "verify_with_baseline"]
@@ -92,11 +84,9 @@ def named_graphs(graphs: GraphsArg) -> List[Tuple[str, Graph]]:
 # Worker-side execution
 # ----------------------------------------------------------------------
 #: One unit of worker shipment: a graph, the (index, spec) pairs to build
-#: on it, whether to share explorations across those specs, and the
-#: per-task retry budget.  Chunking per graph means a k-spec sweep ships
-#: the graph once per chunk instead of once per spec — and gives the
-#: exploration cache its sharing scope.
-_Chunk = Tuple[Graph, List[Tuple[int, BuildSpec]], bool, int]
+#: on it, and the per-task retry budget.  Chunking per graph means a
+#: k-spec sweep ships the graph once per chunk instead of once per spec.
+_Chunk = Tuple[Graph, List[Tuple[int, BuildSpec]], int]
 
 
 def _build_with_retry(
@@ -136,48 +126,38 @@ def _execute_chunk(
     reported to the parent instead of poisoning ``pool.map`` (which
     would discard every other result of the chunk).
 
-    With ``share`` set, every spec of the chunk builds under one
-    :class:`ExplorationCache`, so equal-radius center explorations run
-    once per chunk rather than once per spec.
-
     Telemetry spans recorded during the chunk ride back alongside the
     results as frozen dicts; the parent merges them into its own trace
     buffer (mirroring the ``on_build`` replay for worker results), so a
     parallel sweep's trace matches a serial sweep's.
     """
-    graph, pairs, share, task_retries = chunk
+    graph, pairs, task_retries = chunk
     pid = os.getpid()
     out: List[Tuple[int, int, Optional[bytes], int, Optional[str]]] = []
     with capture_spans() as captured:
-        with shared_explorations(ExplorationCache(graph) if share else None):
-            for index, spec in pairs:
-                try:
-                    result, retries = _build_with_retry(
-                        graph, spec, index, task_retries
-                    )
-                except Exception as error:
-                    out.append((index, pid, None, task_retries,
-                                f"{type(error).__name__}: {error}"))
-                    continue
-                try:
-                    payload: Optional[bytes] = pickle.dumps(result)
-                except Exception:
-                    payload = None
-                out.append((index, pid, payload, retries, None))
+        for index, spec in pairs:
+            try:
+                result, retries = _build_with_retry(graph, spec, index, task_retries)
+            except Exception as error:
+                out.append((index, pid, None, task_retries,
+                            f"{type(error).__name__}: {error}"))
+                continue
+            try:
+                payload: Optional[bytes] = pickle.dumps(result)
+            except Exception:
+                payload = None
+            out.append((index, pid, payload, retries, None))
     return out, freeze_spans(captured.spans)
 
 
 def _run_serial(
     tasks: List[_Task],
-    exploration_caches: Optional[Dict[int, ExplorationCache]] = None,
     *,
     task_retries: int = 1,
     on_error: str = "raise",
 ) -> List[_Outcome]:
     """Build every task in-process (facade hooks fire normally).
 
-    ``exploration_caches`` maps ``id(graph)`` to the sweep-wide cache for
-    that graph; when provided, each build runs under its graph's cache.
     A task whose build keeps failing past ``task_retries`` either
     re-raises the original exception (``on_error="raise"``) or is
     reported as a failed outcome (``on_error="quarantine"``).
@@ -185,23 +165,19 @@ def _run_serial(
     pid = os.getpid()
     outcomes: List[_Outcome] = []
     for index, graph, spec in tasks:
-        cache = exploration_caches.get(id(graph)) if exploration_caches else None
-        with shared_explorations(cache):
-            try:
-                result, retries = _build_with_retry(graph, spec, index, task_retries)
-            except Exception as error:
-                if on_error == "raise":
-                    raise
-                outcomes.append((index, pid, None, task_retries,
-                                 f"{type(error).__name__}: {error}"))
-                continue
+        try:
+            result, retries = _build_with_retry(graph, spec, index, task_retries)
+        except Exception as error:
+            if on_error == "raise":
+                raise
+            outcomes.append((index, pid, None, task_retries,
+                             f"{type(error).__name__}: {error}"))
+            continue
         outcomes.append((index, pid, result, retries, None))
     return outcomes
 
 
-def _chunk_tasks(
-    tasks: List[_Task], workers: int, share: bool, task_retries: int
-) -> List[_Chunk]:
+def _chunk_tasks(tasks: List[_Task], workers: int, task_retries: int) -> List[_Chunk]:
     """Group tasks by graph, then split each group into at most ``workers`` chunks."""
     groups: Dict[int, Tuple[Graph, List[Tuple[int, BuildSpec]]]] = {}
     for index, graph, spec in tasks:
@@ -213,7 +189,7 @@ def _chunk_tasks(
     for graph, pairs in groups.values():
         per_chunk = max(1, -(-len(pairs) // workers))  # ceil division
         for start in range(0, len(pairs), per_chunk):
-            chunks.append((graph, pairs[start:start + per_chunk], share, task_retries))
+            chunks.append((graph, pairs[start:start + per_chunk], task_retries))
     return chunks
 
 
@@ -237,8 +213,6 @@ def _run_parallel(
     tasks: List[_Task],
     workers: int,
     *,
-    share: bool = True,
-    exploration_caches: Optional[Dict[int, ExplorationCache]] = None,
     task_retries: int = 1,
     on_error: str = "raise",
 ) -> List[_Outcome]:
@@ -281,7 +255,7 @@ def _run_parallel(
                 with pool:
                     for chunk_results, chunk_spans in pool.map(
                         _execute_chunk,
-                        _chunk_tasks(parallelizable, workers, share, task_retries),
+                        _chunk_tasks(parallelizable, workers, task_retries),
                     ):
                         merge_spans(chunk_spans)
                         for index, pid, payload, retries, error in chunk_results:
@@ -304,10 +278,7 @@ def _run_parallel(
                     stacklevel=3,
                 )
                 serial.extend(task for task in parallelizable if task[0] not in finished)
-    outcomes.extend(
-        _run_serial(serial, exploration_caches,
-                    task_retries=task_retries, on_error=on_error)
-    )
+    outcomes.extend(_run_serial(serial, task_retries=task_retries, on_error=on_error))
     return outcomes
 
 
@@ -329,39 +300,21 @@ class GraphBaseline:
     verification of a large graph cannot retain O(n^2) distance entries;
     past the cap the baseline degrades gracefully toward the old
     recompute-per-result behaviour.
-
-    When the sweep shares explorations, the baseline consults the graph's
-    :class:`~repro.graphs.shortest_paths.ExplorationCache` first, so an
-    unbounded exploration a builder already ran doubles as the
-    verification baseline for that source.
     """
 
     #: Default bound on memoized sources (~each dict has up to n entries).
     DEFAULT_MAX_SOURCES = 4096
 
-    def __init__(
-        self,
-        graph: Graph,
-        max_sources: int = DEFAULT_MAX_SOURCES,
-        *,
-        explorations: Optional[ExplorationCache] = None,
-    ) -> None:
+    def __init__(self, graph: Graph, max_sources: int = DEFAULT_MAX_SOURCES) -> None:
         self.graph = graph
         self.max_sources = max_sources
-        self._explorations = explorations
         self._distances: Dict[int, Dict[int, int]] = {}
 
     def distances(self, source: int) -> Dict[int, int]:
         """Memoized ``bfs_distances(graph, source)`` (bounded, FIFO eviction)."""
         cached = self._distances.get(source)
         if cached is None:
-            if self._explorations is not None:
-                # The shared (uncopied) dict: validators only read it, and
-                # holding the same object in both stores keeps each
-                # exploration in memory once.
-                cached = self._explorations.shared_bounded_bfs(source, None)
-            else:
-                cached = bfs_distances(self.graph, source)
+            cached = bfs_distances(self.graph, source)
             if len(self._distances) >= self.max_sources:
                 self._distances.pop(next(iter(self._distances)))
             self._distances[source] = cached
@@ -398,7 +351,6 @@ def execute_sweep(
     workers: Union[int, str, None] = 1,
     cache: Union[None, bool, str, "os.PathLike[str]", ResultCache] = None,
     verify: Union[None, bool, int] = None,
-    share_explorations: bool = True,
     task_retries: int = 1,
     on_error: str = "raise",
     dist: Union[None, bool, str, Mapping[str, Any], Any] = None,
@@ -426,12 +378,6 @@ def execute_sweep(
         ``None``/``False`` skips verification, an ``int`` checks that
         many sampled pairs per result, ``True`` checks every pair.
         Verification is batched per graph (see :class:`GraphBaseline`).
-    share_explorations:
-        Share center explorations and verification baselines across the
-        specs built on one graph (one computation per ``(graph, source,
-        radius)`` per chunk).  On by default; records are byte-identical
-        either way, so turning it off is only useful for benchmarking
-        the sharing itself.
     task_retries:
         How many extra in-process build attempts a failing task gets
         before its failure is final (default ``1``).  Transient failures
@@ -523,11 +469,6 @@ def execute_sweep(
     store = resolve_cache(cache)
     if workers is None:
         workers = os.cpu_count() or 1
-    exploration_caches: Optional[Dict[int, ExplorationCache]] = None
-    if share_explorations:
-        exploration_caches = {
-            id(graph): ExplorationCache(graph) for _name, graph in named
-        }
 
     grid: List[Tuple[int, str, Graph, BuildSpec]] = []
     index = 0
@@ -566,17 +507,13 @@ def execute_sweep(
                 built = run_distributed(
                     pending, names, store, dist_config,
                     task_retries=task_retries, on_error=on_error,
-                    exploration_caches=exploration_caches,
                 )
             elif workers > 1 and len(pending) > 1:
                 built = _run_parallel(
-                    pending, workers,
-                    share=share_explorations, exploration_caches=exploration_caches,
-                    task_retries=task_retries, on_error=on_error,
+                    pending, workers, task_retries=task_retries, on_error=on_error,
                 )
             else:
-                built = _run_serial(pending, exploration_caches,
-                                    task_retries=task_retries, on_error=on_error)
+                built = _run_serial(pending, task_retries=task_retries, on_error=on_error)
         parent_pid = os.getpid()
         for task_index, worker_pid, result, retries, error in built:
             if error is not None or result is None:
@@ -618,10 +555,7 @@ def execute_sweep(
         verified: Optional[bool] = None
         if result is not None and verify is not None and verify is not False:
             if id(graph) not in baselines:
-                explorations = (
-                    exploration_caches.get(id(graph)) if exploration_caches else None
-                )
-                baselines[id(graph)] = GraphBaseline(graph, explorations=explorations)
+                baselines[id(graph)] = GraphBaseline(graph)
             baseline = baselines[id(graph)]
             pairs = None if verify is True else int(verify)
             verified = bool(

@@ -144,7 +144,6 @@ def run_sweep(
     workers: Union[int, str, None] = 1,
     cache: Union[None, bool, str, ResultCache] = None,
     verify: Union[None, bool, int] = None,
-    share_explorations: bool = True,
     task_retries: int = 1,
     on_error: str = "raise",
     dist: Union[None, bool, str, Mapping[str, Any], Any] = None,
@@ -180,11 +179,6 @@ def run_sweep(
         ``None``/``False`` skips verification, an ``int`` checks that many
         sampled pairs, ``True`` checks every pair.  Overrides
         ``verify_pairs`` when both are given.
-    share_explorations:
-        Share equal-radius center explorations (and verification
-        baselines) across the specs built on one graph; on by default
-        and observationally transparent — records are byte-identical
-        either way.
     task_retries:
         How many times one task's failed build is retried (in the same
         process) before the failure is final; retry counts land in each
@@ -209,7 +203,6 @@ def run_sweep(
     if verify is None and verify_pairs is not None:
         verify = verify_pairs
     return execute_sweep(graphs, specs, workers=workers, cache=cache, verify=verify,
-                         share_explorations=share_explorations,
                          task_retries=task_retries, on_error=on_error, dist=dist)
 
 

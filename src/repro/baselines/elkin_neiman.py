@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.clusters import Cluster, Partition
 from repro.core.parameters import CentralizedSchedule
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import PhaseExplorer, multi_source_attributed
+from repro.graphs.shortest_paths import bounded_bfs, multi_source_attributed
 from repro.graphs.weighted_graph import WeightedGraph
 
 __all__ = ["ElkinNeimanResult", "build_elkin_neiman_emulator"]
@@ -76,11 +76,8 @@ def build_elkin_neiman_emulator(
         # One multi-source pass assigns every vertex its closest sampled
         # center (smallest-ID ties — the same ``sorted((d, s))[0]`` rule
         # the per-center loop applied), so only centers with *no* sampled
-        # cluster within delta still need their own exploration; those
-        # run through a batched explorer.
+        # cluster within delta still need their own exploration.
         attributed = multi_source_attributed(graph, sampled, delta)
-        lonely = [c for c in centers if c not in sampled and c not in attributed]
-        explorer = PhaseExplorer(graph, lonely, delta)
 
         for center in centers:
             if center in sampled:
@@ -95,7 +92,7 @@ def build_elkin_neiman_emulator(
             else:
                 # No sampled cluster nearby: interconnect with every
                 # neighboring cluster center and leave the hierarchy.
-                dist = explorer.explore(center)
+                dist = bounded_bfs(graph, center, delta)
                 for other, d in sorted(dist.items()):
                     if other == center or other not in center_set:
                         continue

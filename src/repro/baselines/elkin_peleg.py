@@ -26,7 +26,7 @@ from typing import List, Optional, Set
 from repro.core.clusters import Cluster, Partition
 from repro.core.parameters import CentralizedSchedule
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import PhaseExplorer, bfs_tree
+from repro.graphs.shortest_paths import bfs_tree, bounded_bfs
 from repro.graphs.weighted_graph import WeightedGraph
 
 __all__ = ["ElkinPelegResult", "build_elkin_peleg_emulator"]
@@ -92,16 +92,12 @@ def build_elkin_peleg_emulator(
         next_partition = Partition()
         unclustered: List[int] = []
 
-        # Absorbed centers are skipped, so the explorer prefetches batched
-        # chunks along the consideration order (same pattern as Algorithm 1).
-        explorer = PhaseExplorer(graph, centers, delta)
-
         for center in centers:
             if center not in remaining:
                 continue
             remaining.discard(center)
             cluster = partition.cluster_of_center(center)
-            dist = explorer.explore(center)
+            dist = bounded_bfs(graph, center, delta)
             neighbors = sorted(
                 (other, float(d)) for other, d in dist.items()
                 if other != center and other in remaining

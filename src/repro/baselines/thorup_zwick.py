@@ -21,9 +21,11 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.clusters import Cluster, Partition
+from repro.graphs import kernels
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import PhaseExplorer
 from repro.graphs.weighted_graph import WeightedGraph
 
 __all__ = ["ThorupZwickResult", "build_thorup_zwick_emulator"]
@@ -80,39 +82,42 @@ def build_thorup_zwick_emulator(
         sampled = set() if is_last else {
             c for c in centers if rng.random() < sample_probability
         }
-        center_set = set(centers)
         next_partition = Partition()
         gathered: Dict[int, List[Tuple[int, float, Cluster]]] = {s: [] for s in sampled}
 
-        # Every unsampled center runs one unbounded exploration (the
-        # interconnection rule needs the full distance vector), batched
-        # into chunked multi-source kernel passes.
-        explorer = PhaseExplorer(graph, [c for c in centers if c not in sampled], None)
+        # Every unsampled center reads its whole distance row (the
+        # interconnection rule has no distance threshold) and works on it
+        # with masks: ``others`` flags the unsampled centers, and the
+        # sampled indices are sorted so the first one at the closest
+        # distance has the smallest ID.
+        csr = graph.csr()
+        sampled_ids = np.array(sorted(sampled), dtype=np.int64)
+        others = np.zeros(n, dtype=bool)
+        others[centers] = True
+        others[sampled_ids] = False
 
         for center in centers:
             if center in sampled:
                 continue
             cluster = partition.cluster_of_center(center)
-            # BFS outward from the unsampled center: collect unsampled
-            # centers strictly closer than the closest sampled center, then
-            # attach to that closest sampled center (if any exists).
-            dist = explorer.explore(center)
-            sampled_dist = min(
-                (dist[s] for s in sampled if s in dist), default=float("inf")
-            )
-            for other, d in dist.items():
-                if other == center or other not in center_set or other in sampled:
-                    continue
-                if d < sampled_dist:
-                    if emulator.add_edge(center, other, float(d)):
-                        interconnection_edges += 1
-            if sampled_dist < float("inf"):
-                closest = min(
-                    s for s in sampled if s in dist and dist[s] == sampled_dist
-                )
-                if emulator.add_edge(center, closest, float(sampled_dist)):
+            row = kernels.bfs_row(csr, center)
+            sampled_row = row[sampled_ids]
+            sampled_dist = float(sampled_row.min()) if sampled_ids.size else math.inf
+            # Unsampled centers strictly closer than the closest sampled
+            # center, in ascending (distance, vertex) order.
+            near = others & (row < sampled_dist)
+            near[center] = False
+            targets = np.flatnonzero(near)
+            weights = row[targets]
+            order = np.lexsort((targets, weights))
+            for other, d in zip(targets[order].tolist(), weights[order].tolist()):
+                if emulator.add_edge(center, other, d):
+                    interconnection_edges += 1
+            if sampled_dist < math.inf:
+                closest = int(sampled_ids[np.argmax(sampled_row == sampled_dist)])
+                if emulator.add_edge(center, closest, sampled_dist):
                     superclustering_edges += 1
-                gathered[closest].append((center, float(sampled_dist), cluster))
+                gathered[closest].append((center, sampled_dist, cluster))
 
         for s in sorted(sampled):
             base = partition.cluster_of_center(s)

@@ -187,10 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--no-cache", action="store_true",
                        help="disable the result cache even if --cache-dir or "
                             "$REPRO_CACHE_DIR is set")
-    sweep.add_argument("--no-shared-explorations", action="store_true",
-                       help="recompute center explorations per spec instead of "
-                            "sharing them across the specs on one graph "
-                            "(results are identical; for benchmarking only)")
     sweep.add_argument("--coordinator", default=None, metavar="[HOST:]PORT",
                        help="run the grid on the distributed work-queue "
                             "executor, binding the coordinator here "
@@ -519,9 +515,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--journal requires --coordinator")
     records = run_sweep(
         {name: graph}, sweep, verify_pairs=args.verify_pairs,
-        workers=args.workers, cache=cache,
-        share_explorations=not args.no_shared_explorations,
-        dist=dist,
+        workers=args.workers, cache=cache, dist=dist,
     )
     print(format_sweep_table(records))
     return 0

@@ -34,13 +34,7 @@ from typing import Dict, Iterable, Optional, Set
 from repro.congest.network import SynchronousNetwork
 from repro.congest.primitives import bounded_flood
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import (
-    ExplorationCache,
-    active_exploration_cache,
-    bounded_bfs,
-    multi_source_bfs,
-    shared_explorations,
-)
+from repro.graphs.shortest_paths import bounded_bfs, multi_source_bfs
 
 __all__ = [
     "RulingSetResult",
@@ -72,28 +66,12 @@ class RulingSetResult:
     rounds: int
 
 
-def _resolve_cache(graph: Graph, cache: Optional[ExplorationCache]) -> Optional[ExplorationCache]:
-    """The cache repeated ``(source, radius)`` explorations should hit.
-
-    An explicitly threaded cache wins; otherwise the cache already
-    installed for this graph (so ruling-set explorations join a sweep's
-    shared pool).  Without either, explorations run uncached — a private
-    per-call cache would pay a dict copy per exploration for repeats
-    that a single call does not generate (the intra-call repetition the
-    merge sweep used to have is fixed by exploring once per candidate).
-    """
-    if cache is not None:
-        return cache
-    return active_exploration_cache(graph)
-
-
 def greedy_ruling_set(
     graph: Graph,
     candidates: Iterable[int],
     separation: float,
     net: Optional[SynchronousNetwork] = None,
     charged_rounds: Optional[float] = None,
-    cache: Optional[ExplorationCache] = None,
 ) -> RulingSetResult:
     """Greedy ``(separation, separation - 1)``-ruling set, in increasing ID order.
 
@@ -112,11 +90,6 @@ def greedy_ruling_set(
     charged_rounds:
         Number of CONGEST rounds to charge (defaults to the Theorem 3.2 cost
         ``O(q * c * n^(1/c))`` with ``c = log n``, i.e. ``O(sep * log n)``).
-    cache:
-        Optional :class:`ExplorationCache` so repeated ``(source, radius)``
-        explorations across calls hit cache; defaults to whatever cache is
-        installed for ``graph``, else explorations run uncached (see
-        :func:`_resolve_cache`).
     """
     candidate_list = sorted(set(candidates))
     radius = max(0.0, separation - 1.0)
@@ -124,14 +97,13 @@ def greedy_ruling_set(
     # Distance to the nearest selected vertex, maintained incrementally: when
     # a vertex is selected we run one bounded BFS from it and relax.
     dist_to_selected: Dict[int, float] = {}
-    with shared_explorations(_resolve_cache(graph, cache)):
-        for candidate in candidate_list:
-            if dist_to_selected.get(candidate, float("inf")) <= radius:
-                continue
-            selected.add(candidate)
-            for v, d in bounded_bfs(graph, candidate, radius).items():
-                if d < dist_to_selected.get(v, float("inf")):
-                    dist_to_selected[v] = d
+    for candidate in candidate_list:
+        if dist_to_selected.get(candidate, float("inf")) <= radius:
+            continue
+        selected.add(candidate)
+        for v, d in bounded_bfs(graph, candidate, radius).items():
+            if d < dist_to_selected.get(v, float("inf")):
+                dist_to_selected[v] = d
     n = max(2, graph.num_vertices)
     if charged_rounds is None:
         charged_rounds = separation * math.ceil(math.log2(n))
@@ -148,7 +120,6 @@ def bitwise_ruling_set(
     candidates: Iterable[int],
     separation: float,
     net: Optional[SynchronousNetwork] = None,
-    cache: Optional[ExplorationCache] = None,
 ) -> RulingSetResult:
     """Deterministic distributed ruling set via iterated ID-bit splitting.
 
@@ -170,42 +141,41 @@ def bitwise_ruling_set(
     # ``current`` maps a "group key" (the high bits processed so far) to the
     # surviving candidates of that group; groups are handled independently,
     # exactly as in the recursive formulation.
-    with shared_explorations(_resolve_cache(graph, cache)):
-        for bit in range(num_bits - 1, -1, -1):
-            next_groups: Dict[int, Set[int]] = {}
-            for key in sorted(current):
-                group = current[key]
-                zeros = {v for v in group if not (v >> bit) & 1}
-                ones = group - zeros
-                if not zeros or not ones:
-                    survivors = zeros or ones
-                    next_groups[key] = survivors
-                    continue
-                # Ones survive only if no zero is within ``radius``.
-                if net is not None:
-                    dist = bounded_flood(net, zeros, int(radius))
-                    rounds += int(radius)
-                else:
-                    dist, _ = multi_source_bfs(graph, zeros, radius)
-                survivors = set(zeros)
-                for v in ones:
-                    if dist.get(v, float("inf")) > radius:
-                        survivors.add(v)
-                next_groups[key] = survivors
-            current = next_groups
-
-        merged: Set[int] = set()
-        # Merge the groups with one more elimination sweep so that the global
-        # separation guarantee holds across groups as well.  One exploration
-        # per candidate decides it against *every* already-merged member
-        # (historically this recomputed the same bounded BFS once per member).
+    for bit in range(num_bits - 1, -1, -1):
+        next_groups: Dict[int, Set[int]] = {}
         for key in sorted(current):
-            for v in sorted(current[key]):
-                if v in merged:
-                    continue
-                dist_v = bounded_bfs(graph, v, radius)
-                if all(u not in dist_v for u in merged):
-                    merged.add(v)
+            group = current[key]
+            zeros = {v for v in group if not (v >> bit) & 1}
+            ones = group - zeros
+            if not zeros or not ones:
+                survivors = zeros or ones
+                next_groups[key] = survivors
+                continue
+            # Ones survive only if no zero is within ``radius``.
+            if net is not None:
+                dist = bounded_flood(net, zeros, int(radius))
+                rounds += int(radius)
+            else:
+                dist, _ = multi_source_bfs(graph, zeros, radius)
+            survivors = set(zeros)
+            for v in ones:
+                if dist.get(v, float("inf")) > radius:
+                    survivors.add(v)
+            next_groups[key] = survivors
+        current = next_groups
+
+    merged: Set[int] = set()
+    # Merge the groups with one more elimination sweep so that the global
+    # separation guarantee holds across groups as well.  One exploration
+    # per candidate decides it against *every* already-merged member
+    # (historically this recomputed the same bounded BFS once per member).
+    for key in sorted(current):
+        for v in sorted(current[key]):
+            if v in merged:
+                continue
+            dist_v = bounded_bfs(graph, v, radius)
+            if all(u not in dist_v for u in merged):
+                merged.add(v)
     domination = radius * (num_bits + 1) if radius > 0 else 0.0
     if net is not None:
         net.charge_rounds(0)  # flood rounds were already simulated above

@@ -40,6 +40,10 @@ zero-copy numpy view.  A phase collects its edges as plain
 ``(u, v, weight, charged_to, kind)`` rows and hands them to ``H`` and to
 the ledger in one call each when it ends, and ``P_{i+1}`` is ``P_i``
 relabelled through each cluster's host (:meth:`Partition.regroup`).
+
+:func:`neighboring_centers` reads the same per-center searches for the
+builders that need every center's neighboring centers up front: the
+fast emulator (Section 3.3) and the spanner (Section 4).
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs import span
 
-__all__ = ["PhaseStats", "EmulatorResult", "UltraSparseEmulatorBuilder"]
+__all__ = ["PhaseStats", "EmulatorResult", "UltraSparseEmulatorBuilder", "neighboring_centers"]
 
 # States of a phase's vertices in the builder's bytearray: not (or no
 # longer) a live center, a center in S awaiting consideration, a center
@@ -315,6 +319,36 @@ class UltraSparseEmulatorBuilder:
         self.phase_stats.append(stats)
         annotate_phase_span(stats, centers_explored=explored)
         return partition.regroup(host, offset, phase + 1)
+
+
+def neighboring_centers(csr, centers: List[int], radius) -> Dict[int, List[Tuple[int, float]]]:
+    """Every center's neighboring centers: the other ``centers`` within ``radius``.
+
+    Maps each center of the ascending ``centers`` to ``(center, distance)``
+    pairs by center ID — the relation every phase of the fast emulator and
+    the spanner starts from.  Up to :data:`kernels.BALL_WALK_MAX_RADIUS`
+    each center's :func:`kernels.ball` is filtered against a ``bytearray``
+    of the centers; a deeper search is one :func:`kernels.bfs_row`, read at
+    the centers only (its ball would sort all ``n`` entries first).
+    """
+    radius = kernels.normalize_radius(radius)
+    neighborhoods = {}
+    if radius is not None and radius <= kernels.BALL_WALK_MAX_RADIUS:
+        state = bytearray(csr.num_vertices)
+        for center in centers:
+            state[center] = _IN_S
+        for center in centers:
+            state[center] = _GONE
+            neighborhoods[center] = _live_centers(kernels.ball(csr, center, radius), state)
+            state[center] = _IN_S
+        return neighborhoods
+    ids = np.asarray(centers, dtype=np.int64)
+    for i, center in enumerate(centers):
+        distances = kernels.bfs_row(csr, center, radius)[ids]
+        keep = distances < np.inf
+        keep[i] = False
+        neighborhoods[center] = list(zip(ids[keep].tolist(), distances[keep].tolist()))
+    return neighborhoods
 
 
 def _live_centers(ball, state: bytearray) -> List[Tuple[int, float]]:

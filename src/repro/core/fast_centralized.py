@@ -25,15 +25,11 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.congest.ruling_sets import greedy_ruling_set
 from repro.core.charging import ChargeLedger, EdgeKind
 from repro.core.clusters import Cluster, Partition
-from repro.core.emulator import EmulatorResult, PhaseStats
+from repro.core.emulator import EmulatorResult, PhaseStats, neighboring_centers
 from repro.core.parameters import DistributedSchedule
-from repro.core.phase_obs import annotate_phase_span, explorer_counts
+from repro.core.phase_obs import annotate_phase_span
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import (
-    PhaseExplorer,
-    active_exploration_cache,
-    multi_source_bfs,
-)
+from repro.graphs.shortest_paths import multi_source_bfs
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs import span
 
@@ -121,19 +117,10 @@ class FastCentralizedBuilder:
             degree_threshold=degree_threshold,
         )
         centers = partition.centers()
-        center_set = set(centers)
 
         # Neighbor map: for every center, the other centers within delta and
         # their exact distances (the centralized analogue of Algorithm 2).
-        # Every center is explored, so the explorer's chunked prefetch is
-        # pure batching here — one kernel pass per chunk.
-        explorer = PhaseExplorer(self.graph, centers, delta)
-        neighbor_map: Dict[int, Dict[int, int]] = {}
-        for center in centers:
-            dist = explorer.explore(center)
-            neighbor_map[center] = {
-                other: d for other, d in dist.items() if other != center and other in center_set
-            }
+        neighbor_map = neighboring_centers(self.graph.csr(), centers, delta)
 
         popular = {c for c in centers if len(neighbor_map[c]) >= degree_threshold}
         stats.popular_centers = len(popular)
@@ -183,17 +170,16 @@ class FastCentralizedBuilder:
                 continue
             phase_unclustered.append(center)
             stats.unpopular_centers += 1
-            for other, d in sorted(neighbor_map[center].items()):
+            for other, d in neighbor_map[center]:
                 added = self.emulator.has_edge(center, other)
-                self._add_edge(center, other, float(d), charged_to=center, phase=phase,
+                self._add_edge(center, other, d, charged_to=center, phase=phase,
                                kind=EdgeKind.INTERCONNECTION)
                 if not added:
                     stats.interconnection_edges += 1
 
         self.unclustered_centers[phase] = phase_unclustered
         self.phase_stats.append(stats)
-        cache = active_exploration_cache(self.graph)
-        annotate_phase_span(stats, **explorer_counts(explorer, cache))
+        annotate_phase_span(stats, centers_explored=len(centers))
         return next_partition
 
     # ------------------------------------------------------------------

@@ -60,10 +60,12 @@ def ultra_sparse_kappa(n: int, growth: float = 2.0) -> float:
     ``kappa = f(n) * log n`` for any ``f(n) = omega(1)``.  This helper uses
     ``f(n) = growth * log log n`` (with a floor of ``growth``), which keeps
     the additive stretch at ``(log log n / eps)^{(1 + o(1)) log log n}``.
+
+    Graphs with fewer than 4 vertices take the ``n = 4`` value (4.0): the
+    ruling-set schedules need ``1/kappa <= rho < 1/2``, which no ``rho``
+    satisfies at ``kappa = 2``.
     """
-    if n < 4:
-        return 2.0
-    log_n = math.log2(n)
+    log_n = math.log2(max(n, 4))
     f_n = max(growth, growth * math.log2(max(2.0, log_n)))
     return f_n * log_n
 

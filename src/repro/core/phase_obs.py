@@ -5,12 +5,8 @@ run the superclustering-and-interconnection loop of Algorithm 1; their
 ``build`` loops wrap each ``_run_phase`` call in a ``repro.obs`` span,
 and :func:`annotate_phase_span` copies the phase's outcome — the
 :class:`~repro.core.emulator.PhaseStats` counters, the kernel backend and
-whatever plain counts the builder passes — onto that span once the phase
-is done.  Algorithm 1 passes ``centers_explored`` (the centers whose
-``delta_i`` ball it read); the builders still driven by a
-:class:`~repro.graphs.shortest_paths.PhaseExplorer` pass
-:func:`explorer_counts`, which adds the explorer's batching counters and
-the shared exploration-cache counters.
+``centers_explored`` (the centers whose ``delta_i`` ball the phase read)
+— onto that span once the phase is done.
 
 Only counts land on spans, never timings or timestamps: traces of the
 same seeded build must be identical up to clock values (the trace
@@ -19,16 +15,16 @@ determinism test relies on it).
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any
 
 from repro.graphs import kernels
 from repro.obs import current_span
 
-__all__ = ["annotate_phase_span", "explorer_counts"]
+__all__ = ["annotate_phase_span"]
 
 
-def annotate_phase_span(stats: Any, **counts: int) -> None:
-    """Copy the finished phase's counters and ``counts`` onto the enclosing span.
+def annotate_phase_span(stats: Any, *, centers_explored: int) -> None:
+    """Copy the finished phase's counters onto the enclosing span.
 
     ``stats`` is the phase's :class:`~repro.core.emulator.PhaseStats`.  A
     no-op when telemetry is disabled or no span is open.
@@ -45,22 +41,6 @@ def annotate_phase_span(stats: Any, **counts: int) -> None:
         interconnection_edges=stats.interconnection_edges,
         superclustering_edges=stats.superclustering_edges,
         backend=kernels.get_backend(),
-        **counts,
+        centers_explored=centers_explored,
     )
 
-
-def explorer_counts(explorer: Any, cache: Any = None) -> Dict[str, int]:
-    """The counts of a :class:`~repro.graphs.shortest_paths.PhaseExplorer` phase.
-
-    ``cache`` is the active
-    :class:`~repro.graphs.shortest_paths.ExplorationCache` (if installed).
-    """
-    counts = {
-        "centers_explored": explorer.consumed,
-        "batched_passes": explorer.batched_passes,
-        "prefetched": explorer.prefetched,
-    }
-    if cache is not None:
-        counts["cache_hits"] = cache.hits
-        counts["cache_misses"] = cache.misses
-    return counts

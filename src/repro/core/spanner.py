@@ -19,15 +19,11 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.congest.ruling_sets import greedy_ruling_set
 from repro.core.clusters import Cluster, Partition
-from repro.core.emulator import PhaseStats
+from repro.core.emulator import PhaseStats, neighboring_centers
 from repro.core.parameters import SpannerSchedule
-from repro.core.phase_obs import annotate_phase_span, explorer_counts
+from repro.core.phase_obs import annotate_phase_span
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import (
-    PhaseExplorer,
-    active_exploration_cache,
-    bfs_tree,
-)
+from repro.graphs.shortest_paths import bfs_tree
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs import span
 
@@ -155,17 +151,7 @@ class NearAdditiveSpannerBuilder:
             degree_threshold=degree_threshold,
         )
         centers = partition.centers()
-        center_set = set(centers)
-
-        # Every center is explored, so the chunked prefetch is pure
-        # batching: one multi-source kernel pass per chunk of centers.
-        explorer = PhaseExplorer(self.graph, centers, delta)
-        neighbor_map: Dict[int, Dict[int, int]] = {}
-        for center in centers:
-            dist = explorer.explore(center)
-            neighbor_map[center] = {
-                other: d for other, d in dist.items() if other != center and other in center_set
-            }
+        neighbor_map = neighboring_centers(self.graph.csr(), centers, delta)
 
         popular = {c for c in centers if len(neighbor_map[c]) >= degree_threshold}
         stats.popular_centers = len(popular)
@@ -212,14 +198,13 @@ class NearAdditiveSpannerBuilder:
                 continue
             stats.unpopular_centers += 1
             parent = bfs_tree(self.graph, center, radius=delta)
-            for other in sorted(neighbor_map[center]):
+            for other, _ in neighbor_map[center]:
                 added = self._add_path_from_tree(other, parent)
                 stats.interconnection_edges += added
                 self._interconnection_edges += added
 
         self.phase_stats.append(stats)
-        cache = active_exploration_cache(self.graph)
-        annotate_phase_span(stats, **explorer_counts(explorer, cache))
+        annotate_phase_span(stats, centers_explored=len(centers))
         return next_partition
 
     # ------------------------------------------------------------------
@@ -238,11 +223,12 @@ class NearAdditiveSpannerBuilder:
             parent[r] = r
             dist[r] = 0
             queue.append(r)
+        adjacency = self.graph.csr().adjacency()  # neighbor lists in ascending order
         while queue:
             u = queue.popleft()
             if dist[u] >= depth:
                 continue
-            for v in sorted(self.graph.neighbors(u)):
+            for v in adjacency[u]:
                 if v not in parent:
                     parent[v] = u
                     dist[v] = dist[u] + 1

@@ -164,7 +164,6 @@ def run_distributed(
     *,
     task_retries: int = 1,
     on_error: str = "raise",
-    exploration_caches: Optional[Dict[int, Any]] = None,
 ) -> List[Tuple[int, Any, Any, int, Optional[str]]]:
     """Run ``tasks`` (executor ``(index, graph, spec)`` tuples) distributed.
 
@@ -195,10 +194,7 @@ def run_distributed(
         if remote:
             outcomes.extend(_run_remote(remote, store, config))
         if local:
-            outcomes.extend(
-                _run_serial(local, exploration_caches,
-                            task_retries=task_retries, on_error=on_error)
-            )
+            outcomes.extend(_run_serial(local, task_retries=task_retries, on_error=on_error))
     finally:
         if transport_dir is not None:
             shutil.rmtree(transport_dir, ignore_errors=True)

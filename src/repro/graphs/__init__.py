@@ -18,10 +18,6 @@ from repro.graphs.shortest_paths import (
     all_pairs_shortest_paths,
     multi_source_bfs,
     multi_source_attributed,
-    ExplorationCache,
-    PhaseExplorer,
-    shared_explorations,
-    active_exploration_cache,
 )
 from repro.graphs import generators
 from repro.graphs import io
@@ -40,10 +36,6 @@ __all__ = [
     "all_pairs_shortest_paths",
     "multi_source_bfs",
     "multi_source_attributed",
-    "ExplorationCache",
-    "PhaseExplorer",
-    "shared_explorations",
-    "active_exploration_cache",
     "generators",
     "io",
     "kernels",

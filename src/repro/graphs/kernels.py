@@ -12,9 +12,8 @@ allocation).  Results are converted to plain dicts only at the boundary,
 matching the signatures in :mod:`repro.graphs.shortest_paths`.  The
 serving layer skips that conversion: :func:`bfs_row` and
 :func:`dijkstra_row` return scipy's dense float64 row (``inf`` for
-unreached vertices) as it is.  Algorithm 1, which reads one center's
-ball at a time, takes :func:`ball`: an adjacency-list walk up to radius
-2, one :func:`bfs_row` search beyond.
+unreached vertices) as it is.  The construction phases read one center's
+ball at a time through :func:`ball` (see *Phase explorations* below).
 
 Three backends implement the kernels:
 
@@ -53,25 +52,23 @@ backend, so seeded consumers that materialize an order (e.g. workload
 generators sampling a BFS ball) are reproducible regardless of which
 backend answered.
 
-Batched explorations
---------------------
-Every construction phase explores the graph from *many* centers at the
-same radius.  :func:`batched_bfs` runs those explorations as chunked
-multi-source kernel passes — scipy's ``indices=`` batch API, a
-slot-flattened numpy frontier expansion, or a scalar per-source loop,
-selected exactly like the single-source backends — and yields one
-distance dict per source, each **byte-identical** (same entries, same
-canonical iteration order) to what :func:`bounded_bfs` returns for that
-source.  The chunk size is driven by a byte budget
-(``REPRO_BATCH_MEMORY_BUDGET``, default 64 MiB) so a 10k-center phase
-never materializes a dense ``centers x n`` matrix.
-:func:`multi_source_attributed` covers the call sites that only need
-Voronoi-style nearest-source assignments: one pass returning each
-vertex's closest source and distance with the documented
-smallest-source-ID tie-break.  The one exception is :func:`hop_limited`, whose
-vectorized path emits ascending vertex order while the scalar loop in
-:mod:`repro.hopsets.bounded_hop` emits discovery order — its consumers
-are lookup-only.
+Phase explorations
+------------------
+Every construction phase reads, for each cluster center, the other
+centers within one radius.  :func:`ball` is that read for one center: an
+adjacency-list walk up to :data:`BALL_WALK_MAX_RADIUS`, one C
+:func:`bfs_row` search beyond.  Algorithm 1, the fast emulator, the
+spanner and the ``local`` query workload call it once per center or
+source (callers that read a deep search only at a few vertices, and the
+baselines, take :func:`bfs_row` or :func:`bounded_bfs` directly); there
+is no batching layer and no cross-build cache, because per-center
+searches measured faster and lighter than both.  :func:`multi_source_attributed` covers the call
+sites that only need Voronoi-style nearest-source assignments: one pass
+returning each vertex's closest source and distance with the documented
+smallest-source-ID tie-break.  The one exception to the canonical order
+is :func:`hop_limited`, whose vectorized path emits ascending vertex
+order while the scalar loop in :mod:`repro.hopsets.bounded_hop` emits
+discovery order — its consumers are lookup-only.
 """
 
 from __future__ import annotations
@@ -88,7 +85,6 @@ from repro.graphs.csr import CSRGraph, WeightedCSRGraph
 __all__ = [
     "bfs_distances",
     "bounded_bfs",
-    "batched_bfs",
     "multi_source_bfs",
     "multi_source_attributed",
     "dijkstra",
@@ -98,11 +94,9 @@ __all__ = [
     "ball",
     "hop_limited",
     "normalize_radius",
-    "batch_chunk_size",
     "set_backend",
     "get_backend",
     "available_backends",
-    "DEFAULT_BATCH_MEMORY_BUDGET",
 ]
 
 try:
@@ -208,290 +202,6 @@ def normalize_radius(radius) -> Optional[int]:
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     return int(floor(radius))
-
-
-# ----------------------------------------------------------------------
-# Batched explorations (one kernel pass per chunk of sources)
-# ----------------------------------------------------------------------
-#: Default byte budget for one batched exploration chunk (64 MiB).
-DEFAULT_BATCH_MEMORY_BUDGET = 64 * 1024 * 1024
-
-#: Bytes a batched pass materializes per source per vertex: the SpMM
-#: expansion holds dense frontier/product/visited/distance planes
-#: (8 + 8 + 1 + 8 bytes), the scipy batch one dense float64 row.
-#: Deliberately the most conservative of the backends.
-_BATCH_BYTES_PER_VERTEX = 32
-
-#: Direction-optimizing switch: a batched level expansion leaves the
-#: output-sensitive gather mode for dense SpMM steps once the frontier's
-#: incident edges exceed ``nnz * chunk / _DENSE_FRONTIER_FRACTION`` —
-#: past that, one C sparse-matrix product per level beats gathering.
-_DENSE_FRONTIER_FRACTION = 16
-
-#: Transient bytes one gathered frontier edge costs (offset, key and
-#: repeated-slot int64s).  Gather levels whose edge count would push the
-#: transients past the memory budget are processed in segments of at
-#: most ``budget / _GATHER_BYTES_PER_EDGE`` edges, so the budget bounds
-#: per-level transients as well as the per-chunk planes (relevant on
-#: numpy-only installs, where no dense SpMM switch caps the gather).
-_GATHER_BYTES_PER_EDGE = 24
-
-#: ``auto`` uses a vectorized batch only when one chunk's dense plane
-#: (``chunk x num_vertices``) has at least this many cells; below it the
-#: fixed per-call scipy/numpy overhead beats the saved per-edge work and
-#: the scalar per-source loop wins (same reasoning as
-#: :data:`VECTOR_MIN_VERTICES` for single-source calls — late, tiny
-#: construction phases must not pay vectorization overhead).
-BATCH_VECTOR_MIN_CELLS = 32768
-
-
-def _memory_budget(memory_budget: Optional[int]) -> int:
-    if memory_budget is None:
-        raw = os.environ.get("REPRO_BATCH_MEMORY_BUDGET", "").strip()
-        if raw:
-            try:
-                memory_budget = int(raw)
-            except ValueError:
-                warnings.warn(
-                    f"REPRO_BATCH_MEMORY_BUDGET {raw!r} is not an integer; "
-                    f"using the default ({DEFAULT_BATCH_MEMORY_BUDGET} bytes)",
-                    RuntimeWarning,
-                )
-                memory_budget = DEFAULT_BATCH_MEMORY_BUDGET
-        else:
-            memory_budget = DEFAULT_BATCH_MEMORY_BUDGET
-    if memory_budget < 1:
-        raise ValueError(f"memory_budget must be positive, got {memory_budget}")
-    return memory_budget
-
-
-def batch_chunk_size(
-    num_vertices: int, num_sources: int, memory_budget: Optional[int] = None
-) -> int:
-    """Sources per batched pass under ``memory_budget`` bytes.
-
-    A chunk costs about ``32 * num_vertices`` bytes per source (the
-    dense frontier/visited/distance planes of the SpMM expansion — the
-    other backends cost less), so the chunk size is the budget divided
-    by that — clamped to ``[1, num_sources]`` so a tiny budget degrades
-    to single-source passes instead of failing.
-    """
-    budget = _memory_budget(memory_budget)
-    per_source = _BATCH_BYTES_PER_VERTEX * max(1, num_vertices)
-    chunk = max(1, budget // per_source)
-    return int(max(1, min(chunk, max(1, num_sources))))
-
-
-def batched_bfs(
-    csr: CSRGraph,
-    sources: Iterable[int],
-    radius=None,
-    *,
-    as_float: bool = False,
-    memory_budget: Optional[int] = None,
-):
-    """Bounded BFS from many sources in chunked multi-source passes.
-
-    Yields one distance dict per source, **in the order given** (sources
-    need not be sorted or distinct).  Each yielded dict is byte-identical
-    — same entries *and* the same canonical ``(distance, vertex)``
-    iteration order — to ``bounded_bfs(csr, source, radius)``, so call
-    sites can swap a per-center loop for one batched pass without
-    changing any downstream output.
-
-    Backend selection mirrors the single-source kernels: the scipy
-    ``indices=`` batch when scipy is usable, a slot-flattened numpy
-    frontier expansion when only numpy is, otherwise a scalar per-source
-    loop.  ``REPRO_KERNEL_BACKEND`` forces one.
-
-    ``memory_budget`` bounds the bytes one chunk may materialize — both
-    the per-chunk dense planes (see :func:`batch_chunk_size`) and the
-    transient per-level gather arrays, which are processed in segments
-    past the budget (default ``REPRO_BATCH_MEMORY_BUDGET``, else
-    64 MiB).
-    """
-    source_list = list(sources)
-    for s in source_list:
-        _check_source(csr, s)
-    r = normalize_radius(radius)
-    if not source_list:
-        return
-    chunk = batch_chunk_size(csr.num_vertices, len(source_list), memory_budget)
-    backend = _BACKEND
-    if backend == "auto":
-        cells = min(chunk, len(source_list)) * max(1, csr.num_vertices)
-        if cells < BATCH_VECTOR_MIN_CELLS:
-            for s in source_list:
-                yield _scalar_bfs(csr, s, r, as_float)
-            return
-    gather_cap = max(1, _memory_budget(memory_budget) // _GATHER_BYTES_PER_EDGE)
-    if backend in ("auto", "scipy") and _scipy_usable(csr):
-        if r is None:
-            # The radius-blind C Dijkstra batch: unbounded searches cover
-            # whole components, where its dense rows convert cheaply.
-            yield from _scipy_batched_bfs(csr, source_list, r, as_float, chunk)
-        else:
-            yield from _hybrid_batched_bfs(csr, source_list, r, as_float, chunk,
-                                           spmm=True, gather_cap=gather_cap)
-        return
-    if backend in ("auto", "numpy", "scipy") and _np is not None:
-        yield from _hybrid_batched_bfs(csr, source_list, r, as_float, chunk,
-                                       spmm=False, gather_cap=gather_cap)
-        return
-    for s in source_list:
-        yield _scalar_bfs(csr, s, r, as_float)
-
-
-def _hybrid_batched_bfs(
-    csr: CSRGraph, source_list: List[int], r: Optional[int], as_float: bool,
-    chunk: int, *, spmm: bool, gather_cap: int
-):
-    """Direction-optimizing batched level expansion over a chunk of sources.
-
-    Each source occupies one *slot*; a frontier entry is the combined key
-    ``slot * n + vertex``, so one visited buffer serves the whole chunk.
-    While the frontier is sparse, levels advance by **gathering** the
-    frontier's neighbor lists (vectorized, cost proportional to the
-    frontier's incident edges — shallow or thin explorations never pay
-    for the whole graph).  Once the frontier's incident edges pass
-    ``nnz * k / _DENSE_FRONTIER_FRACTION`` (and ``spmm`` is allowed),
-    the expansion switches to dense **SpMM** steps — one C-speed
-    ``adjacency @ frontier`` product per level over ``n x k`` planes —
-    which beats gathering on saturated frontiers.  ``numpy.unique`` over
-    combined keys (gather) and row-major ``nonzero`` (SpMM) both emit
-    ascending ``(slot, vertex)``, the canonical per-source level order.
-    """
-    indptr, indices = csr.numpy_views()[:2]
-    matrix = csr.scipy_matrix() if spmm else None
-    n = csr.num_vertices
-    nnz = len(csr.indices)
-    for start in range(0, len(source_list), chunk):
-        block = _np.asarray(source_list[start:start + chunk], dtype=_np.int64)
-        k = block.shape[0]
-        visited = _np.zeros(k * n, dtype=bool)
-        slots = _np.arange(k, dtype=_np.int64)
-        verts = block
-        visited[slots * n + verts] = True
-        # levels[d] = (slots, verts) discovered at depth d, ascending by
-        # (slot, vertex) — assembly cost tracks ball sizes, not n * k.
-        levels: List[Tuple[Any, Any]] = [(slots, verts)]
-        depth = 0
-        dense = False
-        new_plane = None
-        visited_plane = None
-        while verts.size and (r is None or depth < r):
-            if not dense:
-                starts = indptr[verts]
-                counts = indptr[verts + 1] - starts
-                total = int(counts.sum())
-                if total == 0:
-                    break
-                if matrix is not None and total * _DENSE_FRONTIER_FRACTION >= nnz * k:
-                    dense = True
-                    visited_plane = visited.reshape(k, n)
-                    continue  # redo this level with a dense step
-                keys = _gather_level(indices, visited, slots, verts, counts,
-                                     starts, n, total, gather_cap)
-                if keys.size == 0:
-                    break
-                slots = keys // n
-                verts = keys - slots * n
-            else:
-                if new_plane is None:  # first dense step: scatter the frontier
-                    frontier = _np.zeros((n, k), dtype=_np.float64)
-                    frontier[verts, slots] = 1.0
-                else:
-                    frontier = new_plane.astype(_np.float64)
-                product = matrix @ frontier
-                new = product != 0
-                new &= ~visited_plane.T
-                slots, verts = new.T.nonzero()
-                if verts.size == 0:
-                    break
-                visited_plane |= new.T
-                new_plane = new
-            depth += 1
-            levels.append((slots, verts))
-        yield from _levels_to_dicts(levels, k, as_float)
-
-
-def _gather_level(indices, visited, slots, verts, counts, starts, n: int,
-                  total: int, gather_cap: int):
-    """One gathered level: the sorted unique unvisited neighbor keys.
-
-    Marks the returned keys visited.  Frontiers whose incident edge
-    count exceeds ``gather_cap`` are processed in prefix segments so
-    the transient gather arrays stay within the memory budget; segments
-    mark ``visited`` as they go (so cross-segment duplicates drop), and
-    the disjoint per-segment key sets are merged with one final sort —
-    the same ascending ``(slot, vertex)`` set a single pass yields.
-    """
-    if total <= gather_cap:
-        bounds = [0, counts.shape[0]]
-    else:
-        prefix = _np.cumsum(counts)
-        bounds = [0]
-        while bounds[-1] < counts.shape[0]:
-            lo = bounds[-1]
-            consumed = int(prefix[lo - 1]) if lo else 0
-            # Largest hi with at most gather_cap edges in [lo, hi); always
-            # take at least one vertex (a single huge row cannot split).
-            hi = int(_np.searchsorted(prefix, consumed + gather_cap, side="right"))
-            bounds.append(min(max(hi, lo + 1), counts.shape[0]))
-    collected = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        seg_counts = counts[lo:hi]
-        seg_total = int(seg_counts.sum())
-        if seg_total == 0:
-            continue
-        cum = _np.empty(seg_counts.shape[0] + 1, dtype=_np.int64)
-        cum[0] = 0
-        _np.cumsum(seg_counts, out=cum[1:])
-        offsets = _np.repeat(starts[lo:hi] - cum[:-1], seg_counts) \
-            + _np.arange(seg_total)
-        keys = _np.repeat(slots[lo:hi], seg_counts) * n + indices[offsets]
-        keys = keys[~visited[keys]]
-        if keys.size == 0:
-            continue
-        keys = _np.unique(keys)
-        visited[keys] = True
-        collected.append(keys)
-    if not collected:
-        return _np.empty(0, dtype=_np.int64)
-    if len(collected) == 1:
-        return collected[0]
-    return _np.sort(_np.concatenate(collected))
-
-
-def _scipy_batched_bfs(
-    csr: CSRGraph, source_list: List[int], r: Optional[int], as_float: bool, chunk: int
-):
-    matrix = csr.scipy_matrix()
-    limit = _np.inf if r is None else float(r)
-    for start in range(0, len(source_list), chunk):
-        block = source_list[start:start + chunk]
-        dense = _scipy_csgraph_dijkstra(
-            matrix, unweighted=True, indices=block, limit=limit
-        )
-        dense = _np.atleast_2d(dense)
-        for row in dense:
-            yield _dense_to_dict(row, as_float)
-
-
-def _levels_to_dicts(levels, k: int, as_float: bool):
-    """Per-slot distance dicts from per-level ``(slots, verts)`` arrays."""
-    grid = _np.arange(k + 1, dtype=_np.int64)
-    sliced = []
-    for slots, verts in levels:
-        bounds = _np.searchsorted(slots, grid)
-        sliced.append((bounds, verts.tolist()))
-    for slot in range(k):
-        out: Dict = {}
-        for depth, (bounds, verts) in enumerate(sliced):
-            value = float(depth) if as_float else depth
-            for v in verts[bounds[slot]:bounds[slot + 1]]:
-                out[v] = value
-        yield out
 
 
 # ----------------------------------------------------------------------
@@ -890,8 +600,8 @@ def multi_source_attributed(
 ) -> Dict[int, Tuple[int, int]]:
     """One pass mapping each reached vertex to ``(nearest source, distance)``.
 
-    The Voronoi-style companion of :func:`batched_bfs` for call sites
-    that do not need full per-source balls — e.g. "attach every cluster
+    The Voronoi-style companion of :func:`ball` for call sites that do
+    not need full per-source balls — e.g. "attach every cluster
     to its closest sampled center".  Ties are broken toward the smallest
     source ID (the same canonical rule as :func:`multi_source_bfs`, which
     this wraps), and iteration order is ascending ``(distance, vertex)``.

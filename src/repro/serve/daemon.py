@@ -282,7 +282,11 @@ class OracleDaemon:
         self._default_deadline_ms = default_deadline_ms
         self.retry_after_seconds = float(retry_after_seconds)
         self._inflight_cond = threading.Condition()
+        # ``_inflight_requests`` counts every request until its response is
+        # written (drain waits on it); ``_admitted_requests`` counts the
+        # POSTs holding an admission slot, which they free before writing.
         self._inflight_requests = 0
+        self._admitted_requests = 0
         self.shed_requests = 0
         self.deadline_exceeded = 0
         # The histogram instance works standalone (it feeds ``/stats``
@@ -425,9 +429,10 @@ class OracleDaemon:
         """
         with self._inflight_cond:
             inflight = self._inflight_requests
+            admitted = self._admitted_requests
             draining = self._draining
         saturated = (self._max_inflight is not None
-                     and inflight >= self._max_inflight)
+                     and admitted >= self._max_inflight)
         degraded = saturated or any(
             entry.live and entry.engine.degraded for entry in self._entries.values()
         )
@@ -658,9 +663,10 @@ class OracleDaemon:
             if self._draining or self._closed:
                 reason = "draining"
             elif (self._max_inflight is not None
-                    and self._inflight_requests >= self._max_inflight):
+                    and self._admitted_requests >= self._max_inflight):
                 reason = "overload"
             else:
+                self._admitted_requests += 1
                 self._inflight_requests += 1
                 return True, ""
         with self._counter_lock:
@@ -668,6 +674,16 @@ class OracleDaemon:
         inc("repro_daemon_shed_total", reason=reason,
             help="Requests shed with 503 by admission control")
         return False, reason
+
+    def _release_admission(self) -> None:
+        """Free an admitted request's slot once its answer is computed.
+
+        Freed before the response is written: a client that has read its
+        response and sends the next request must find the slot free,
+        however late the handler thread is scheduled afterwards.
+        """
+        with self._inflight_cond:
+            self._admitted_requests -= 1
 
     def _begin_request(self) -> None:
         """Track a non-admission-controlled (GET) request for drain."""
@@ -845,6 +861,7 @@ class _DaemonHandler(BaseHTTPRequestHandler):
             return
         oracle = ""
         headers: Optional[Dict[str, str]] = None
+        admitted = True
         try:
             with span("daemon.request", endpoint=self.path) as request_span:
                 try:
@@ -868,8 +885,12 @@ class _DaemonHandler(BaseHTTPRequestHandler):
                     code, payload = 404, {"error": error.args[0] if error.args else str(error)}
                 except Exception as error:  # pragma: no cover - defensive
                     code, payload = 500, {"error": str(error)}
+                admitted = False
+                self.daemon._release_admission()
                 self._respond(code, payload, started, oracle=oracle, headers=headers)
         finally:
+            if admitted:  # pragma: no cover - only if the span itself raised
+                self.daemon._release_admission()
             self.daemon._end_request()
 
     # Wrong-method probes on the query endpoints get 405, not a stack trace.

@@ -41,7 +41,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.graphs import kernels
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import bounded_bfs
 
 __all__ = [
     "QUERY_WORKLOADS",
@@ -105,32 +104,27 @@ def local_queries(
     stream always has ``num_queries`` valid pairs even on disconnected
     graphs.
 
-    Ball computation is batched: when the stream is long enough that most
-    vertices will be drawn anyway, every ball is computed up front in
-    chunked multi-source kernel passes (:func:`~repro.graphs.kernels
-    .batched_bfs`) instead of one Python BFS per distinct source; short
-    streams keep the lazy per-source path.  Both paths produce identical
-    ball lists — targets are sampled *from the full ball*, so the
-    Voronoi-style :func:`~repro.graphs.kernels.multi_source_attributed`
-    assignment (which hands each vertex to a single source) cannot serve
-    here — and the generated stream is byte-identical either way.
+    Each distinct source's ball is read once, with
+    :func:`~repro.graphs.kernels.ball`, when the stream first draws it;
+    its canonical ``(distance, vertex)`` order puts the source first.
+    Targets are sampled *from the full ball*, so the Voronoi-style
+    :func:`~repro.graphs.kernels.multi_source_attributed` assignment
+    (which hands each vertex to a single source) cannot serve here.
     """
     n = graph.num_vertices
     _require_pairs(n)
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
     rng = random.Random(seed)
+    csr = graph.csr()
     balls: Dict[int, List[int]] = {}
-    if 2 * num_queries >= n:
-        explorations = kernels.batched_bfs(graph.csr(), range(n), radius)
-        for u, dist in zip(range(n), explorations):
-            balls[u] = [v for v in dist if v != u]
     pairs: List[Pair] = []
     for _ in range(num_queries):
         u = rng.randrange(n)
         ball = balls.get(u)
         if ball is None:
-            ball = [v for v in bounded_bfs(graph, u, radius) if v != u]
+            others = kernels.ball(csr, u, radius)[0][1:]
+            ball = others if isinstance(others, list) else others.tolist()
             balls[u] = ball
         if ball:
             pairs.append((u, ball[rng.randrange(len(ball))]))

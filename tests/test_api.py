@@ -24,6 +24,7 @@ from repro.api import (
     run_sweep,
 )
 from repro.graphs import generators
+from repro.graphs.graph import Graph
 
 #: Every (product, method) pair the stock registrations support.
 EXPECTED_COMBOS = [
@@ -156,6 +157,14 @@ class TestFacade:
         assert stats["product"] == product
         report = result.verify(grid25, sample_pairs=40)
         assert report.valid
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("product,method", available_builders())
+    def test_default_spec_builds_tiny_graphs(self, product, method, n):
+        graph = generators.path_graph(n) if n else Graph(0)
+        result = build(graph, BuildSpec(product=product, method=method))
+        assert result.size == len(result.edges) <= n * (n - 1) // 2
+        assert result.verify(graph).valid
 
     def test_unknown_combo_raises_keyerror(self, grid25):
         # Every vocabulary combo is registered now, so deregister one to

@@ -13,6 +13,10 @@ The centralized emulator is additionally pinned at three non-default
 ``(eps, kappa)`` settings whose phases run at delta > 1, so partial
 and whole-component explorations are both covered.
 
+The comparison baselines (EP01, and EN17 and TZ06 at ``seed=0``) are
+pinned on the same families: H's edges in ``WeightedGraph.edges()``
+order, its size and the builder's edge counters.
+
 A refactor of a builder must leave every digest unchanged.  After a
 deliberate change of output, regenerate the file with::
 
@@ -33,6 +37,11 @@ from pathlib import Path
 import pytest
 
 from repro.api import BuildSpec, build
+from repro.baselines import (
+    build_elkin_neiman_emulator,
+    build_elkin_peleg_emulator,
+    build_thorup_zwick_emulator,
+)
 from repro.core.emulator import UltraSparseEmulatorBuilder
 from repro.core.fast_centralized import FastCentralizedBuilder
 from repro.core.spanner import NearAdditiveSpannerBuilder, SpannerResult
@@ -56,6 +65,16 @@ METHODS = ("centralized", "fast", "congest")
 #: Extra (eps, kappa) settings for the centralized emulator.
 EXTRA_SETTINGS = ((0.5, 8.0), (1.0, 8.0), (0.25, 16.0))
 
+#: baseline name -> builder, seeded where the construction is randomized.
+BASELINES = {
+    "elkin-peleg": build_elkin_peleg_emulator,
+    "elkin-neiman": functools.partial(build_elkin_neiman_emulator, seed=0),
+    "thorup-zwick": functools.partial(build_thorup_zwick_emulator, seed=0),
+}
+
+#: The edge counters each baseline result reports.
+BASELINE_COUNTERS = ("superclustering_edges", "interconnection_edges", "ground_forest_edges")
+
 
 def _cases():
     for family in FAMILIES:
@@ -66,6 +85,8 @@ def _cases():
         for eps, kappa in EXTRA_SETTINGS:
             yield f"{family}/emulator/centralized/eps={eps}/kappa={kappa}", family, BuildSpec(
                 product="emulator", method="centralized", eps=eps, kappa=kappa)
+        for baseline in BASELINES:
+            yield f"{family}/baseline/{baseline}", family, baseline
 
 
 CASES = {name: (family, spec) for name, family, spec in _cases()}
@@ -81,7 +102,16 @@ def _cluster_key(cluster):
 
 def _snapshot(family, spec):
     """The pinned view of one build: plain values and digests."""
+    if isinstance(spec, str):
+        return _baseline_snapshot(BASELINES[spec](FAMILIES[family]()))
     return _result_snapshot(build(FAMILIES[family](), spec), spec)
+
+
+def _baseline_snapshot(raw):
+    snapshot = {"h_edges": _digest(list(raw.emulator.edges())), "size": raw.num_edges}
+    snapshot.update(
+        {name: getattr(raw, name) for name in BASELINE_COUNTERS if hasattr(raw, name)})
+    return snapshot
 
 
 def _result_snapshot(result, spec):

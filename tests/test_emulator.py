@@ -307,3 +307,19 @@ class TestExplorations:
         assert stats.delta == 6.0 and stats.popular_centers == 1
         assert stats.delta in {radius for _, radius in balls}
         assert all(radius != 2 * stats.delta for _, radius in balls)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 2.5, 3, 7, None])
+def test_neighboring_centers_match_the_reference(radius):
+    from repro.graphs.shortest_paths import _dict_bounded_bfs
+
+    graphs = (generators.gnm_random_graph(90, 150, seed=5),
+              generators.gnm_random_graph(120, 100, seed=6),  # isolated vertices
+              generators.path_graph(40))
+    for graph in graphs:
+        centers = list(range(0, graph.num_vertices, 3))
+        got = emulator_module.neighboring_centers(graph.csr(), centers, radius)
+        for center in centers:
+            ball = _dict_bounded_bfs(graph, center, radius)
+            want = sorted((c, float(ball[c])) for c in centers if c != center and c in ball)
+            assert got[center] == want, (graph.num_vertices, center, radius)

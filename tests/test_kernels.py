@@ -23,14 +23,13 @@ from repro.graphs import generators, kernels
 from repro.graphs.csr import CSRGraph, WeightedCSRGraph
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import (
-    ExplorationCache,
     _dict_bounded_bfs,
     _dict_multi_source_bfs,
     bfs_distances,
     bounded_bfs,
     diameter,
+    multi_source_attributed,
     multi_source_bfs,
-    shared_explorations,
 )
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.hopsets.bounded_hop import hop_limited_distances, union_with_graph
@@ -180,6 +179,35 @@ def test_multi_source_deterministic_across_backends():
             expected = runs
         else:
             assert runs == expected, name
+
+
+def test_multi_source_attributed_equivalence(backend):
+    rng = random.Random(200 + len(backend))
+    for g in GRAPH_CASES:
+        n = g.num_vertices
+        if n == 0:
+            assert multi_source_attributed(g, []) == {}
+            continue
+        for trial in range(4):
+            sources = rng.sample(range(n), min(n, 1 + trial))
+            for radius in (None, 0, 1, 3.5, float("inf")):
+                got = multi_source_attributed(g, sources, radius)
+                dist, origin = _dict_multi_source_bfs(g, sources, radius)
+                assert got == {v: (origin[v], d) for v, d in dist.items()}, (
+                    backend, n, sources, radius,
+                )
+
+
+def test_multi_source_attributed_tie_break(backend):
+    # Even cycle: vertex 0 and 4 are equidistant from sources 2 and 6.
+    g = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    attributed = multi_source_attributed(g, [6, 2])
+    assert attributed[0] == (2, 2) and attributed[4] == (2, 2)
+    assert attributed[2] == (2, 0) and attributed[6] == (6, 0)
+
+
+def test_multi_source_attributed_empty_sources(backend):
+    assert multi_source_attributed(Graph(4, [(0, 1)]), []) == {}
 
 
 def test_iteration_order_identical_across_backends():
@@ -497,53 +525,6 @@ def test_content_hash_ignores_memo_on_copy_mutation():
     assert clone.content_hash() == g.content_hash()
     clone.add_edge(0, 11) if not clone.has_edge(0, 11) else clone.remove_edge(0, 11)
     assert clone.content_hash() != g.content_hash()
-
-
-# ----------------------------------------------------------------------
-# Exploration cache
-# ----------------------------------------------------------------------
-def test_exploration_cache_hits_and_copies():
-    g = random_graph(40, 3.0, 64)
-    cache = ExplorationCache(g)
-    with shared_explorations(cache):
-        first = bounded_bfs(g, 3, 2)
-        second = bounded_bfs(g, 3, 2.9)  # clamps to the same radius
-        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
-        assert first == second and first is not second
-        first[999] = 999  # mutating a returned copy must not poison the store
-        assert bounded_bfs(g, 3, 2) == second
-        dist_a, orig_a = multi_source_bfs(g, [1, 5], 3)
-        dist_b, orig_b = multi_source_bfs(g, [5, 1], 3.5)
-        assert (dist_a, orig_a) == (dist_b, orig_b)
-    assert bounded_bfs(g, 3, 2) == second  # uninstalled: straight computation
-
-
-def test_exploration_cache_only_serves_its_graph():
-    g = random_graph(30, 3.0, 65)
-    other = random_graph(30, 3.0, 66)
-    cache = ExplorationCache(g)
-    with shared_explorations(cache):
-        bounded_bfs(g, 0, 2)
-        bounded_bfs(other, 0, 2)
-    assert cache.stats()["misses"] == 1  # the other graph never touched it
-
-
-def test_exploration_cache_bounded():
-    g = random_graph(30, 3.0, 67)
-    cache = ExplorationCache(g, max_entries=3)
-    with shared_explorations(cache):
-        for s in range(6):
-            bounded_bfs(g, s, 1)
-    assert cache.stats()["entries"] == 3
-    with pytest.raises(ValueError):
-        ExplorationCache(g, max_entries=0)
-
-
-def test_shared_explorations_accepts_none():
-    g = Graph(2, [(0, 1)])
-    with shared_explorations(None) as installed:
-        assert installed is None
-        assert bfs_distances(g, 0) == {0: 0, 1: 1}
 
 
 # ----------------------------------------------------------------------

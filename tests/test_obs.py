@@ -237,11 +237,9 @@ def _sweep_span_multiset(workers):
     graph = _graph(40)
     sweep = GridSweep(products=("emulator",), methods=("centralized", "fast"),
                       eps_values=(0.1,), kappas=(4.0,), rhos=(0.45,))
-    # No shared exploration cache and no result cache: cache counters are
-    # order-dependent across processes and hits skip whole builds, so
-    # parity is only well-defined without them.
-    records = run_sweep({"g": graph}, sweep, workers=workers,
-                        share_explorations=False, cache=None)
+    # No result cache: hits skip whole builds, so parity is only
+    # well-defined without it.
+    records = run_sweep({"g": graph}, sweep, workers=workers, cache=None)
     assert len(records) == 2
     spans = sorted(
         (record.name, tuple(sorted(record.attrs.items())))

@@ -34,7 +34,10 @@ class TestSizeBound:
             assert ultra_sparse_kappa(n) > math.log2(n)
 
     def test_ultra_sparse_kappa_small_n(self):
-        assert ultra_sparse_kappa(2) == 2.0
+        # Below 4 vertices the n = 4 value, so 1/kappa <= rho < 1/2 has a
+        # solution (the default rho = 0.45) for the ruling-set schedules.
+        for n in (0, 1, 2, 3):
+            assert ultra_sparse_kappa(n) == ultra_sparse_kappa(4) == 4.0
 
 
 class TestCentralizedSchedule:

@@ -12,6 +12,7 @@ from repro.congest.ruling_sets import (
     greedy_ruling_set,
     verify_ruling_set,
 )
+from repro.graphs import generators
 from repro.graphs.shortest_paths import bfs_distances
 
 
@@ -117,3 +118,21 @@ class TestVerifyRulingSet:
 
     def test_empty_members_nonempty_candidates(self, path10):
         assert not verify_ruling_set(path10, [3], set(), 2, 2)
+
+
+def test_bitwise_ruling_set_merge_explores_once_per_candidate(monkeypatch):
+    """The merge sweep must not rerun one candidate's BFS per merged member."""
+    from repro.congest import ruling_sets
+
+    g = generators.gnm_random_graph(60, 90, seed=43)
+    candidates = list(range(0, 60, 2))
+    calls = []
+    real = ruling_sets.bounded_bfs
+
+    def counting(graph, source, radius):
+        calls.append(source)
+        return real(graph, source, radius)
+
+    monkeypatch.setattr(ruling_sets, "bounded_bfs", counting)
+    ruling_sets.bitwise_ruling_set(g, candidates, 4.0)
+    assert len(calls) == len(set(calls))  # one exploration per candidate

@@ -2,16 +2,30 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
 
-from repro.graphs import generators
+from repro.graphs import generators, kernels
+from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import bfs_distances
 from repro.serve import available_workloads, generate_queries
 
 
 GRAPH = generators.connected_erdos_renyi(64, 0.08, seed=9)
+
+
+def _disconnected_graph(seed):
+    """Two random components plus isolated vertices."""
+    rng = random.Random(seed)
+    g = Graph(60)
+    for lo, hi in ((0, 25), (25, 50)):  # vertices 50..59 stay isolated
+        for _ in range(60):
+            u, v = rng.randrange(lo, hi), rng.randrange(lo, hi)
+            if u != v:
+                g.add_edge(u, v)
+    return g
 
 
 class TestCommonProperties:
@@ -71,6 +85,28 @@ class TestShapes:
         isolated = Graph(5)  # no edges at all: every ball is empty
         pairs = generate_queries(isolated, "local", 50, seed=0)
         assert len(pairs) == 50
+
+    def test_local_stream_is_prefix_stable(self):
+        graph = generators.gnm_random_graph(100, 200, seed=44)
+        # Each source's ball is computed when the stream first draws it, so
+        # a shorter stream is a prefix of a longer one with the same seed.
+        longer = generate_queries(graph, "local", 300, seed=9)
+        for num in (10, 49):
+            assert longer[:num] == generate_queries(graph, "local", num, seed=9), num
+
+    def test_local_identical_across_backends_and_disconnected(self):
+        graph = _disconnected_graph(45)  # isolated vertices take the fallback pair
+        expected = None
+        for name in kernels.available_backends():
+            kernels.set_backend(name)
+            try:
+                stream = generate_queries(graph, "local", 250, seed=5)
+            finally:
+                kernels.set_backend("auto")
+            if expected is None:
+                expected = stream
+            else:
+                assert stream == expected, name
 
     def test_mixed_stream_re_reads_a_hot_set(self):
         pairs = generate_queries(GRAPH, "mixed", 500, seed=0)
