@@ -9,9 +9,14 @@ this reason; a regression below that is a bug, not noise).
 
 from __future__ import annotations
 
+import os
 import random
 import time
 
+import numpy as np
+from scipy.sparse import csgraph
+
+import repro
 from repro.graphs import generators, kernels
 from repro.graphs.shortest_paths import (
     _dict_bfs_distances,
@@ -114,3 +119,55 @@ def test_bench_kernel_dijkstra(benchmark, tier_n):
 
     result = benchmark(lambda: [kernels.dijkstra(wcsr, s) for s in sources])
     assert len(result) == len(sources)
+
+
+def test_bench_kernel_rows(tier_n):
+    """Unbounded rows: the kernel each snapshot selects vs scipy's heap.
+
+    Prints the per-row time of ``bfs_row`` on gnm (m = 4n), square-grid
+    and path graphs and of ``dijkstra_row`` on the default emulator of
+    the gnm graph, next to :func:`scipy.sparse.csgraph.dijkstra` called
+    directly on the same matrix.  Rows must match bit for bit, and both
+    gnm inputs must select breadth-first order.  The wall-clock check
+    (breadth-first order no slower than the heap on the gnm inputs) runs
+    only with ``REPRO_BENCH_WALL_CLOCK=1``, as in the CI benchmarks job,
+    so the tier-1 run stays free of timing assertions.
+    """
+    n = tier_n(10_000)
+    side = int(n ** 0.5)
+    gnm = generators.gnm_random_graph(n, 4 * n, seed=0)
+    emulator = repro.build(gnm, repro.BuildSpec()).raw.emulator
+    cases = (  # name, snapshot, row kernel, whether scipy reads it unweighted, gnm
+        ("bfs_row gnm", gnm.csr(), kernels.bfs_row, True, True),
+        ("bfs_row grid", generators.grid_graph(side, side).csr(), kernels.bfs_row, True, False),
+        ("bfs_row path", generators.path_graph(n).csr(), kernels.bfs_row, True, False),
+        ("dijkstra_row gnm emulator", emulator.csr(), kernels.dijkstra_row, False, True),
+    )
+    sources = _sources(gnm, 8)
+    wall_clock = os.environ.get("REPRO_BENCH_WALL_CLOCK") == "1"
+    print()
+    for name, csr, row, unweighted, is_gnm in cases:
+        matrix = csr.scipy_matrix()
+        picks = [s % csr.num_vertices for s in sources]
+
+        def heap(s, matrix=matrix, unweighted=unweighted):
+            return csgraph.dijkstra(matrix, unweighted=unweighted, indices=s)
+
+        for s in picks:  # the first row also makes the snapshot's selection
+            assert np.array_equal(row(csr, s), heap(s)), (name, s)
+        assert csr._bfs_rows or not is_gnm, name
+        times = {}
+        for label, fn in (("kernel", lambda s: row(csr, s)), ("heap", heap)):
+            rounds = []
+            for _ in range(5):
+                start = time.perf_counter()
+                for s in picks:
+                    fn(s)
+                rounds.append(time.perf_counter() - start)
+            times[label] = min(rounds) / len(picks) * 1e3
+        path = "breadth-first order" if csr._bfs_rows else "heap"
+        print(f"{name:27s} n={csr.num_vertices:6d} {path:19s} "
+              f"{times['kernel']:7.3f} ms/row, heap {times['heap']:7.3f} ms/row "
+              f"({times['heap'] / times['kernel']:.2f}x)")
+        if wall_clock and is_gnm:
+            assert times["kernel"] <= times["heap"], (name, times)

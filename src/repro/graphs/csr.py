@@ -24,9 +24,10 @@ lifecycle as the memoized ``content_hash`` — any mutation drops the
 cached snapshot and the next kernel call recompiles it.
 
 Derived views (Python adjacency lists for the scalar kernels, numpy /
-scipy wrappers for the vectorized ones, and the per-snapshot epoch
-workspace) are built on first use and excluded from pickling, so a
-snapshot travels to worker processes as just its flat buffers.
+scipy wrappers for the vectorized ones, the unit graph the row kernel
+walks in breadth-first order, and the per-snapshot epoch workspace) are
+built on first use and excluded from pickling, so a snapshot travels to
+worker processes as just its flat buffers.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class CSRGraph:
     """An immutable CSR snapshot of an unweighted :class:`~repro.graphs.graph.Graph`."""
 
     __slots__ = ("num_vertices", "indptr", "indices",
-                 "_adjacency", "_numpy", "_scipy", "_workspace")
+                 "_adjacency", "_numpy", "_scipy", "_bfs_rows", "_workspace")
 
     def __init__(self, num_vertices: int, indptr: array, indices: array) -> None:
         self.num_vertices = num_vertices
@@ -55,6 +56,9 @@ class CSRGraph:
         self._adjacency: Optional[List[List[int]]] = None
         self._numpy: Optional[Tuple[Any, Any]] = None
         self._scipy: Any = None
+        #: Whether unbounded rows take the breadth-first-order kernel:
+        #: ``None`` until :mod:`repro.graphs.kernels` decides on the first one.
+        self._bfs_rows: Optional[bool] = None
         self._workspace: Any = None
 
     @classmethod
@@ -121,6 +125,11 @@ class CSRGraph:
             self._scipy = _build_scipy_matrix(self, data=None)
         return None if self._scipy is _SCIPY_UNAVAILABLE else self._scipy
 
+    def unit_matrix(self):
+        """A unit-weight ``csr_matrix`` whose hop distances between vertices
+        ``0 .. n - 1`` are the snapshot's distances: here, the snapshot."""
+        return self.scipy_matrix()
+
     # ------------------------------------------------------------------
     # Pickling: ship only the flat buffers
     # ------------------------------------------------------------------
@@ -142,13 +151,14 @@ class WeightedCSRGraph(CSRGraph):
     adjacency view for the scalar Dijkstra kernel.
     """
 
-    __slots__ = ("weights", "_pairs")
+    __slots__ = ("weights", "_pairs", "_subdivision")
 
     def __init__(self, num_vertices: int, indptr: array, indices: array,
                  weights: array) -> None:
         super().__init__(num_vertices, indptr, indices)
         self.weights = weights
         self._pairs: Optional[List[List[Tuple[int, float]]]] = None
+        self._subdivision: Any = None
 
     @classmethod
     def from_weighted_graph(cls, graph) -> "WeightedCSRGraph":
@@ -199,6 +209,64 @@ class WeightedCSRGraph(CSRGraph):
         if self._scipy is None:
             self._scipy = _build_scipy_matrix(self, data=self.weights)
         return None if self._scipy is _SCIPY_UNAVAILABLE else self._scipy
+
+    def subdivision_size(self) -> Optional[int]:
+        """Dummy vertices of the unit subdivision (``sum(w - 1)`` over the
+        edges), or ``None`` when a weight is not a positive integer."""
+        weights = self.numpy_views()[2]
+        if not (weights >= 1).all() or (weights % 1).any():
+            return None
+        return int(weights.sum()) // 2 - self.num_edges
+
+    def unit_matrix(self):
+        """The unit subdivision as a ``csr_matrix``.
+
+        Each edge of integer weight ``w`` becomes a chain of ``w - 1``
+        dummy vertices, numbered from ``n`` on in edge order, so hop
+        distances between original vertices equal weighted distances.
+        Built once per snapshot; ``ValueError`` unless every weight is a
+        positive integer (see :meth:`subdivision_size`).
+        """
+        if self._subdivision is None:
+            self._subdivision = self._build_subdivision()
+        return self._subdivision
+
+    def _build_subdivision(self):
+        from scipy.sparse import csr_matrix
+
+        dummies = self.subdivision_size()
+        if dummies is None:
+            raise ValueError("a unit subdivision needs positive-integer weights")
+        if dummies == 0:  # every weight is 1: the snapshot itself
+            return self.scipy_matrix()
+        indptr, indices, weights = self.numpy_views()
+        n = self.num_vertices
+        tails = _np.repeat(_np.arange(n, dtype=_np.int32), _np.diff(indptr))
+        forward = tails < indices
+        u, v = tails[forward], indices[forward]
+        links = weights[forward].astype(_np.int64)  # unit edges per chain
+        # Edge e's chain u, first[e], ..., last[e], v (first > last: no dummies).
+        first = n + _np.cumsum(links - 1) - (links - 1)
+        last = first + links - 2
+        # An original vertex keeps its degree: its entry for an edge points
+        # at the other end, or at the chain's dummy next to it.  The reverse
+        # entries (row v, column u) come in the edges' (v, u) order.
+        backward = _np.lexsort((u, v))
+        neighbor = indices.astype(_np.int64)
+        neighbor[forward] = _np.where(links > 1, first, v)
+        neighbor[~forward] = _np.where(links[backward] > 1, last[backward], u[backward])
+        # Each dummy's two neighbors: its predecessor and successor on the chain.
+        chain = _np.repeat(_np.arange(links.shape[0]), links - 1)
+        dummy = _np.arange(n, n + dummies)
+        before = _np.where(dummy == first[chain], u[chain], dummy - 1)
+        after = _np.where(dummy == last[chain], v[chain], dummy + 1)
+        size = n + dummies
+        return csr_matrix(
+            (_np.ones(neighbor.shape[0] + 2 * dummies),
+             _np.concatenate((neighbor, _np.stack((before, after), axis=1).ravel())),
+             _np.concatenate((indptr, indptr[-1] + 2 * _np.arange(1, dummies + 1)))),
+            shape=(size, size),
+        )
 
     def __getstate__(self):
         state = super().__getstate__()

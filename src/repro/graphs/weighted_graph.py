@@ -175,7 +175,8 @@ class WeightedGraph:
             The source vertex.
         max_distance:
             If given, vertices farther than this are not reported and the
-            search is pruned at that radius.
+            search is pruned at that radius.  ``inf`` is the same as
+            ``None``; NaN and negative values raise ``ValueError``.
 
         Returns
         -------

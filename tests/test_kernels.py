@@ -18,6 +18,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from repro.graphs import generators, kernels
 from repro.graphs.csr import CSRGraph, WeightedCSRGraph
@@ -310,6 +311,47 @@ def test_bfs_row_matches_reference():
                        if v not in reference)
             assert _finite_items(kernels.bfs_row(csr, s, 2)) == _canonical(
                 _dict_bounded_bfs(g, s, 2))
+    # Long, thin graphs keep the heap (their first row has narrow levels);
+    # the gnm graph takes breadth-first order.  Both kernels must give
+    # scipy's row bit for bit.
+    shapes = (
+        (generators.path_graph(300), False),
+        (generators.grid_graph(12, 15), False),
+        (generators.gnm_random_graph(400, 1600, seed=6), True),
+    )
+    for g, bfs_rows in shapes:
+        csr = g.csr()
+        for s in range(g.num_vertices):
+            expected = csgraph.dijkstra(csr.scipy_matrix(), unweighted=True, indices=s)
+            assert np.array_equal(kernels.bfs_row(csr, s), expected)
+            assert np.array_equal(
+                kernels._bfs_order_row(csr.unit_matrix(), s, g.num_vertices)[0], expected)
+        assert csr._bfs_rows is bfs_rows
+
+
+def integer_weighted(n, num_edges, seed, weights=range(1, 7), isolated=3):
+    """Random integer ``weights``; the last ``isolated`` vertices stay isolated."""
+    weights = [float(w) for w in weights]
+    rng = random.Random(seed)
+    g = WeightedGraph(n)
+    for _ in range(num_edges):
+        u, v = rng.randrange(n - isolated), rng.randrange(n - isolated)
+        if u != v:
+            g.add_edge(u, v, rng.choice(weights))
+    return g
+
+
+def _assert_rows_match_scipy(g, sources, *, subdivide=True):
+    """``dijkstra_row`` (and, with ``subdivide``, breadth-first order over
+    the unit subdivision whatever the snapshot picked) equal scipy's rows."""
+    csr = g.csr()
+    for s in sources:
+        expected = csgraph.dijkstra(csr.scipy_matrix(), indices=s)
+        assert np.array_equal(kernels.dijkstra_row(csr, s), expected), s
+        if subdivide:
+            assert np.array_equal(
+                kernels._bfs_order_row(csr.unit_matrix(), s, g.num_vertices)[0], expected)
+    return csr
 
 
 def test_dijkstra_row_matches_reference():
@@ -325,6 +367,47 @@ def test_dijkstra_row_matches_reference():
             assert sum(1 for d in row.tolist() if not math.isinf(d)) == len(reference)
             assert _finite_items(kernels.dijkstra_row(csr, s, 5.0)) == _canonical(
                 g._dict_dijkstra(s, max_distance=5.0))
+        assert csr._bfs_rows is False  # fractional weights have no subdivision
+    # Integer weights: breadth-first order over the unit subdivision.
+    for g in (WeightedGraph(1), WeightedGraph(6, [(0, 1, 3.0), (1, 2, 1.0), (3, 4, 6.0)]),
+              integer_weighted(40, 30, 1), integer_weighted(120, 400, 2)):
+        _assert_rows_match_scipy(g, range(g.num_vertices))
+    # Past the dummy-vertex cap the snapshot keeps the heap and never
+    # builds its subdivision.
+    chain = WeightedGraph(30, [(i, i + 1, 5.0) for i in range(29)])
+    csr = _assert_rows_match_scipy(chain, range(30), subdivide=False)
+    assert csr._bfs_rows is False and csr._subdivision is None
+    # Above VECTOR_MIN_VERTICES the dict kernel reads the same rows.
+    g = integer_weighted(2100, 4000, 3, weights=(1, 1, 1, 2, 3))
+    csr = _assert_rows_match_scipy(g, range(0, 2100, 150))
+    assert csr._bfs_rows is True
+    for s in (0, 1049, 2099):
+        reference = g._dict_dijkstra(s)
+        assert list(kernels.dijkstra(csr, s).items()) == _canonical(reference)
+
+
+def test_infinite_max_distance_is_unbounded(monkeypatch):
+    g = integer_weighted(2100, 8000, 4)
+    csr = g.csr()
+    expected = kernels.dijkstra(csr, 5)
+
+    def scalar_heap(*args):
+        raise AssertionError("an unbounded search fell to the scalar heap")
+
+    monkeypatch.setattr(kernels, "_scalar_dijkstra", scalar_heap)
+    assert kernels.dijkstra(csr, 5, math.inf) == expected
+    assert g.dijkstra(5, max_distance=math.inf) == expected
+    assert np.array_equal(kernels.dijkstra_row(csr, 5, math.inf), kernels.dijkstra_row(csr, 5))
+    for bad in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError):
+            kernels.dijkstra(csr, 5, bad)
+        with pytest.raises(ValueError):
+            kernels.dijkstra_row(csr, 5, bad)
+        with pytest.raises(ValueError):
+            g.dijkstra(5, max_distance=bad)
+    assert kernels.normalize_max_distance(None) is None
+    assert kernels.normalize_max_distance(math.inf) is None
+    assert kernels.normalize_max_distance(3) == 3.0
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,28 @@
 """Golden serving digests: every stock backend answers byte-identically.
 
 For each stock backend (and a live emulator engine after one repaired
-insertion) on two seeded graphs, the SHA-256 of
+insertion) on four seeded graphs, the SHA-256 of
 
 * the answers to a fixed 500-query Zipf stream, and
 * ``list(engine.single_source(s).items())`` for three sources
 
-is pinned.  The small graph stays below the kernels" vectorization
-threshold and the large one above it, so both search paths are covered.
-The items digest pins iteration order as well as values.  A change to the
-serving path must leave every digest unchanged.
+is pinned.  The graphs cover both kernels behind the unbounded rows the
+emulator, spanner, exact and live backends serve (see
+``repro.graphs.kernels._unbounded_row``):
+
+* ``large`` (gnm, 2048 vertices) and ``grid`` (40 x 50) take
+  breadth-first order; the large emulator walks its unit subdivision
+  (0.58 dummy vertices per vertex), the grid's emulator is the grid;
+* ``ring`` (a 2000-vertex ring lattice) keeps scipy's heap on both
+  tests: its emulator's subdivision would add 4.9 dummy vertices per
+  vertex, and its unit rows' levels are 8 vertices wide;
+* ``small`` (gnm, 160 vertices) keeps the heap after its first row's
+  narrow levels; it is disconnected, so unreachable answers are pinned.
+
+Hopset answers and the phase searches are bounded rows, which always run
+on the heap; the grid's emulator has no repairable insertion, so it has
+no live digest.  The items digest pins iteration order as well as
+values.  A change to the serving path must leave every digest unchanged.
 """
 
 from __future__ import annotations
@@ -22,17 +35,32 @@ from repro.graphs import generators
 from repro.serve import ServeSpec, load
 from repro.serve.workloads import zipf_queries
 
-#: name -> (n, m, seed) of a ``gnm_random_graph``; the small one is
-#: disconnected, so unreachable answers are pinned too.
+#: name -> seeded graph factory.
 GRAPHS = {
-    "small": (160, 240, 3),
-    "large": (2048, 6144, 5),
+    "small": lambda: generators.gnm_random_graph(160, 240, seed=3),
+    "large": lambda: generators.gnm_random_graph(2048, 6144, seed=5),
+    "grid": lambda: generators.grid_graph(40, 50),
+    "ring": lambda: generators.watts_strogatz(2000, 8, 0.0, seed=0),
 }
-
-BACKENDS = ("emulator", "spanner", "hopset", "exact", "live")
 
 #: (graph, backend) -> (stream digest, single-source digest).
 GOLDEN = {
+    ("grid", "emulator"): (
+        "c8b211a27fad93e3a291ad8122798d0b39a73651ffc22c83bfa0caaa0f068422",
+        "29dbab6d5dd0a4386843dee0f99b8b593c91e1d32d6421246d513cb382b13890",
+    ),
+    ("grid", "spanner"): (
+        "c8b211a27fad93e3a291ad8122798d0b39a73651ffc22c83bfa0caaa0f068422",
+        "29dbab6d5dd0a4386843dee0f99b8b593c91e1d32d6421246d513cb382b13890",
+    ),
+    ("grid", "hopset"): (
+        "c8b211a27fad93e3a291ad8122798d0b39a73651ffc22c83bfa0caaa0f068422",
+        "4427a5956439d2e6ce5ef1f8d161de13487a1fbc649e19d42ef67f229381a3ab",
+    ),
+    ("grid", "exact"): (
+        "c8b211a27fad93e3a291ad8122798d0b39a73651ffc22c83bfa0caaa0f068422",
+        "29dbab6d5dd0a4386843dee0f99b8b593c91e1d32d6421246d513cb382b13890",
+    ),
     ("large", "emulator"): (
         "44c2bce5fb44a55b0f3c2fdeb2095b647a74233f07164323d86997e8180cb559",
         "b4a220f235bee99afee16c92e1d1881bf7de588dcd9b494b0a254ca68d1ae012",
@@ -73,6 +101,26 @@ GOLDEN = {
         "acf7ce772bb6ff96c8d1e48a069b37441fd28db685b90c001d37dcc6fd8a9877",
         "666de78fa003703f8e98c7faf3a1cb6e75d3ce63bf5ae2ddf910fa78a4e63364",
     ),
+    ("ring", "emulator"): (
+        "feff25d9089c805423f46c2656280fc13799292cbaa32512694dfc57bd8731ce",
+        "bccd7f807e7c6563f9b88eec9bb1eebd15b8cf86305e33248b935d10993fd5b7",
+    ),
+    ("ring", "spanner"): (
+        "da0dcde36c82ea9ac8c679bc1dc9a4d0d43450c6081ebec671ac36000cb8d9e0",
+        "8d79cad476fd13cb00a558b5e5b4c47d41d2301203a92788242b08ed52b66420",
+    ),
+    ("ring", "hopset"): (
+        "888fd0ccf171df074ce33fcc9282a1ed79a999ef38680f3516985fe651a90f30",
+        "c8b4d0b966c8c16931226ad2caf4b319ae8b0c8c60f437e8c41ef3bbfdbac36e",
+    ),
+    ("ring", "exact"): (
+        "888fd0ccf171df074ce33fcc9282a1ed79a999ef38680f3516985fe651a90f30",
+        "70a2607007d123105b1b548938a627b4a569dcd44bbeb57aa7000b7869ed1015",
+    ),
+    ("ring", "live"): (
+        "feff25d9089c805423f46c2656280fc13799292cbaa32512694dfc57bd8731ce",
+        "10aa244a42c3e79bd27f9adf9b193c4ff2fdd208165ba26f37bdb7246c879f62",
+    ),
 }
 
 
@@ -102,8 +150,8 @@ def _engine(graph, backend):
 
 
 def _digests(graph_name, backend):
-    n, m, seed = GRAPHS[graph_name]
-    graph = generators.gnm_random_graph(n, m, seed=seed)
+    graph = GRAPHS[graph_name]()
+    n = graph.num_vertices
     stream = zipf_queries(graph, 500, seed=11)
     engine = _engine(graph, backend)
     try:
@@ -115,7 +163,6 @@ def _digests(graph_name, backend):
     return _digest(answers), _digest(maps)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize(("graph_name", "backend"), sorted(GOLDEN))
 def test_serving_digests_are_pinned(graph_name, backend):
     assert _digests(graph_name, backend) == GOLDEN[graph_name, backend]
