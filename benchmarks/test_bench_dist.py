@@ -6,13 +6,18 @@ worker processes, and gates the acceptance bound: the distributed
 executor's wire protocol (lease + heartbeat + ``/complete`` per task,
 graph shipped once per worker) must cost **<= 2x** the process pool.
 
-Both sides pay the same subprocess interpreter start-up, so the ratio
-isolates the coordination tax; the workload is sized so builds dominate
-it.
+The two sides do not pay the same start-up: the process pool starts
+fresh worker interpreters for every sweep, while the distributed
+executor's local workers stay warm across sweeps, so only its first
+sweep pays interpreter start-up.  The workload is sized so builds
+dominate either way.  The 2x check is a wall-clock assertion and runs
+only with ``REPRO_BENCH_WALL_CLOCK=1`` (as in the CI benchmarks job);
+the records-equality checks always run.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 from repro.api import GridSweep, run_sweep
@@ -65,7 +70,8 @@ def test_distributed_overhead_under_2x_process_pool(tier_n):
 
     Best-of-two on each side so one slow fork (cold interpreter, page
     cache) cannot fail the gate; the records themselves must also agree,
-    so the ratio is measured over identical work.
+    so the ratio is measured over identical work.  The ratio is checked
+    only with ``REPRO_BENCH_WALL_CLOCK=1``.
     """
     graph = _workload_graph(tier_n)
 
@@ -83,6 +89,8 @@ def test_distributed_overhead_under_2x_process_pool(tier_n):
     assert len(dist_records) == len(pool_records)
     assert ([canonical_record(r.result) for r in dist_records]
             == [canonical_record(r.result) for r in pool_records])
+    if os.environ.get("REPRO_BENCH_WALL_CLOCK") != "1":
+        return
     assert dist_seconds <= 2.0 * pool_seconds, (
         f"distributed sweep took {dist_seconds:.3f}s vs process pool "
         f"{pool_seconds:.3f}s ({dist_seconds / pool_seconds:.2f}x > 2x)"

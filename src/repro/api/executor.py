@@ -401,7 +401,8 @@ def execute_sweep(
         Distributed-executor knobs; any truthy value engages
         :mod:`repro.dist` (as does ``workers="dist..."``).  ``True``
         uses the defaults (embedded coordinator on an ephemeral
-        127.0.0.1 port, two local worker subprocesses); a mapping or
+        127.0.0.1 port, two local worker subprocesses, kept warm for
+        the next sweep in this process); a mapping or
         :class:`~repro.dist.executor.DistConfig` sets ``host``,
         ``port``, ``local_workers``, ``worker_mode``
         (``"process"``/``"thread"``), ``lease_ttl``, ``max_attempts``,

@@ -13,7 +13,8 @@ paper's CONGEST model *inside one build*; this package distributes
 Entry points:
 
 * ``execute_sweep(..., workers="dist")`` / ``run_sweep(..., dist=...)``
-  — embed a coordinator in the calling process and spawn local workers;
+  — embed a coordinator in the calling process and run local workers
+  (worker processes stay warm across the sweeps of that process);
 * ``repro dist-coordinator`` / ``repro dist-worker`` — the standalone
   CLI halves for multi-machine runs over a shared cache directory;
 * :class:`DistCoordinator` / :class:`DistWorker` — the programmatic

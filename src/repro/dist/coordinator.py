@@ -328,8 +328,10 @@ class DistCoordinator:
 
     def start(self) -> "DistCoordinator":
         """Serve in background threads; returns ``self``."""
+        # close() waits for the serve loop's next poll, and every
+        # distributed sweep ends with a close(): keep the poll short.
         self._serve_thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05},
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01},
             name="dist-coordinator", daemon=True,
         )
         self._serve_thread.start()
@@ -344,6 +346,10 @@ class DistCoordinator:
         if self._closed.is_set():
             return
         self._closed.set()
+        # Wake every held /lease first: its handler thread answers and the
+        # worker sees the server go away on its next call.
+        with self._cond:
+            self._cond.notify_all()
         if self._serve_thread is not None:
             # shutdown() blocks on serve_forever's acknowledgement, so it
             # must only run when the serve loop actually started.
@@ -353,8 +359,6 @@ class DistCoordinator:
             self._serve_thread.join(timeout=5.0)
         if self._reaper_thread is not None:
             self._reaper_thread.join(timeout=5.0)
-        with self._cond:
-            self._cond.notify_all()
 
     def __enter__(self) -> "DistCoordinator":
         return self.start()
@@ -366,19 +370,32 @@ class DistCoordinator:
     # Protocol operations (called by the HTTP handler)
     # ------------------------------------------------------------------
     def lease(self, worker: str) -> Dict[str, Any]:
-        """Grant the lowest-index pending task, or report why not."""
+        """Grant the lowest-index pending task, or report why not.
+
+        An idle lease is held (long-polled) for up to ``retry_after``
+        seconds: it returns as soon as a task becomes pending, the sweep
+        is done or the coordinator closes, so an idle worker learns of
+        either without a poll interval's delay.
+        """
         fault_point("dist.lease", worker=worker)
-        now = time.monotonic()
+        hold = min(self.lease_ttl / 4.0, 0.25)
+        deadline = time.monotonic() + hold
         with self._cond:
-            self._touch_worker(worker, now)
-            self._reap_locked(now)
-            row = next((r for r in self._rows if r.state == PENDING), None)
-            if row is None:
-                return {
-                    "task": None,
-                    "done": self._done_locked(),
-                    "retry_after": round(min(self.lease_ttl / 4.0, 0.25), 3),
-                }
+            while True:
+                now = time.monotonic()
+                self._touch_worker(worker, now)
+                self._reap_locked(now)
+                row = next((r for r in self._rows if r.state == PENDING), None)
+                if row is not None:
+                    break
+                done = self._done_locked()
+                if done or now >= deadline or self._closed.is_set():
+                    return {
+                        "task": None,
+                        "done": done,
+                        "retry_after": round(hold, 3),
+                    }
+                self._cond.wait(deadline - now)
             row.state = LEASED
             row.attempts += 1
             row.worker = worker
@@ -647,11 +664,11 @@ class DistCoordinator:
                 "event": "quarantined", "task": row.index, "key": row.key,
                 "error": row.error, "attempts": row.attempts,
             })
-            self._cond.notify_all()
         else:
             row.state = PENDING
             row.lease_id = None
             row.deadline = 0.0
+        self._cond.notify_all()
 
     def _absorb_worker_telemetry(self, body: Dict[str, Any]) -> None:
         """Merge shipped spans and fault counters into local observability."""

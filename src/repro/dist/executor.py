@@ -2,9 +2,9 @@
 
 :func:`run_distributed` is the distributed counterpart of the executor's
 ``_run_parallel``: it takes the already-expanded pending task list,
-stands up a :class:`~repro.dist.coordinator.DistCoordinator`, spawns the
-requested local workers (subprocesses running ``repro dist-worker``, or
-in-process threads for tests), waits the sweep out, and returns the same
+stands up a :class:`~repro.dist.coordinator.DistCoordinator`, starts the
+requested local workers (warm pooled subprocesses, or in-process threads
+for tests), waits the sweep out, and returns the same
 ``(index, worker, result, retries, error)`` outcome tuples — so caching,
 verification and record assembly upstream are untouched by *where* the
 builds ran.
@@ -24,25 +24,43 @@ Local worker subprocesses that die (crash, OOM, kill) are respawned up
 to ``max_attempts`` times while work remains; if every local worker is
 gone, respawns are exhausted and no external worker has checked in
 recently, the sweep fails loudly instead of waiting forever.
+
+Local worker processes stay warm across sweeps.  Each is a
+:func:`repro.dist.worker.serve_jobs` interpreter that takes one job (a
+coordinator URL) per stdin line and answers with a summary line; after a
+clean summary it goes back to a module-level pool, and the next sweep in
+this process reuses it instead of paying interpreter start-up and
+``import repro`` again (~1 s).  An idle worker costs its resident set
+(~84 MB) and no CPU.  A worker is retired, never reused, when its job
+crashed or lost the coordinator, when it ran under a ``REPRO_FAULTS``
+plan (it exits by itself), when it is still busy as its sweep ends, or
+when this process's environment or package root no longer match the
+ones it was started with (``REPRO_*`` settings are read at import).
+Workers exit on stdin EOF, so none outlives this process; an ``atexit``
+hook closes and reaps the rest.
 """
 
 from __future__ import annotations
 
+import atexit
+import json
 import os
 import pickle
+import select
 import shutil
 import subprocess
 import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.api.cache import ResultCache
 from repro.dist.coordinator import DistCoordinator
 from repro.dist.protocol import parse_bind, wireable
 from repro.dist.worker import DistWorker
+from repro.obs import set_gauge
 
 __all__ = ["DistConfig", "run_distributed"]
 
@@ -52,10 +70,11 @@ class DistConfig:
     """Knobs of one distributed sweep (see ``execute_sweep(dist=...)``).
 
     ``worker_mode`` selects how ``local_workers`` are run: ``"process"``
-    (default) spawns ``repro dist-worker`` subprocesses — real
-    parallelism, real crash semantics; ``"thread"`` runs
+    (default) runs them in worker subprocesses — real parallelism, real
+    crash semantics — kept warm across the sweeps of this process (see
+    the module docstring for when one is retired); ``"thread"`` runs
     :class:`DistWorker` loops in-process — cheap and deterministic for
-    tests.  ``local_workers=0`` spawns nothing and waits for external
+    tests.  ``local_workers=0`` starts nothing and waits for external
     workers (started via ``repro dist-worker --url ...``).
     """
 
@@ -71,9 +90,6 @@ class DistConfig:
     #: Called with the coordinator URL once it is listening (the CLI
     #: prints its "coordinator listening on ..." line through this).
     announce: Optional[Callable[[str], None]] = None
-    #: Extra environment for spawned worker subprocesses (tests inject
-    #: per-worker REPRO_FAULTS plans this way).
-    worker_env: Mapping[str, str] = field(default_factory=dict)
 
     @classmethod
     def from_value(
@@ -132,28 +148,144 @@ def _graph_picklable(graph: Any, memo: Dict[int, bool]) -> bool:
     return cached
 
 
-def _spawn_process_worker(
-    url: str, cache_dir: str, worker_id: str, env: Mapping[str, str]
-) -> subprocess.Popen:
-    """Start one ``repro dist-worker`` subprocess against ``url``."""
-    import repro
+#: The job server a pooled worker process runs (see serve_jobs).
+_WORKER_MAIN = "from repro.dist.worker import serve_jobs; serve_jobs()"
 
-    child_env = os.environ.copy()
-    # Make the checkout's package importable in the child whether or not
-    # repro is pip-installed (tests and CI run from PYTHONPATH=src).
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    existing = child_env.get("PYTHONPATH")
-    child_env["PYTHONPATH"] = (
-        package_root + (os.pathsep + existing if existing else "")
-    )
-    child_env.update(env)
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "dist-worker",
-         "--url", url, "--cache-dir", cache_dir, "--worker-id", worker_id],
-        env=child_env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+
+class _PooledWorker:
+    """One warm worker subprocess and the state of its current job."""
+
+    def __init__(self, key: Tuple[Any, ...], env: Mapping[str, str]) -> None:
+        self.key = key
+        self.idle = False
+        self._pending = b""
+        self.process = subprocess.Popen(
+            [sys.executable, "-c", _WORKER_MAIN],
+            env=env,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+
+    def start_job(self, url: str, cache_dir: str, worker_id: str) -> bool:
+        """Hand the worker one job; ``False`` if it is gone."""
+        job = {"url": url, "cache_dir": cache_dir, "worker_id": worker_id}
+        try:
+            self.process.stdin.write(json.dumps(job).encode("utf-8") + b"\n")
+            self.process.stdin.flush()
+        except OSError:
+            return False
+        return True
+
+    def read_summary(self, deadline: float) -> Optional[Dict[str, Any]]:
+        """The job's summary line, or ``None`` (exited, garbled, too slow)."""
+        fd = self.process.stdout.fileno()
+        while b"\n" not in self._pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                return None
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                return None
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        try:
+            summary = json.loads(line.decode("utf-8"))
+        except ValueError:
+            return None
+        return summary if isinstance(summary, dict) else None
+
+    def close(self, terminate: bool = False) -> None:
+        """End the process (EOF on stdin, or SIGTERM) and reap it."""
+        if terminate and self.process.poll() is None:
+            self.process.terminate()
+        try:
+            self.process.stdin.close()
+        except OSError:
+            pass
+        try:
+            self.process.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
+        self.process.stdout.close()
+
+
+class _WorkerPool:
+    """Every live local worker process of this interpreter, idle or busy."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._workers: List[_PooledWorker] = []
+
+    def acquire(self) -> _PooledWorker:
+        """An idle live worker started in this environment, else a new one."""
+        import repro
+
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        key = (package_root, tuple(sorted(os.environ.items())))
+        with self._lock:
+            retired = [w for w in self._workers
+                       if w.idle and (w.key != key or w.process.poll() is not None)]
+            worker = next((w for w in self._workers
+                           if w.idle and w not in retired), None)
+            for stale in retired:
+                self._workers.remove(stale)
+            if worker is None:
+                env = os.environ.copy()
+                # Make the checkout's package importable in the child
+                # whether or not repro is pip-installed (tests and CI run
+                # from PYTHONPATH=src).
+                existing = env.get("PYTHONPATH")
+                env["PYTHONPATH"] = (
+                    package_root + (os.pathsep + existing if existing else "")
+                )
+                worker = _PooledWorker(key, env)
+                self._workers.append(worker)
+            worker.idle = False
+        for stale in retired:
+            stale.close()
+        return worker
+
+    def discard(self, worker: _PooledWorker) -> None:
+        """Terminate (if still running) and reap a worker."""
+        with self._lock:
+            if worker in self._workers:
+                self._workers.remove(worker)
+        worker.close(terminate=True)
+
+    def idle_pids(self) -> List[int]:
+        with self._lock:
+            return [w.process.pid for w in self._workers if w.idle]
+
+    def shutdown(self) -> None:
+        """Close every worker's stdin, then reap them all (``atexit``)."""
+        with self._lock:
+            workers, self._workers = self._workers, []
+        for worker in workers:
+            try:
+                worker.process.stdin.close()
+            except OSError:
+                pass
+        for worker in workers:
+            worker.close()
+
+
+_POOL = _WorkerPool()
+atexit.register(_POOL.shutdown)
+
+
+def _spawn_process_worker(url: str, cache_dir: str, worker_id: str) -> _PooledWorker:
+    """Run one worker job against ``url`` in a pooled (or new) process."""
+    worker = _POOL.acquire()
+    if not worker.start_job(url, cache_dir, worker_id):
+        # It died since it went idle: take another.  A fresh worker that
+        # cannot take its job is returned all the same, as a dead process
+        # the respawn loop handles like any other worker death.
+        _POOL.discard(worker)
+        worker = _POOL.acquire()
+        worker.start_job(url, cache_dir, worker_id)
+    return worker
 
 
 def run_distributed(
@@ -216,15 +348,17 @@ def _run_remote(
     if config.announce is not None:
         config.announce(coordinator.url)
 
-    processes: List[subprocess.Popen] = []
+    processes: List[_PooledWorker] = []
+    finished: List[_PooledWorker] = []
     threads: List[threading.Thread] = []
     respawns_left = config.max_attempts
-    cache_dir = str(store.directory)
+    # Absolute: a pooled worker keeps the working directory it started in.
+    cache_dir = os.path.abspath(store.directory)
     try:
         for i in range(config.local_workers):
             if config.worker_mode == "process":
                 processes.append(_spawn_process_worker(
-                    coordinator.url, cache_dir, f"local-{i}", config.worker_env
+                    coordinator.url, cache_dir, f"local-{i}"
                 ))
             else:
                 worker = DistWorker(
@@ -249,7 +383,7 @@ def _run_remote(
                     f"{coordinator.status()['tasks']}"
                 )
             if config.worker_mode == "process" and processes:
-                live = [p for p in processes if p.poll() is None]
+                live = [w for w in processes if w.process.poll() is None]
                 if not live:
                     # Every local worker died with work outstanding.
                     # Respawn (bounded) — worker death must not strand
@@ -260,7 +394,6 @@ def _run_remote(
                         processes.append(_spawn_process_worker(
                             coordinator.url, cache_dir,
                             f"respawn-{config.max_attempts - respawns_left}",
-                            config.worker_env,
                         ))
                     elif not _external_workers_live(coordinator):
                         raise RuntimeError(
@@ -269,27 +402,31 @@ def _run_remote(
                             f"{coordinator.status()['tasks']}"
                         )
         outcomes = coordinator.outcomes()
-        # Let workers observe "done" on their next lease poll and exit
-        # cleanly while the coordinator still answers; stragglers are
-        # terminated below.
+        # Let workers observe "done" (their held leases return at once)
+        # and answer while the coordinator still serves; a worker that
+        # has not answered cleanly by the deadline is terminated below.
         for thread in threads:
             thread.join(timeout=2.0)
-        for process in processes:
-            try:
-                process.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                pass
+        deadline = time.monotonic() + 2.0
+        for worker in processes:
+            summary = worker.read_summary(deadline)
+            if summary is None:
+                continue
+            if summary.get("peak_rss_kb"):
+                set_gauge("repro_dist_worker_peak_rss_bytes",
+                          1024.0 * summary["peak_rss_kb"],
+                          help="Peak resident set of a local worker process",
+                          worker=summary["worker"])
+            if summary.get("reusable"):
+                finished.append(worker)
         return outcomes
     finally:
         coordinator.close()
-        for process in processes:
-            if process.poll() is None:
-                process.terminate()
-        for process in processes:
-            try:
-                process.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                process.kill()
+        for worker in processes:
+            if worker in finished:
+                worker.idle = True  # back to the pool for the next sweep
+            else:
+                _POOL.discard(worker)
         for thread in threads:
             thread.join(timeout=1.0)
 

@@ -29,6 +29,11 @@ Failure semantics, mirror-imaged from the coordinator's state machine:
   the lease expires and the task is re-dispatched.
 * An injected ``dist.task`` fault is a *reported* build failure (it
   raises inside the build path), exercising the error/quarantine lane.
+
+:func:`serve_jobs` is the entry point of the executor's warm local
+worker processes (see :mod:`repro.dist.executor`): it runs one
+:class:`DistWorker` per job line read from stdin and answers each with a
+JSON summary line, so one interpreter serves sweep after sweep.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import json
 import os
 import pickle
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -47,9 +53,9 @@ from repro.api.cache import ResultCache
 from repro.api.facade import build
 from repro.dist.protocol import spec_from_wire
 from repro.faults import FaultInjected, active_plan, fault_point
-from repro.obs import capture_spans, freeze_spans
+from repro.obs import capture_spans, clear_spans, freeze_spans
 
-__all__ = ["DistWorker"]
+__all__ = ["DistWorker", "serve_jobs"]
 
 
 class CoordinatorUnreachable(RuntimeError):
@@ -174,6 +180,7 @@ class DistWorker:
         while True:
             if self.max_tasks is not None and self.completed >= self.max_tasks:
                 break
+            asked = time.monotonic()
             try:
                 lease = self._request("/lease", {"worker": self.worker_id})
             except CoordinatorUnreachable:
@@ -183,7 +190,10 @@ class DistWorker:
             if task is None:
                 if lease.get("done") and self.exit_when_done:
                     break
-                time.sleep(float(lease.get("retry_after") or self.poll))
+                # ``retry_after`` spaces lease calls; a held (long-polled)
+                # lease has already spent it waiting.
+                idle = float(lease.get("retry_after") or self.poll)
+                time.sleep(max(0.0, idle - (time.monotonic() - asked)))
                 continue
             self.leases += 1
             if not self._run_task(task, lease["lease"], float(lease["ttl"])):
@@ -278,3 +288,53 @@ class DistWorker:
                 return
             if not answer.get("ok"):
                 return  # lease superseded; completion stays idempotent
+
+
+def serve_jobs() -> None:
+    """Run one :class:`DistWorker` per JSON job line until stdin ends.
+
+    A job is ``{"url", "cache_dir", "worker_id"}``; each gets a fresh
+    worker (no graph or counter carries over) and is answered with the
+    run summary as one JSON line on stdout, plus ``peak_rss_kb`` (this
+    process's peak resident set so far) and ``reusable``.  The process
+    leaves after a job that crashed or lost its coordinator, and after
+    every job under a fault plan, whose RNG and counters must start
+    fresh for the next sweep; ``reusable`` says whether it stays.  The
+    span buffer is cleared between jobs: spans travel in ``/complete``
+    and nothing here reads them again.
+    """
+    # Keep stdout for summary lines alone: anything else printed while
+    # building goes to stderr.
+    out, sys.stdout = sys.stdout, sys.stderr
+    for line in sys.stdin:
+        job = json.loads(line)
+        summary = DistWorker(
+            job["url"], ResultCache(job["cache_dir"]), worker_id=job["worker_id"]
+        ).run()
+        clear_spans()
+        summary["peak_rss_kb"] = _peak_rss_kb()
+        summary["reusable"] = not (
+            summary["crashed"] or summary["unreachable"] or active_plan() is not None
+        )
+        out.write(json.dumps(summary) + "\n")
+        out.flush()
+        if not summary["reusable"]:
+            return
+
+
+def _peak_rss_kb() -> Optional[int]:
+    """This process's own peak resident set in KiB (``None`` without /proc).
+
+    Not ``ru_maxrss``: Linux carries it over from the parent through the
+    fork and exec that started this interpreter, so a worker spawned by
+    a large parent would report the parent's size.  ``VmHWM`` counts
+    this process's memory alone.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return None

@@ -15,7 +15,12 @@ from __future__ import annotations
 import gc
 import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 import weakref
 
 import pytest
@@ -35,6 +40,7 @@ from repro.dist import (
     spec_from_wire,
     spec_to_wire,
 )
+from repro.dist import executor as dist_executor
 from repro.dist.protocol import DONE, PENDING, QUARANTINED, wireable
 from repro.faults import clear_plan, fault_plan
 from repro.graphs import generators
@@ -334,6 +340,77 @@ class TestCoordinatorStateMachine:
             DistCoordinator([(0, "grid", GRID, bad)], ResultCache(tmp_path))
 
 
+class _ParkingCondition(threading.Condition):
+    """Announces a parked waiter, then waits with no timeout.
+
+    A held lease can then only return when something notifies it, so
+    the long-poll tests check what woke it by ordering, not wall clock.
+    """
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.parked = threading.Event()
+
+    def wait(self, timeout=None):
+        self.parked.set()
+        return super().wait()
+
+
+class TestLongPolledLease:
+    def _hold_idle_lease(self, coordinator):
+        condition = _ParkingCondition(coordinator._lock)
+        coordinator._cond = condition
+        answers = []
+        thread = threading.Thread(
+            target=lambda: answers.append(coordinator.lease("idle")), daemon=True)
+        thread.start()
+        assert condition.parked.wait(30)
+        assert answers == []  # parked on the condition, not answered
+        return thread, answers
+
+    def test_idle_lease_returns_done_once_the_last_completion_lands(self, tmp_path):
+        store = ResultCache(tmp_path)
+        with DistCoordinator(_tasks(), store) as coordinator:
+            leases = [coordinator.lease("busy") for _ in _tasks()]
+            for lease in leases:
+                store.put(lease["task"]["key"], _built(_tasks()[lease["task"]["id"]][3]))
+            for lease in leases[:-1]:
+                coordinator.complete({"worker": "busy", "task": lease["task"]["id"],
+                                      "lease": lease["lease"], "key": lease["task"]["key"]})
+            thread, answers = self._hold_idle_lease(coordinator)
+            last = leases[-1]
+            coordinator.complete({"worker": "busy", "task": last["task"]["id"],
+                                  "lease": last["lease"], "key": last["task"]["key"]})
+            thread.join(30)
+            assert not thread.is_alive()
+            assert answers[0]["task"] is None and answers[0]["done"] is True
+
+    def test_idle_lease_is_granted_a_task_that_becomes_pending(self, tmp_path):
+        with DistCoordinator(_tasks(), ResultCache(tmp_path)) as coordinator:
+            leases = [coordinator.lease("busy") for _ in _tasks()]
+            thread, answers = self._hold_idle_lease(coordinator)
+            first = leases[0]
+            coordinator.complete({"worker": "busy", "task": first["task"]["id"],
+                                  "lease": first["lease"], "key": first["task"]["key"],
+                                  "error": "builder exploded"})
+            thread.join(30)
+            assert not thread.is_alive()
+            assert answers[0]["task"]["id"] == first["task"]["id"]
+            assert answers[0]["task"]["attempt"] == 2
+
+    def test_close_wakes_a_held_lease(self, tmp_path):
+        coordinator = DistCoordinator(_tasks(), ResultCache(tmp_path)).start()
+        try:
+            for _ in _tasks():
+                coordinator.lease("busy")
+            thread, answers = self._hold_idle_lease(coordinator)
+        finally:
+            coordinator.close()
+        thread.join(30)
+        assert not thread.is_alive()
+        assert answers[0]["task"] is None and answers[0]["done"] is False
+
+
 # ----------------------------------------------------------------------
 # Journal resume
 # ----------------------------------------------------------------------
@@ -543,3 +620,101 @@ class TestHttpSurface:
                     connection.close()
             # The fault was times-bounded: the next lease succeeds.
             assert coordinator.lease("w")["task"] is not None
+
+
+# ----------------------------------------------------------------------
+# Warm local worker processes (worker_mode="process")
+# ----------------------------------------------------------------------
+PROCESS_DIST = {"worker_mode": "process", "local_workers": 2, "wait_timeout": 60.0}
+
+#: A plan that never fires: its only effect is that a plan is active.
+QUIET_FAULTS = json.dumps({"seed": 1, "rules": [
+    {"site": "dist.task", "action": "raise", "probability": 0.0}]})
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (an exited zombie nobody reaped yet does not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def _wait_gone(pids, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if _alive(pid)]
+
+
+class TestWarmWorkerPool:
+    @pytest.fixture(autouse=True)
+    def empty_pool(self):
+        dist_executor._POOL.shutdown()
+        yield
+        dist_executor._POOL.shutdown()
+
+    def _sweep(self):
+        records = run_sweep({"grid": GRID}, SWEEP, dist=dict(PROCESS_DIST))
+        assert _canon(records) == _canon(run_sweep({"grid": GRID}, SWEEP))
+        return sorted(dist_executor._POOL.idle_pids())
+
+    def test_consecutive_sweeps_reuse_the_same_workers(self):
+        first = self._sweep()
+        assert len(first) == 2
+        assert self._sweep() == first
+
+    def test_a_killed_idle_worker_is_replaced(self):
+        victim, survivor = self._sweep()
+        os.kill(victim, signal.SIGKILL)
+        # Wait on the pool's own handle: a killed leader can read as a
+        # zombie while its other threads still exit, before waitpid sees it.
+        pooled = next(w for w in dist_executor._POOL._workers
+                      if w.process.pid == victim)
+        pooled.process.wait(timeout=30)
+        pids = self._sweep()
+        assert len(pids) == 2 and survivor in pids and victim not in pids
+
+    def test_a_worker_under_a_fault_plan_is_not_reused(self, monkeypatch):
+        warm = self._sweep()
+        monkeypatch.setenv("REPRO_FAULTS", QUIET_FAULTS)
+        # The environment changed: the warm workers are retired, and the
+        # new ones leave after their job because a plan is active.
+        assert self._sweep() == []
+        assert _wait_gone(warm) == []
+        monkeypatch.delenv("REPRO_FAULTS")
+        fresh = self._sweep()
+        assert len(fresh) == 2 and not set(fresh) & set(warm)
+
+    @pytest.mark.parametrize("ending", ["exit", "sigkill"])
+    def test_no_worker_outlives_its_parent_interpreter(self, ending):
+        import repro
+
+        script = (
+            "import json, sys, time\n"
+            "from repro.api import GridSweep, run_sweep\n"
+            "from repro.dist import executor\n"
+            "from repro.graphs import generators\n"
+            "sweep = GridSweep(products=('emulator',), methods=('centralized',))\n"
+            "run_sweep({'g': generators.grid_graph(3, 3)}, sweep,\n"
+            "          dist={'worker_mode': 'process', 'local_workers': 2})\n"
+            "print(json.dumps(executor._POOL.idle_pids()), flush=True)\n"
+            "if sys.argv[1] == 'sigkill':\n"
+            "    time.sleep(60)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        with subprocess.Popen([sys.executable, "-c", script, ending], env=env,
+                              stdout=subprocess.PIPE, text=True) as child:
+            pids = json.loads(child.stdout.readline())
+            assert len(pids) == 2 and all(_alive(pid) for pid in pids)
+            if ending == "sigkill":
+                child.kill()
+            assert child.wait(timeout=60) == (0 if ending == "exit" else -signal.SIGKILL)
+        assert _wait_gone(pids) == []
