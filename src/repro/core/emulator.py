@@ -49,6 +49,7 @@ fast emulator (Section 3.3) and the spanner (Section 4).
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, List, Optional, Tuple
@@ -64,7 +65,13 @@ from repro.graphs.graph import Graph
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs import span
 
-__all__ = ["PhaseStats", "EmulatorResult", "UltraSparseEmulatorBuilder", "neighboring_centers"]
+__all__ = [
+    "PhaseStats",
+    "EmulatorResult",
+    "UltraSparseEmulatorBuilder",
+    "NeighboringCenters",
+    "neighboring_centers",
+]
 
 # States of a phase's vertices in the builder's bytearray: not (or no
 # longer) a live center, a center in S awaiting consideration, a center
@@ -321,34 +328,143 @@ class UltraSparseEmulatorBuilder:
         return partition.regroup(host, offset, phase + 1)
 
 
-def neighboring_centers(csr, centers: List[int], radius) -> Dict[int, List[Tuple[int, float]]]:
+def neighboring_centers(csr, centers: List[int], radius) -> "NeighboringCenters":
     """Every center's neighboring centers: the other ``centers`` within ``radius``.
 
-    Maps each center of the ascending ``centers`` to ``(center, distance)``
-    pairs by center ID — the relation every phase of the fast emulator and
-    the spanner starts from.  Up to :data:`kernels.BALL_WALK_MAX_RADIUS`
-    each center's :func:`kernels.ball` is filtered against a ``bytearray``
-    of the centers; a deeper search is one :func:`kernels.bfs_row`, read at
-    the centers only (its ball would sort all ``n`` entries first).
+    The relation every phase of the fast emulator and the spanner starts
+    from, read count first (see :class:`NeighboringCenters`).
     """
-    radius = kernels.normalize_radius(radius)
-    neighborhoods = {}
-    if radius is not None and radius <= kernels.BALL_WALK_MAX_RADIUS:
-        state = bytearray(csr.num_vertices)
+    return NeighboringCenters(csr, centers, radius)
+
+
+class NeighboringCenters(Mapping):
+    """Each center's neighboring centers within one radius, counted first.
+
+    A read-only mapping from each center of the ascending ``centers`` to
+    its ``(center, distance)`` pairs by center ID.  :meth:`count` is known
+    up front, because the popularity test reads only the count; a list is
+    computed on first read, because only the centers that join ``U_i``
+    (and every center of a final phase) interconnect.  The counts come
+    from the cheapest search that decides them:
+
+    * radius <= 1: each center's center-neighbors, counted in numpy from
+      the CSR buffers;
+    * radius 2: one :func:`kernels.ball` walk per center, whose list is
+      kept;
+    * deeper: one unbounded :func:`kernels.bfs_row` from each connected
+      component's smallest center.  When ``radius >= 2 * ecc`` every pair
+      of the component is within ``radius`` (``d(u, w) <= d(u, c) +
+      d(c, w)``), so each of its ``k`` centers has ``k - 1`` neighbors and
+      no other search runs until a list is read (one unbounded row then).
+      Otherwise each center reads its bounded row as before (the first
+      center's is the unbounded row masked at the radius), and its list
+      is kept.
+    """
+
+    def __init__(self, csr, centers: List[int], radius) -> None:
+        self._csr = csr
+        self._centers = centers
+        self._radius = kernels.normalize_radius(radius)
+        self._counts: Dict[int, int] = {}
+        self._lists: Dict[int, List[Tuple[int, float]]] = {}
+        # center -> (its component's centers, the first center's distances
+        # to them or None): the lists a covered component reads lazily.
+        self._covered: Dict[int, tuple] = {}
+        self._is_center = bytearray(csr.num_vertices)
         for center in centers:
-            state[center] = _IN_S
+            self._is_center[center] = 1
+        if self._radius is not None and self._radius <= 1:
+            self._count_adjacent(centers)
+        elif self._radius == kernels.BALL_WALK_MAX_RADIUS:
+            self._walk_balls(centers)
+        else:
+            self._count_by_component(centers)
+
+    def count(self, center: int) -> int:
+        """How many other centers lie within the radius of ``center``."""
+        return self._counts[center]
+
+    def __getitem__(self, center: int) -> List[Tuple[int, float]]:
+        neighbors = self._lists.get(center)
+        if neighbors is None:
+            if center not in self._counts:
+                raise KeyError(center)
+            neighbors = self._lists[center] = self._read(center)
+        return neighbors
+
+    def __iter__(self):
+        return iter(self._centers)
+
+    def __len__(self) -> int:
+        return len(self._centers)
+
+    # ------------------------------------------------------------------
+    # Counting
+    # ------------------------------------------------------------------
+    def _count_adjacent(self, centers: List[int]) -> None:
+        if self._radius == 0 or not centers:
+            self._counts = dict.fromkeys(centers, 0)
+            return
+        indptr, indices = self._csr.numpy_views()
+        ids = np.asarray(centers, dtype=np.int64)
+        hits = np.zeros(len(indices) + 1, dtype=np.int64)
+        np.cumsum(np.frombuffer(self._is_center, dtype=np.uint8)[indices], out=hits[1:])
+        counts = hits[indptr[ids + 1]] - hits[indptr[ids]]
+        self._counts = dict(zip(centers, counts.tolist()))
+
+    def _walk_balls(self, centers: List[int]) -> None:
+        state = self._is_center
         for center in centers:
             state[center] = _GONE
-            neighborhoods[center] = _live_centers(kernels.ball(csr, center, radius), state)
+            neighbors = _live_centers(kernels.ball(self._csr, center, self._radius), state)
             state[center] = _IN_S
-        return neighborhoods
-    ids = np.asarray(centers, dtype=np.int64)
-    for i, center in enumerate(centers):
-        distances = kernels.bfs_row(csr, center, radius)[ids]
-        keep = distances < np.inf
-        keep[i] = False
-        neighborhoods[center] = list(zip(ids[keep].tolist(), distances[keep].tolist()))
-    return neighborhoods
+            self._lists[center] = neighbors
+            self._counts[center] = len(neighbors)
+
+    def _count_by_component(self, centers: List[int]) -> None:
+        if not centers:
+            return
+        radius = self._radius
+        ids = np.asarray(centers, dtype=np.int64)
+        labels = self._csr.component_labels()[ids]
+        order = np.argsort(labels, kind="stable")
+        groups = np.split(ids[order], np.flatnonzero(np.diff(labels[order])) + 1)
+        for group in groups:
+            first = int(group[0])
+            if len(group) == 1:
+                self._counts[first] = 0
+                self._lists[first] = []
+                continue
+            row = kernels.bfs_row(self._csr, first)
+            if radius is None or radius >= 2 * row[np.isfinite(row)].max():
+                known = len(group) - 1
+                for center in group.tolist():
+                    self._counts[center] = known
+                    self._covered[center] = (group, None)
+                self._covered[first] = (group, row[group])
+                continue
+            for center in group.tolist():
+                if center != first:
+                    row = kernels.bfs_row(self._csr, center, radius)
+                reach = row[group]
+                keep = (reach <= radius) & (group != center)
+                neighbors = list(zip(group[keep].tolist(), reach[keep].tolist()))
+                self._lists[center] = neighbors
+                self._counts[center] = len(neighbors)
+
+    # ------------------------------------------------------------------
+    # Lazy lists
+    # ------------------------------------------------------------------
+    def _read(self, center: int) -> List[Tuple[int, float]]:
+        covered = self._covered.pop(center, None)
+        if covered is None:  # radius <= 1: the center's row, filtered
+            row = self._csr.adjacency()[center] if self._radius else []
+            return [(v, 1.0) for v in compress(row, map(self._is_center.__getitem__, row))]
+        group, reach = covered
+        if reach is None:
+            reach = kernels.bfs_row(self._csr, center)[group]
+        keep = group != center
+        return list(zip(group[keep].tolist(), reach[keep].tolist()))
 
 
 def _live_centers(ball, state: bytearray) -> List[Tuple[int, float]]:

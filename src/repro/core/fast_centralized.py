@@ -120,9 +120,11 @@ class FastCentralizedBuilder:
 
         # Neighbor map: for every center, the other centers within delta and
         # their exact distances (the centralized analogue of Algorithm 2).
+        # Popularity reads only the counts; a list is computed when a U_i
+        # center interconnects.
         neighbor_map = neighboring_centers(self.graph.csr(), centers, delta)
 
-        popular = {c for c in centers if len(neighbor_map[c]) >= degree_threshold}
+        popular = {c for c in centers if neighbor_map.count(c) >= degree_threshold}
         stats.popular_centers = len(popular)
 
         next_partition = Partition()

@@ -153,7 +153,7 @@ class NearAdditiveSpannerBuilder:
         centers = partition.centers()
         neighbor_map = neighboring_centers(self.graph.csr(), centers, delta)
 
-        popular = {c for c in centers if len(neighbor_map[c]) >= degree_threshold}
+        popular = {c for c in centers if neighbor_map.count(c) >= degree_threshold}
         stats.popular_centers = len(popular)
 
         next_partition = Partition()

@@ -25,9 +25,10 @@ cached snapshot and the next kernel call recompiles it.
 
 Derived views (Python adjacency lists for the scalar kernels, numpy /
 scipy wrappers for the vectorized ones, the unit graph the row kernel
-walks in breadth-first order, and the per-snapshot epoch workspace) are
-built on first use and excluded from pickling, so a snapshot travels to
-worker processes as just its flat buffers.
+walks in breadth-first order, the connected-component labels, and the
+per-snapshot epoch workspace) are built on first use and excluded from
+pickling, so a snapshot travels to worker processes as just its flat
+buffers.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ except ImportError:  # pragma: no cover - exercised via REPRO_KERNEL_BACKEND
 class CSRGraph:
     """An immutable CSR snapshot of an unweighted :class:`~repro.graphs.graph.Graph`."""
 
-    __slots__ = ("num_vertices", "indptr", "indices",
-                 "_adjacency", "_numpy", "_scipy", "_bfs_rows", "_workspace")
+    __slots__ = ("num_vertices", "indptr", "indices", "_adjacency", "_numpy",
+                 "_scipy", "_components", "_bfs_rows", "_workspace")
 
     def __init__(self, num_vertices: int, indptr: array, indices: array) -> None:
         self.num_vertices = num_vertices
@@ -56,6 +57,7 @@ class CSRGraph:
         self._adjacency: Optional[List[List[int]]] = None
         self._numpy: Optional[Tuple[Any, Any]] = None
         self._scipy: Any = None
+        self._components: Any = None
         #: Whether unbounded rows take the breadth-first-order kernel:
         #: ``None`` until :mod:`repro.graphs.kernels` decides on the first one.
         self._bfs_rows: Optional[bool] = None
@@ -124,6 +126,18 @@ class CSRGraph:
         if self._scipy is None:
             self._scipy = _build_scipy_matrix(self, data=None)
         return None if self._scipy is _SCIPY_UNAVAILABLE else self._scipy
+
+    def component_labels(self):
+        """Each vertex's connected-component label as an int32 numpy array.
+
+        One :func:`scipy.sparse.csgraph.connected_components` call per
+        snapshot; needs scipy.
+        """
+        if self._components is None:
+            from scipy.sparse.csgraph import connected_components
+
+            self._components = connected_components(self.scipy_matrix(), directed=False)[1]
+        return self._components
 
     def unit_matrix(self):
         """A unit-weight ``csr_matrix`` whose hop distances between vertices

@@ -309,17 +309,52 @@ class TestExplorations:
         assert all(radius != 2 * stats.delta for _, radius in balls)
 
 
+def _mixed_components_graph():
+    """A 30-vertex path, a 6-vertex star and four isolated vertices."""
+    edges = [(u, u + 1) for u in range(29)] + [(30, v) for v in range(31, 36)]
+    return Graph(40, edges)
+
+
 @pytest.mark.parametrize("radius", [0, 1, 2, 2.5, 3, 7, None])
 def test_neighboring_centers_match_the_reference(radius):
     from repro.graphs.shortest_paths import _dict_bounded_bfs
 
     graphs = (generators.gnm_random_graph(90, 150, seed=5),
               generators.gnm_random_graph(120, 100, seed=6),  # isolated vertices
-              generators.path_graph(40))
+              generators.path_graph(40),
+              # Radius 3 covers no component with two centers; 7 covers the
+              # star but not the path (2 * ecc > 7 from its first center).
+              _mixed_components_graph())
     for graph in graphs:
         centers = list(range(0, graph.num_vertices, 3))
         got = emulator_module.neighboring_centers(graph.csr(), centers, radius)
+        assert list(got) == centers
+        wants = {}
         for center in centers:
             ball = _dict_bounded_bfs(graph, center, radius)
-            want = sorted((c, float(ball[c])) for c in centers if c != center and c in ball)
-            assert got[center] == want, (graph.num_vertices, center, radius)
+            wants[center] = sorted(
+                (c, float(ball[c])) for c in centers if c != center and c in ball)
+        # Counts before any list is read, then every list.
+        assert {c: got.count(c) for c in centers} == {c: len(w) for c, w in wants.items()}
+        for center in centers:
+            assert got[center] == wants[center], (graph.num_vertices, center, radius)
+
+
+def test_covered_component_costs_one_row_until_a_list_is_read(monkeypatch):
+    from repro.graphs import kernels
+
+    rows = []
+    real_row = kernels.bfs_row
+
+    def counting_row(csr, source, radius=None):
+        rows.append((source, radius))
+        return real_row(csr, source, radius)
+
+    monkeypatch.setattr(kernels, "bfs_row", counting_row)
+    graph = generators.connected_erdos_renyi(200, 0.05, seed=4)
+    centers = list(range(3, 200, 2))
+    got = emulator_module.neighboring_centers(graph.csr(), centers, 40)
+    assert rows == [(3, None)]
+    assert all(got.count(c) == len(centers) - 1 for c in centers)
+    assert len(got[3]) == len(centers) - 1 and rows == [(3, None)]
+    assert got[9] == got[9] and rows == [(3, None), (9, None)]
