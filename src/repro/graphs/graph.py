@@ -64,9 +64,13 @@ class Graph:
         return range(self._n)
 
     def edges(self) -> Iterator[Tuple[int, int]]:
-        """Iterate edges as pairs ``(u, v)`` with ``u < v``."""
+        """Iterate edges as pairs ``(u, v)`` with ``u < v``, in ascending order.
+
+        The order depends on the edge set alone, not on how the neighbor
+        sets were built, so it survives a pickle round trip.
+        """
         for u in range(self._n):
-            for v in self._adj[u]:
+            for v in sorted(self._adj[u]):
                 if u < v:
                     yield (u, v)
 

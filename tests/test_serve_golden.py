@@ -91,7 +91,7 @@ GOLDEN = {
     ),
     ("small", "hopset"): (
         "5c81adfc963353c2a66d583648cac60bc204e455e537cba4c88dfdf002062f75",
-        "505eadd1a1b310395edc68a6e5973b7c0544e0ac4292bcc1b67c93beab495cfd",
+        "82974d18b938ef797f2bcbe8842897997797d3373b0de82493efc73181cbf867",
     ),
     ("small", "exact"): (
         "5c81adfc963353c2a66d583648cac60bc204e455e537cba4c88dfdf002062f75",
