@@ -82,11 +82,13 @@ def bfs_tree(graph: Graph, source: int, radius: Optional[float] = None) -> Dict[
 
     The tree spans exactly the vertices :func:`bounded_bfs` reaches: the
     radius is clamped the same way, and a negative one raises
-    ``ValueError``.
+    ``ValueError``.  Neighbors are visited in ascending order (the CSR
+    snapshot's), so the tree depends on the edge set alone.
     """
     if source not in graph:
         raise ValueError(f"source {source} not in graph")
     radius = kernels.normalize_radius(radius)
+    adjacency = graph.csr().adjacency()  # neighbor lists in ascending order
     parent: Dict[int, int] = {source: source}
     dist: Dict[int, int] = {source: 0}
     queue: deque = deque([source])
@@ -95,7 +97,7 @@ def bfs_tree(graph: Graph, source: int, radius: Optional[float] = None) -> Dict[
         du = dist[u]
         if radius is not None and du >= radius:
             continue
-        for v in graph.neighbors(u):
+        for v in adjacency[u]:
             if v not in parent:
                 parent[v] = u
                 dist[v] = du + 1

@@ -45,7 +45,9 @@ from repro.baselines import (
 from repro.core.emulator import UltraSparseEmulatorBuilder
 from repro.core.fast_centralized import FastCentralizedBuilder
 from repro.core.spanner import NearAdditiveSpannerBuilder, SpannerResult
+from repro.dist import canonical_record
 from repro.graphs import generators
+from repro.graphs.graph import Graph
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "builds.json"
 
@@ -176,6 +178,26 @@ def test_pickled_emulator_keeps_its_digests_and_no_clusters(family):
     restored = Recording(io.BytesIO(pickle.dumps(result))).load()
     assert "Partition" in found and "Cluster" not in found
     assert _result_snapshot(restored, spec) == _golden()[f"{family}/emulator/centralized"]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("product", PRODUCTS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_builds_depend_on_the_edge_set_alone(family, product, method):
+    # The same edge set as a pickle round trip and inserted in reverse
+    # order: every build, and every build's own pickle round trip, gives
+    # the pinned digest and one canonical record, edge order included.
+    spec = BuildSpec(product=product, method=method)
+    graph = FAMILIES[family]()
+    variants = (graph, pickle.loads(pickle.dumps(graph)),
+                Graph(graph.num_vertices, reversed(list(graph.edges()))))
+    records = set()
+    for variant in variants:
+        result = build(variant, spec)
+        assert _digest(sorted(result.edges)) == _golden()[f"{family}/{product}/{method}"]["edges"]
+        records.add(canonical_record(result))
+        records.add(canonical_record(pickle.loads(pickle.dumps(result))))
+    assert len(records) == 1
 
 
 def _raw_snapshot(raw):

@@ -669,6 +669,14 @@ class TestWarmWorkerPool:
         assert len(first) == 2
         assert self._sweep() == first
 
+    def test_spanner_records_match_the_serial_sweep(self):
+        # Results reach this process by pickle and the workers build on an
+        # unpickled graph, so spanner edge order must survive both.
+        graph = generators.erdos_renyi(300, 8 / 300, seed=1)
+        sweep = GridSweep(products=("spanner",), methods=("centralized", "fast"))
+        records = run_sweep({"gnm": graph}, sweep, dist=dict(PROCESS_DIST))
+        assert _canon(records) == _canon(run_sweep({"gnm": graph}, sweep))
+
     def test_a_killed_idle_worker_is_replaced(self):
         victim, survivor = self._sweep()
         os.kill(victim, signal.SIGKILL)

@@ -106,8 +106,8 @@ GOLDEN = {
         "bccd7f807e7c6563f9b88eec9bb1eebd15b8cf86305e33248b935d10993fd5b7",
     ),
     ("ring", "spanner"): (
-        "da0dcde36c82ea9ac8c679bc1dc9a4d0d43450c6081ebec671ac36000cb8d9e0",
-        "8d79cad476fd13cb00a558b5e5b4c47d41d2301203a92788242b08ed52b66420",
+        "4d62d6262bc98f022c2c0016179c295b6cf7e0b89d59eb26aa506f50171b62a8",
+        "d08a32a171e600af010162c3cb3587063a148ebcacece0c5ce14512c5eaaabb4",
     ),
     ("ring", "hopset"): (
         "888fd0ccf171df074ce33fcc9282a1ed79a999ef38680f3516985fe651a90f30",
