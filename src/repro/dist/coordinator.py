@@ -50,7 +50,7 @@ import threading
 import time
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro.api.cache import ResultCache
@@ -244,6 +244,9 @@ class DistCoordinator:
         Leases a task may burn before it is quarantined.
     journal:
         Optional journal file path; enables coordinator-restart resume.
+    graph_blobs:
+        Graphs the caller already pickled, by ``id(graph)``; the
+        coordinator pickles only the others.
     """
 
     def __init__(
@@ -257,6 +260,7 @@ class DistCoordinator:
         max_attempts: int = 3,
         journal: Union[None, str, "SweepJournal"] = None,
         verbose: bool = False,
+        graph_blobs: Optional[Mapping[int, Optional[bytes]]] = None,
     ) -> None:
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
@@ -276,7 +280,8 @@ class DistCoordinator:
             graph_key = id(graph)
             if graph_key not in graph_hashes:
                 graph_hashes[graph_key] = graph.content_hash()
-                self._graph_blobs[graph_hashes[graph_key]] = pickle.dumps(graph)
+                blob = graph_blobs.get(graph_key) if graph_blobs else None
+                self._graph_blobs[graph_hashes[graph_key]] = blob or pickle.dumps(graph)
             graph_hash = graph_hashes[graph_key]
             key = store.key(graph_hash, spec)
             if key is None:

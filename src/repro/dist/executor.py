@@ -136,16 +136,14 @@ def parse_dist_workers(workers: str) -> DistConfig:
     return config
 
 
-def _graph_picklable(graph: Any, memo: Dict[int, bool]) -> bool:
-    cached = memo.get(id(graph))
-    if cached is None:
+def _graph_blob(graph: Any, memo: Dict[int, Optional[bytes]]) -> Optional[bytes]:
+    """``graph`` pickled (once per sweep), or ``None`` if it cannot be."""
+    if id(graph) not in memo:
         try:
-            pickle.dumps(graph)
-            cached = True
+            memo[id(graph)] = pickle.dumps(graph)
         except Exception:
-            cached = False
-        memo[id(graph)] = cached
-    return cached
+            memo[id(graph)] = None
+    return memo[id(graph)]
 
 
 #: The job server a pooled worker process runs (see serve_jobs).
@@ -310,11 +308,11 @@ def run_distributed(
         transport_dir = tempfile.mkdtemp(prefix="repro-dist-")
         store = ResultCache(transport_dir)
 
-    memo: Dict[int, bool] = {}
+    memo: Dict[int, Optional[bytes]] = {}
     remote: List[Tuple[int, str, Any, Any]] = []
     local: List[Tuple[int, Any, Any]] = []
     for index, graph, spec in tasks:
-        if wireable(spec) and _graph_picklable(graph, memo):
+        if wireable(spec) and _graph_blob(graph, memo) is not None:
             key = store.key(graph.content_hash(), spec)
             if key is not None:
                 remote.append((index, names.get(index, "graph"), graph, spec))
@@ -324,7 +322,7 @@ def run_distributed(
     outcomes: List[Tuple[int, Any, Any, int, Optional[str]]] = []
     try:
         if remote:
-            outcomes.extend(_run_remote(remote, store, config))
+            outcomes.extend(_run_remote(remote, store, config, memo))
         if local:
             outcomes.extend(_run_serial(local, task_retries=task_retries, on_error=on_error))
     finally:
@@ -337,12 +335,13 @@ def _run_remote(
     remote: List[Tuple[int, str, Any, Any]],
     store: ResultCache,
     config: DistConfig,
+    graph_blobs: Mapping[int, Optional[bytes]],
 ) -> List[Tuple[int, Any, Any, int, Optional[str]]]:
     coordinator = DistCoordinator(
         remote, store,
         host=config.host, port=config.port,
         lease_ttl=config.lease_ttl, max_attempts=config.max_attempts,
-        journal=config.journal, verbose=config.verbose,
+        journal=config.journal, verbose=config.verbose, graph_blobs=graph_blobs,
     )
     coordinator.start()
     if config.announce is not None:

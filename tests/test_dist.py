@@ -521,6 +521,21 @@ class TestDistributedSweep:
         assert all(r.cache_hit for r in second)
         assert not any(r.cache_hit for r in first)
 
+    def test_the_graph_is_pickled_once_per_sweep(self, monkeypatch):
+        from repro.graphs.graph import Graph
+
+        pickled = []
+        real_getstate = Graph.__getstate__
+
+        def counting_getstate(graph):
+            pickled.append(graph.num_vertices)
+            return real_getstate(graph)
+
+        monkeypatch.setattr(Graph, "__getstate__", counting_getstate)
+        sweep = GridSweep(products=("emulator",), methods=("centralized",))
+        run_sweep({"grid": GRID}, sweep, dist=dict(THREAD_DIST))
+        assert pickled == [GRID.num_vertices]
+
     def test_journal_knob_reaches_the_coordinator(self, tmp_path):
         journal = tmp_path / "sweep.journal"
         records = run_sweep({"grid": GRID}, SWEEP,
