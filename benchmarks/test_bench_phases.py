@@ -8,6 +8,9 @@ distinct source.
 
 from __future__ import annotations
 
+import os
+import time
+
 from repro.api import BuildSpec, build
 from repro.graphs import generators
 
@@ -43,6 +46,34 @@ def test_bench_spanner_full_build(benchmark, tier_n):
 
     result = benchmark.pedantic(lambda: build(graph, spec), iterations=1, rounds=3)
     assert result.size > 0
+
+
+def test_bench_spanner_within_5x_of_the_emulator(tier_n):
+    """The centralized spanner next to the default emulator on one gnm graph.
+
+    The spanner's deep phases decide popularity from per-component
+    counts, so it should cost a small multiple of Algorithm 1.  The
+    wall-clock check (spanner <= 5x the emulator, best of three builds
+    each) runs only with ``REPRO_BENCH_WALL_CLOCK=1``, as in the CI
+    benchmarks job, so the tier-1 run stays free of timing assertions.
+    """
+    n = tier_n(5000)
+    graph = generators.gnm_random_graph(n, 4 * n, seed=0)
+    graph.csr()
+    times = {}
+    for label, spec in (("emulator", BuildSpec()),
+                        ("spanner", BuildSpec(product="spanner", method="centralized"))):
+        rounds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert build(graph, spec).size > 0
+            rounds.append(time.perf_counter() - start)
+        times[label] = min(rounds) * 1e3
+    ratio = times["spanner"] / times["emulator"]
+    print(f"\ngnm n={n}: emulator/centralized {times['emulator']:.1f} ms, "
+          f"spanner/centralized {times['spanner']:.1f} ms ({ratio:.2f}x)")
+    if os.environ.get("REPRO_BENCH_WALL_CLOCK") == "1":
+        assert ratio <= 5.0, times
 
 
 def test_bench_local_workload_generation(benchmark, tier_n):
