@@ -41,9 +41,14 @@ zero-copy numpy view.  A phase collects its edges as plain
 the ledger in one call each when it ends, and ``P_{i+1}`` is ``P_i``
 relabelled through each cluster's host (:meth:`Partition.regroup`).
 
-:func:`neighboring_centers` reads the same per-center searches for the
-builders that need every center's neighboring centers up front: the
-fast emulator (Section 3.3) and the spanner (Section 4).
+:func:`neighboring_centers` serves the builders that decide every
+center's popularity up front, the fast emulator (Section 3.3) and the
+spanner (Section 4).  Popularity needs only a count, so it counts first
+(in numpy at radius <= 1, by ball walks at radius 2, and beyond by one
+unbounded row per connected component whenever the radius is at least
+twice that row's depth), and it computes a center's list only when the
+center interconnects: the centers left in ``U_i``, and every center of
+the final phase.
 """
 
 from __future__ import annotations
@@ -402,7 +407,7 @@ class NeighboringCenters(Mapping):
     # Counting
     # ------------------------------------------------------------------
     def _count_adjacent(self, centers: List[int]) -> None:
-        if self._radius == 0 or not centers:
+        if self._radius == 0:
             self._counts = dict.fromkeys(centers, 0)
             return
         indptr, indices = self._csr.numpy_views()

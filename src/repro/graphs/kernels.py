@@ -72,12 +72,17 @@ Phase explorations
 Every construction phase reads, for each cluster center, the other
 centers within one radius.  :func:`ball` is that read for one center: an
 adjacency-list walk up to :data:`BALL_WALK_MAX_RADIUS`, one C
-:func:`bfs_row` search beyond.  Algorithm 1, the fast emulator, the
-spanner and the ``local`` query workload call it once per center or
-source (callers that read a deep search only at a few vertices, and the
-baselines, take :func:`bfs_row` or :func:`bounded_bfs` directly); there
-is no batching layer and no cross-build cache, because per-center
-searches measured faster and lighter than both.  :func:`multi_source_attributed` covers the call
+:func:`bfs_row` search beyond.  Algorithm 1 and the ``local`` query
+workload call it once per center or source, and the baselines take
+:func:`bfs_row` or :func:`bounded_bfs` directly.  The fast emulator and
+the spanner read :func:`repro.core.emulator.neighboring_centers`, which
+counts before it lists: past radius 2 it runs one unbounded
+:func:`bfs_row` per connected component (labels from
+:meth:`~repro.graphs.csr.CSRGraph.component_labels`), and a component
+whose every pair lies within the radius needs no other search until a
+center's list is read.  There is no batching layer and no cross-build
+cache, because per-center searches measured faster and lighter than
+both.  :func:`multi_source_attributed` covers the call
 sites that only need Voronoi-style nearest-source assignments: one pass
 returning each vertex's closest source and distance with the documented
 smallest-source-ID tie-break.  The one exception to the canonical order
