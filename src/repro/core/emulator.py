@@ -41,7 +41,7 @@ zero-copy numpy view.  A phase collects its edges as plain
 the ledger in one call each when it ends, and ``P_{i+1}`` is ``P_i``
 relabelled through each cluster's host (:meth:`Partition.regroup`).
 
-:func:`neighboring_centers` serves the builders that decide every
+:class:`NeighboringCenters` serves the builders that decide every
 center's popularity up front, the fast emulator (Section 3.3) and the
 spanner (Section 4).  Popularity needs only a count, so it counts first
 (in numpy at radius <= 1, by ball walks at radius 2, and beyond by one
@@ -75,7 +75,6 @@ __all__ = [
     "EmulatorResult",
     "UltraSparseEmulatorBuilder",
     "NeighboringCenters",
-    "neighboring_centers",
 ]
 
 # States of a phase's vertices in the builder's bytearray: not (or no
@@ -333,24 +332,17 @@ class UltraSparseEmulatorBuilder:
         return partition.regroup(host, offset, phase + 1)
 
 
-def neighboring_centers(csr, centers: List[int], radius) -> "NeighboringCenters":
-    """Every center's neighboring centers: the other ``centers`` within ``radius``.
+class NeighboringCenters(Mapping):
+    """Each center's neighboring centers: the other ``centers`` within ``radius``.
 
     The relation every phase of the fast emulator and the spanner starts
-    from, read count first (see :class:`NeighboringCenters`).
-    """
-    return NeighboringCenters(csr, centers, radius)
-
-
-class NeighboringCenters(Mapping):
-    """Each center's neighboring centers within one radius, counted first.
-
-    A read-only mapping from each center of the ascending ``centers`` to
-    its ``(center, distance)`` pairs by center ID.  :meth:`count` is known
-    up front, because the popularity test reads only the count; a list is
-    computed on first read, because only the centers that join ``U_i``
-    (and every center of a final phase) interconnect.  The counts come
-    from the cheapest search that decides them:
+    from: a read-only mapping from each center of the ascending
+    ``centers`` to its ``(center, distance)`` pairs by center ID.
+    :meth:`count` is known up front, because the popularity test reads
+    only the count; a list is computed on first read, because only the
+    centers that join ``U_i`` (and every center of a final phase)
+    interconnect.  The counts come from the cheapest search that decides
+    them:
 
     * radius <= 1: each center's center-neighbors, counted in numpy from
       the CSR buffers;

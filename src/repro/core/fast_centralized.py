@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.congest.ruling_sets import greedy_ruling_set
 from repro.core.charging import ChargeLedger, EdgeKind
 from repro.core.clusters import Cluster, Partition
-from repro.core.emulator import EmulatorResult, PhaseStats, neighboring_centers
+from repro.core.emulator import EmulatorResult, NeighboringCenters, PhaseStats
 from repro.core.parameters import DistributedSchedule
 from repro.core.phase_obs import annotate_phase_span
 from repro.graphs.graph import Graph
@@ -122,7 +122,7 @@ class FastCentralizedBuilder:
         # their exact distances (the centralized analogue of Algorithm 2).
         # Popularity reads only the counts; a list is computed when a U_i
         # center interconnects.
-        neighbor_map = neighboring_centers(self.graph.csr(), centers, delta)
+        neighbor_map = NeighboringCenters(self.graph.csr(), centers, delta)
 
         popular = {c for c in centers if neighbor_map.count(c) >= degree_threshold}
         stats.popular_centers = len(popular)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.congest.ruling_sets import greedy_ruling_set
 from repro.core.clusters import Cluster, Partition
-from repro.core.emulator import PhaseStats, neighboring_centers
+from repro.core.emulator import NeighboringCenters, PhaseStats
 from repro.core.parameters import SpannerSchedule
 from repro.core.phase_obs import annotate_phase_span
 from repro.graphs.graph import Graph
@@ -151,7 +151,7 @@ class NearAdditiveSpannerBuilder:
             degree_threshold=degree_threshold,
         )
         centers = partition.centers()
-        neighbor_map = neighboring_centers(self.graph.csr(), centers, delta)
+        neighbor_map = NeighboringCenters(self.graph.csr(), centers, delta)
 
         popular = {c for c in centers if neighbor_map.count(c) >= degree_threshold}
         stats.popular_centers = len(popular)

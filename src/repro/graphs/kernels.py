@@ -75,7 +75,7 @@ adjacency-list walk up to :data:`BALL_WALK_MAX_RADIUS`, one C
 :func:`bfs_row` search beyond.  Algorithm 1 and the ``local`` query
 workload call it once per center or source, and the baselines take
 :func:`bfs_row` or :func:`bounded_bfs` directly.  The fast emulator and
-the spanner read :func:`repro.core.emulator.neighboring_centers`, which
+the spanner read :class:`repro.core.emulator.NeighboringCenters`, which
 counts before it lists: past radius 2 it runs one unbounded
 :func:`bfs_row` per connected component (labels from
 :meth:`~repro.graphs.csr.CSRGraph.component_labels`), and a component

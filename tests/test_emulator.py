@@ -327,7 +327,7 @@ def test_neighboring_centers_match_the_reference(radius):
               _mixed_components_graph())
     for graph in graphs:
         centers = list(range(0, graph.num_vertices, 3))
-        got = emulator_module.neighboring_centers(graph.csr(), centers, radius)
+        got = emulator_module.NeighboringCenters(graph.csr(), centers, radius)
         assert list(got) == centers
         wants = {}
         for center in centers:
@@ -353,7 +353,7 @@ def test_covered_component_costs_one_row_until_a_list_is_read(monkeypatch):
     monkeypatch.setattr(kernels, "bfs_row", counting_row)
     graph = generators.connected_erdos_renyi(200, 0.05, seed=4)
     centers = list(range(3, 200, 2))
-    got = emulator_module.neighboring_centers(graph.csr(), centers, 40)
+    got = emulator_module.NeighboringCenters(graph.csr(), centers, 40)
     assert rows == [(3, None)]
     assert all(got.count(c) == len(centers) - 1 for c in centers)
     assert len(got[3]) == len(centers) - 1 and rows == [(3, None)]
