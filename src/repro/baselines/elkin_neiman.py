@@ -16,10 +16,11 @@ The construction is randomized; it is used as a comparator in experiment E4.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional
 
-from repro.core.clusters import Cluster, Partition
+from repro.core.clusters import Partition
 from repro.core.parameters import CentralizedSchedule
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import bounded_bfs, multi_source_attributed
@@ -70,8 +71,12 @@ def build_elkin_neiman_emulator(
         sample_probability = 0.0 if is_last else min(1.0, 1.0 / degree)
         sampled = {c for c in centers if rng.random() < sample_probability}
         center_set = set(centers)
-        next_partition = Partition()
-        gathered: Dict[int, List[Tuple[int, float, Cluster]]] = {s: [] for s in sampled}
+        # host[c] = h, offset[c] = d: the cluster centered at c joins the
+        # supercluster centered at h, at distance d (-1: it joins none).
+        host = array("l", [-1]) * n
+        offset = array("d", bytes(8 * n))
+        for s in sampled:
+            host[s] = s
 
         # One multi-source pass assigns every vertex its closest sampled
         # center (smallest-ID ties — the same ``sorted((d, s))[0]`` rule
@@ -82,13 +87,13 @@ def build_elkin_neiman_emulator(
         for center in centers:
             if center in sampled:
                 continue
-            cluster = partition.cluster_of_center(center)
             assignment = attributed.get(center)
             if assignment is not None:
                 closest, d = assignment
                 if emulator.add_edge(center, closest, float(d)):
                     superclustering_edges += 1
-                gathered[closest].append((center, float(d), cluster))
+                host[center] = closest
+                offset[center] = d
             else:
                 # No sampled cluster nearby: interconnect with every
                 # neighboring cluster center and leave the hierarchy.
@@ -99,17 +104,7 @@ def build_elkin_neiman_emulator(
                     if emulator.add_edge(center, other, float(d)):
                         interconnection_edges += 1
 
-        for s in sorted(sampled):
-            base = partition.cluster_of_center(s)
-            members: Set[int] = set(base.members)
-            radius = base.radius
-            for center, d, cluster in gathered.get(s, []):
-                members |= cluster.members
-                radius = max(radius, d + cluster.radius)
-            next_partition.add(
-                Cluster(center=s, members=members, radius=radius, phase_created=phase + 1)
-            )
-        partition = next_partition
+        partition = partition.regroup(host, offset, phase + 1)
 
     return ElkinNeimanResult(
         emulator=emulator,

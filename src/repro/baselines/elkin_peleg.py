@@ -20,10 +20,11 @@ construction).  It is used as a comparator in experiment E4.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import Optional, Set
 
-from repro.core.clusters import Cluster, Partition
+from repro.core.clusters import Partition
 from repro.core.parameters import CentralizedSchedule
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import bfs_tree, bounded_bfs
@@ -89,14 +90,15 @@ def build_elkin_peleg_emulator(
         is_last = phase == schedule.ell
         centers = partition.centers()
         remaining: Set[int] = set(centers)
-        next_partition = Partition()
-        unclustered: List[int] = []
+        # host[c] = h, offset[c] = d: the cluster centered at c joins the
+        # supercluster centered at h, at distance d (-1: it joins none).
+        host = array("l", [-1]) * n
+        offset = array("d", bytes(8 * n))
 
         for center in centers:
             if center not in remaining:
                 continue
             remaining.discard(center)
-            cluster = partition.cluster_of_center(center)
             dist = bounded_bfs(graph, center, delta)
             neighbors = sorted(
                 (other, float(d)) for other, d in dist.items()
@@ -104,19 +106,13 @@ def build_elkin_peleg_emulator(
             )
             popular = (not is_last) and len(neighbors) >= degree_threshold
             if popular:
-                members: Set[int] = set(cluster.members)
-                radius = cluster.radius
+                host[center] = center
                 for other, d in neighbors:
                     if emulator.add_edge(center, other, d):
                         superclustering_edges += 1
-                    other_cluster = partition.cluster_of_center(other)
-                    members |= other_cluster.members
-                    radius = max(radius, d + other_cluster.radius)
+                    host[other] = center
+                    offset[other] = d
                     remaining.discard(other)
-                next_partition.add(
-                    Cluster(center=center, members=members, radius=radius,
-                            phase_created=phase + 1)
-                )
             else:
                 # Interconnect with nearby clusters that are also still
                 # unclustered (EP01 interconnects unpopular clusters with
@@ -124,9 +120,8 @@ def build_elkin_peleg_emulator(
                 for other, d in neighbors:
                     if emulator.add_edge(center, other, d):
                         interconnection_edges += 1
-                unclustered.append(center)
 
-        partition = next_partition
+        partition = partition.regroup(host, offset, phase + 1)
 
     return ElkinPelegResult(
         emulator=emulator,

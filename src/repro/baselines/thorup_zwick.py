@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.core.clusters import Cluster, Partition
+from repro.core.clusters import Partition
 from repro.graphs import kernels
 from repro.graphs.graph import Graph
 from repro.graphs.weighted_graph import WeightedGraph
@@ -82,8 +83,12 @@ def build_thorup_zwick_emulator(
         sampled = set() if is_last else {
             c for c in centers if rng.random() < sample_probability
         }
-        next_partition = Partition()
-        gathered: Dict[int, List[Tuple[int, float, Cluster]]] = {s: [] for s in sampled}
+        # host[c] = h, offset[c] = d: the cluster centered at c joins the
+        # supercluster centered at h, at distance d (-1: it joins none).
+        host = array("l", [-1]) * n
+        offset = array("d", bytes(8 * n))
+        for s in sampled:
+            host[s] = s
 
         # Every unsampled center reads its whole distance row (the
         # interconnection rule has no distance threshold) and works on it
@@ -99,7 +104,6 @@ def build_thorup_zwick_emulator(
         for center in centers:
             if center in sampled:
                 continue
-            cluster = partition.cluster_of_center(center)
             row = kernels.bfs_row(csr, center)
             sampled_row = row[sampled_ids]
             sampled_dist = float(sampled_row.min()) if sampled_ids.size else math.inf
@@ -117,19 +121,10 @@ def build_thorup_zwick_emulator(
                 closest = int(sampled_ids[np.argmax(sampled_row == sampled_dist)])
                 if emulator.add_edge(center, closest, sampled_dist):
                     superclustering_edges += 1
-                gathered[closest].append((center, sampled_dist, cluster))
+                host[center] = closest
+                offset[center] = sampled_dist
 
-        for s in sorted(sampled):
-            base = partition.cluster_of_center(s)
-            members: Set[int] = set(base.members)
-            radius = base.radius
-            for center, d, cluster in gathered.get(s, []):
-                members |= cluster.members
-                radius = max(radius, d + cluster.radius)
-            next_partition.add(
-                Cluster(center=s, members=members, radius=radius, phase_created=level + 1)
-            )
-        partition = next_partition
+        partition = partition.regroup(host, offset, level + 1)
         if partition.num_clusters == 0:
             break
 

@@ -17,15 +17,16 @@ This module provides:
   center label per vertex, a radius and a creation phase per center):
   ``P_0`` costs ``O(n)`` array fills, Algorithm 1 forms ``P_{i+1}`` by
   relabelling ``P_i`` (:meth:`Partition.regroup`), and the
-  :class:`Cluster` views are built only when a caller reads them.  The
-  other builders still assemble partitions cluster by cluster with
-  :meth:`Partition.add`.
+  :class:`Cluster` views are built only when a caller reads them.  Every
+  SAI builder forms ``P_{i+1}`` with :meth:`Partition.regroup`;
+  :meth:`Partition.add` builds a partition cluster by cluster, the
+  reference the tests compare ``regroup`` against.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
 
@@ -87,42 +88,6 @@ class Cluster:
     def frozen_members(self) -> FrozenSet[int]:
         """An immutable snapshot of the member set."""
         return frozenset(self.members)
-
-    def merged_with(
-        self,
-        others: Iterable["Cluster"],
-        new_center: Optional[int] = None,
-        radius: Optional[float] = None,
-        phase_created: Optional[int] = None,
-    ) -> "Cluster":
-        """Return a new supercluster containing this cluster and ``others``.
-
-        Parameters
-        ----------
-        others:
-            The clusters merged into the supercluster.
-        new_center:
-            Center of the supercluster (defaults to this cluster's center).
-        radius:
-            Radius witness of the supercluster; defaults to the maximum of
-            the constituent radii (callers normally pass the proper bound).
-        phase_created:
-            Phase index recorded on the new cluster.
-        """
-        center = self.center if new_center is None else new_center
-        members = set(self.members)
-        max_radius = self.radius
-        for other in others:
-            members |= other.members
-            max_radius = max(max_radius, other.radius)
-        if center not in members:
-            raise ValueError(f"new center {center} is not a member of the merged cluster")
-        return Cluster(
-            center=center,
-            members=members,
-            radius=max_radius if radius is None else radius,
-            phase_created=self.phase_created if phase_created is None else phase_created,
-        )
 
     def __repr__(self) -> str:
         return (
@@ -191,34 +156,35 @@ class Partition:
         self._num_covered += len(cluster.members)
         self._clusters = None
 
-    def remove(self, center: int) -> Cluster:
-        """Remove and return the cluster centered at ``center``."""
-        cluster = self.cluster_of_center(center)
-        for v in cluster.members:
-            self._center_of[v] = -1
-        del self._centers[bisect_left(self._centers, center)]
-        self._num_covered -= len(cluster.members)
-        del self._clusters[center]
-        return cluster
-
     def regroup(self, host: array, offset: array, phase_created: int) -> "Partition":
         """The partition of superclusters assembled from this one's clusters.
 
         ``host`` and ``offset`` are indexed by vertex: the cluster centered
         at ``c`` joins the supercluster centered at ``host[c]``, at distance
         ``offset[c]`` from it, or drops out when ``host[c]`` is ``-1``.
-        Every host hosts itself at distance 0.  A supercluster's radius is
-        the largest ``offset[c] + radius[c]`` over its pieces.  Every vertex
-        is relabelled in one array pass.
+        Every host must be a center that hosts itself at distance 0
+        (``ValueError`` otherwise).  A supercluster's radius is the largest
+        ``offset[c] + radius[c]`` over its pieces.  Every vertex is
+        relabelled in one array pass.
         """
         n = len(self._center_of)
         host_of = _np.asarray(host)
         centers = _np.asarray(self._centers)
         pieces = centers[host_of[centers] >= 0]
         hosts = host_of[pieces]
+        heads = _np.unique(hosts)
+        labels = _np.asarray(self._center_of)
+        if heads.size and (
+            heads[-1] >= n
+            or not (labels[heads] == heads).all()
+            or not (host_of[heads] == heads).all()
+            or _np.asarray(offset)[heads].any()
+        ):
+            raise ValueError(
+                "every host must be a center of this partition that hosts itself at offset 0"
+            )
         lookup = _np.full(n, -1, dtype="l")
         lookup[pieces] = hosts
-        labels = _np.asarray(self._center_of)
         relabelled = _np.where(labels >= 0, lookup[labels], -1)
         radius = _np.zeros(n)
         reach = _np.asarray(offset)[pieces] + _np.asarray(self._radius)[pieces]
@@ -229,7 +195,7 @@ class Partition:
         result._center_of = array("l", relabelled.tobytes())
         result._radius = array("d", radius.tobytes())
         result._phase = array("l", phase.tobytes())
-        result._centers = array("l", _np.unique(hosts).tobytes())
+        result._centers = array("l", heads.tobytes())
         result._num_covered = int(_np.count_nonzero(relabelled >= 0))
         return result
 

@@ -20,11 +20,12 @@ The resulting emulator satisfies the same ``n^(1 + 1/kappa)`` size bound
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from array import array
+from typing import Dict, List, Optional, Tuple
 
 from repro.congest.ruling_sets import greedy_ruling_set
-from repro.core.charging import ChargeLedger, EdgeKind
-from repro.core.clusters import Cluster, Partition
+from repro.core.charging import ChargeLedger, ChargeRow, EdgeKind
+from repro.core.clusters import Partition
 from repro.core.emulator import EmulatorResult, NeighboringCenters, PhaseStats
 from repro.core.parameters import DistributedSchedule
 from repro.core.phase_obs import annotate_phase_span
@@ -107,7 +108,12 @@ class FastCentralizedBuilder:
     def _run_phase(
         self, phase: int, partition: Partition, *, superclustering_allowed: bool
     ) -> Partition:
-        """Execute one phase (superclustering step + interconnection step)."""
+        """Execute one phase (superclustering step + interconnection step).
+
+        The phase's edges go into ``H`` and the ledger in bulk, in the order
+        the construction adds them, and ``P_{phase+1}`` is ``P_phase``
+        relabelled through each cluster's host.
+        """
         delta = self.schedule.delta(phase)
         degree_threshold = self.schedule.degree(phase)
         stats = PhaseStats(
@@ -127,8 +133,14 @@ class FastCentralizedBuilder:
         popular = {c for c in centers if neighbor_map.count(c) >= degree_threshold}
         stats.popular_centers = len(popular)
 
-        next_partition = Partition()
-        superclustered: Set[int] = set()
+        # host[c] = h, offset[c] = d: the cluster centered at c joins the
+        # supercluster centered at h, at distance d (-1: it joins none).
+        n = self.graph.num_vertices
+        host = array("l", [-1]) * n
+        offset = array("d", bytes(8 * n))
+        # The phase's emulator edges as ``(u, v, weight, charged_to, kind)``
+        # rows in insertion order.
+        rows: List[ChargeRow] = []
 
         if superclustering_allowed and popular:
             separation = self.schedule.separation(phase)
@@ -140,56 +152,33 @@ class FastCentralizedBuilder:
             # P_i whose center is spanned by that tree.
             members_by_root: Dict[int, List[Tuple[int, int]]] = {r: [] for r in ruling.members}
             for center in centers:
-                if center in dist_to_root and root_of[center] in members_by_root:
-                    if center != root_of[center]:
-                        members_by_root[root_of[center]].append((center, dist_to_root[center]))
+                if center in dist_to_root and center != root_of[center]:
+                    members_by_root[root_of[center]].append((center, dist_to_root[center]))
 
             for root in sorted(members_by_root):
-                root_cluster = partition.cluster_of_center(root)
-                joined = members_by_root[root]
-                member_vertices: Set[int] = set(root_cluster.members)
-                radius = root_cluster.radius
-                superclustered.add(root)
-                for center, d in joined:
-                    self._add_edge(root, center, float(d), charged_to=center, phase=phase,
-                                   kind=EdgeKind.SUPERCLUSTERING)
-                    stats.superclustering_edges += 1
-                    joined_cluster = partition.cluster_of_center(center)
-                    member_vertices |= joined_cluster.members
-                    radius = max(radius, d + joined_cluster.radius)
-                    superclustered.add(center)
-                next_partition.add(
-                    Cluster(center=root, members=member_vertices, radius=radius,
-                            phase_created=phase + 1)
-                )
-                stats.superclusters_formed += 1
+                host[root] = root
+                for center, d in members_by_root[root]:
+                    host[center] = root
+                    offset[center] = d
+                    rows.append((root, center, float(d), center, EdgeKind.SUPERCLUSTERING))
+            stats.superclusters_formed = len(members_by_root)
+            stats.superclustering_edges = len(rows)
 
         # Interconnection step: clusters that were not superclustered join
         # U_i and connect to all of their neighboring clusters.
-        phase_unclustered: List[int] = []
-        for center in centers:
-            if center in superclustered:
-                continue
-            phase_unclustered.append(center)
-            stats.unpopular_centers += 1
-            for other, d in neighbor_map[center]:
-                added = self.emulator.has_edge(center, other)
-                self._add_edge(center, other, d, charged_to=center, phase=phase,
-                               kind=EdgeKind.INTERCONNECTION)
-                if not added:
-                    stats.interconnection_edges += 1
+        phase_unclustered = [c for c in centers if host[c] < 0]
+        stats.unpopular_centers = len(phase_unclustered)
+        links: List[ChargeRow] = [
+            (center, other, d, center, EdgeKind.INTERCONNECTION)
+            for center in phase_unclustered
+            for other, d in neighbor_map[center]
+        ]
+        self.emulator.add_edges(rows)
+        stats.interconnection_edges = self.emulator.add_edges(links)
+        self.ledger.record(phase, rows)
+        self.ledger.record(phase, links)
 
         self.unclustered_centers[phase] = phase_unclustered
         self.phase_stats.append(stats)
         annotate_phase_span(stats, centers_explored=len(centers))
-        return next_partition
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _add_edge(
-        self, u: int, v: int, weight: float, *, charged_to: int, phase: int, kind: EdgeKind
-    ) -> None:
-        """Insert an emulator edge and record its charge."""
-        self.emulator.add_edge(u, v, weight)
-        self.ledger.charge(u, v, weight, charged_to=charged_to, phase=phase, kind=kind)
+        return partition.regroup(host, offset, phase + 1)

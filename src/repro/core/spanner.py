@@ -14,11 +14,13 @@ contributions decay geometrically; the total is ``O(n^(1 + 1/kappa))`` edges
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.congest.ruling_sets import greedy_ruling_set
-from repro.core.clusters import Cluster, Partition
+from repro.core.clusters import Partition
 from repro.core.emulator import NeighboringCenters, PhaseStats
 from repro.core.parameters import SpannerSchedule
 from repro.core.phase_obs import annotate_phase_span
@@ -156,71 +158,61 @@ class NearAdditiveSpannerBuilder:
         popular = {c for c in centers if neighbor_map.count(c) >= degree_threshold}
         stats.popular_centers = len(popular)
 
-        next_partition = Partition()
-        superclustered: Set[int] = set()
+        # host[c] = h, offset[c] = d: the cluster centered at c joins the
+        # supercluster centered at h, at distance d (-1: it joins none).
+        n = self.graph.num_vertices
+        host = array("l", [-1]) * n
+        offset = array("d", bytes(8 * n))
 
         if superclustering_allowed and popular:
-            separation = 2.0 * delta + 1.0
+            separation = self.schedule.separation(phase)
             ruling = greedy_ruling_set(self.graph, popular, separation)
-            forest_depth = (2.0 / self.schedule.rho) * delta + delta
-            parents, dist_to_root = self._forest_parents(ruling.members, forest_depth)
-            root_of = self._roots_from_parents(parents)
+            forest_depth = self.schedule.ruling_radius(phase) + delta
+            parents, dist_to_root, root_of = self._forest_parents(ruling.members, forest_depth)
 
             members_by_root: Dict[int, List[Tuple[int, int]]] = {r: [] for r in ruling.members}
             for center in centers:
-                if center in dist_to_root and root_of.get(center) in members_by_root:
-                    if center != root_of[center]:
-                        members_by_root[root_of[center]].append((center, dist_to_root[center]))
+                if center in dist_to_root and center != root_of[center]:
+                    members_by_root[root_of[center]].append((center, dist_to_root[center]))
 
             for root in sorted(members_by_root):
-                root_cluster = partition.cluster_of_center(root)
-                joined = members_by_root[root]
-                member_vertices: Set[int] = set(root_cluster.members)
-                radius = root_cluster.radius
-                superclustered.add(root)
-                for center, d in joined:
-                    added = self._add_forest_path(center, parents)
+                host[root] = root
+                for center, d in members_by_root[root]:
+                    added = self._add_tree_path(center, parents)
                     stats.superclustering_edges += added
                     self._superclustering_edges += added
-                    joined_cluster = partition.cluster_of_center(center)
-                    member_vertices |= joined_cluster.members
-                    radius = max(radius, d + joined_cluster.radius)
-                    superclustered.add(center)
-                next_partition.add(
-                    Cluster(center=root, members=member_vertices, radius=radius,
-                            phase_created=phase + 1)
-                )
-                stats.superclusters_formed += 1
+                    host[center] = root
+                    offset[center] = d
+            stats.superclusters_formed = len(members_by_root)
 
         # Interconnection step: U_i clusters connect via shortest paths.
         for center in centers:
-            if center in superclustered:
+            if host[center] >= 0:
                 continue
             stats.unpopular_centers += 1
             parent = bfs_tree(self.graph, center, radius=delta)
             for other, _ in neighbor_map[center]:
-                added = self._add_path_from_tree(other, parent)
+                added = self._add_tree_path(other, parent)
                 stats.interconnection_edges += added
                 self._interconnection_edges += added
 
         self.phase_stats.append(stats)
         annotate_phase_span(stats, centers_explored=len(centers))
-        return next_partition
+        return partition.regroup(host, offset, phase + 1)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
     def _forest_parents(
         self, roots: Set[int], depth: float
-    ) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """Parent pointers and distances of the BFS forest rooted at ``roots``."""
-        from collections import deque
-
+    ) -> Tuple[Dict[int, int], Dict[int, int], Dict[int, int]]:
+        """Parent pointers, distances and roots of the BFS forest rooted at ``roots``."""
         parent: Dict[int, int] = {}
         dist: Dict[int, int] = {}
+        root: Dict[int, int] = {}
         queue: deque = deque()
         for r in sorted(roots):
-            parent[r] = r
+            parent[r] = root[r] = r
             dist[r] = 0
             queue.append(r)
         adjacency = self.graph.csr().adjacency()  # neighbor lists in ascending order
@@ -232,43 +224,14 @@ class NearAdditiveSpannerBuilder:
                 if v not in parent:
                     parent[v] = u
                     dist[v] = dist[u] + 1
+                    root[v] = root[u]
                     queue.append(v)
-        return parent, dist
+        return parent, dist, root
 
-    @staticmethod
-    def _roots_from_parents(parents: Dict[int, int]) -> Dict[int, int]:
-        """Map every forest vertex to the root of its tree."""
-        roots: Dict[int, int] = {}
-
-        def find(v: int) -> int:
-            chain = []
-            while parents[v] != v and v not in roots:
-                chain.append(v)
-                v = parents[v]
-            root = roots.get(v, v)
-            for u in chain:
-                roots[u] = root
-            return root
-
-        for v in parents:
-            roots[v] = find(v)
-        return roots
-
-    def _add_forest_path(self, vertex: int, parents: Dict[int, int]) -> int:
-        """Add the forest path from ``vertex`` up to its root; return new edges."""
+    def _add_tree_path(self, vertex: int, parent: Dict[int, int]) -> int:
+        """Add the tree path from ``vertex`` up to its root; return new edges."""
         added = 0
         u = vertex
-        while parents.get(u, u) != u:
-            p = parents[u]
-            if self.spanner.add_edge(u, p):
-                added += 1
-            u = p
-        return added
-
-    def _add_path_from_tree(self, target: int, parent: Dict[int, int]) -> int:
-        """Add the BFS-tree path from ``target`` back to the tree root."""
-        added = 0
-        u = target
         while parent.get(u, u) != u:
             p = parent[u]
             if self.spanner.add_edge(u, p):

@@ -33,6 +33,7 @@ of CONGEST rounds and messages used, which experiment E5 compares against the
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -41,7 +42,7 @@ from repro.congest.network import SynchronousNetwork
 from repro.congest.primitives import distributed_bfs
 from repro.congest.ruling_sets import bitwise_ruling_set, greedy_ruling_set
 from repro.core.charging import ChargeLedger, EdgeKind
-from repro.core.clusters import Cluster, Partition
+from repro.core.clusters import Partition
 from repro.core.emulator import PhaseStats
 from repro.core.parameters import DistributedSchedule
 from repro.graphs.graph import Graph
@@ -202,23 +203,24 @@ class DistributedEmulatorBuilder:
         )
         stats.popular_centers = len(detection.popular)
 
-        next_partition = Partition()
-        superclustered: Set[int] = set()
+        # host[c] = h, offset[c] = d: the cluster centered at c joins the
+        # supercluster centered at h, at distance d (-1: it joins none).
+        n = self.graph.num_vertices
+        host = array("l", [-1]) * n
+        offset = array("d", bytes(8 * n))
 
         if superclustering_allowed and detection.popular:
-            superclustered = self._superclustering_step(
-                phase, partition, detection.popular, next_partition, stats
-            )
+            self._superclustering_step(phase, centers, detection.popular, host, offset, stats)
 
         # Interconnection step.
-        unclustered_centers = [c for c in centers if c not in superclustered]
+        unclustered_centers = [c for c in centers if host[c] < 0]
         stats.unpopular_centers = len(unclustered_centers)
         self._interconnection_step(
-            phase, partition, unclustered_centers, detection, delta, degree_threshold, stats
+            phase, unclustered_centers, detection, delta, degree_threshold, stats
         )
 
         self.phase_stats.append(stats)
-        return next_partition
+        return partition.regroup(host, offset, phase + 1)
 
     # ------------------------------------------------------------------
     # Superclustering (Tasks 2 and 3)
@@ -226,12 +228,17 @@ class DistributedEmulatorBuilder:
     def _superclustering_step(
         self,
         phase: int,
-        partition: Partition,
+        centers: List[int],
         popular: Set[int],
-        next_partition: Partition,
+        host: array,
+        offset: array,
         stats: PhaseStats,
-    ) -> Set[int]:
-        """Run Tasks 2-3 and return the set of superclustered centers."""
+    ) -> None:
+        """Run Tasks 2-3, writing each superclustered center's host and offset.
+
+        A center joins at most one supercluster: a second write of its
+        host raises ``AssertionError``.
+        """
         delta = self.schedule.delta(phase)
         degree_threshold = self.schedule.degree(phase)
         separation = self.schedule.separation(phase)
@@ -252,14 +259,12 @@ class DistributedEmulatorBuilder:
         forest = distributed_bfs(self.net, ruling.members, depth=forest_depth)
         hub_cap = 2 * int(math.floor(degree_threshold)) + 2
 
-        center_set = set(partition.centers())
-        children = forest.children()
+        center_set = set(centers)
         spanned_centers = [c for c in center_set if c in forest.dist]
 
         # Pending announcements per vertex: list of (center, dist_from_root).
         pending: Dict[int, List[Tuple[int, int]]] = {v: [] for v in forest.dist}
         superclusters: Dict[int, List[Tuple[int, float]]] = {}
-        superclustered: Set[int] = set()
 
         max_depth = max(forest.dist.values()) if forest.dist else 0
         # Process vertices from the deepest level upward (the backtracking
@@ -275,8 +280,6 @@ class DistributedEmulatorBuilder:
                 # supercluster; the root's own cluster anchors it.
                 joined = [(c, float(d)) for c, d in batch if c != v]
                 superclusters[v] = joined
-                superclustered.add(v)
-                superclustered.update(c for c, _ in joined)
                 continue
             if len(batch) < hub_cap:
                 pending[forest.parent[v]].extend(batch)
@@ -288,8 +291,6 @@ class DistributedEmulatorBuilder:
                     (c, float(d - forest.dist[v])) for c, d in batch if c != v
                 ]
                 superclusters[v] = joined
-                superclustered.add(v)
-                superclustered.update(c for c, _ in joined)
             else:
                 groups = self._split_hub_batch(batch, degree_threshold)
                 for group in groups:
@@ -301,8 +302,6 @@ class DistributedEmulatorBuilder:
                         if c != representative
                     ]
                     superclusters[representative] = joined
-                    superclustered.add(representative)
-                    superclustered.update(c for c, _ in joined)
             # Hub bookkeeping: notifying the affected centers costs a
             # pipelined broadcast over the subtree below the hub.
             self.net.charge_rounds(forest_depth + hub_cap)
@@ -310,32 +309,33 @@ class DistributedEmulatorBuilder:
         self.net.charge_rounds(max_depth * hub_cap)
         self.net.charge_messages(sum(len(b) for b in pending.values()))
 
-        # Materialize the superclusters into P_{i+1}.
+        def join(center: int, head: int, distance: float) -> None:
+            if host[center] >= 0:
+                raise AssertionError(
+                    f"center {center} joins the superclusters of {host[center]} and {head} "
+                    f"in phase {phase}"
+                )
+            host[center] = head
+            offset[center] = distance
+
+        # Record each supercluster's pieces for P_{i+1}.
         for center in sorted(superclusters):
-            root_cluster = partition.cluster_of_center(center)
-            members: Set[int] = set(root_cluster.members)
-            radius = root_cluster.radius
+            join(center, center, 0.0)
             for other, weight in superclusters[center]:
                 weight = max(weight, 1.0)
                 self._add_edge(center, other, weight, charged_to=other, phase=phase,
                                kind=EdgeKind.SUPERCLUSTERING)
                 stats.superclustering_edges += 1
-                other_cluster = partition.cluster_of_center(other)
-                members |= other_cluster.members
-                radius = max(radius, weight + other_cluster.radius)
-            next_partition.add(
-                Cluster(center=center, members=members, radius=radius, phase_created=phase + 1)
-            )
+                join(other, center, weight)
             stats.superclusters_formed += 1
 
         # Sanity: centers that were spanned must all have been superclustered
         # (their announcement either reached the root or was consumed by a hub).
-        missing = [c for c in spanned_centers if c not in superclustered]
+        missing = [c for c in spanned_centers if host[c] < 0]
         if missing:
             raise AssertionError(
                 f"spanned centers {missing[:5]} were not superclustered in phase {phase}"
             )
-        return superclustered
 
     @staticmethod
     def _split_hub_batch(
@@ -370,7 +370,6 @@ class DistributedEmulatorBuilder:
     def _interconnection_step(
         self,
         phase: int,
-        partition: Partition,
         unclustered_centers: List[int],
         detection,
         delta: float,

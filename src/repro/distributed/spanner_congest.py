@@ -16,14 +16,15 @@ contributions decay geometrically and the total size is
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.congest.bellman_ford import detect_popular_clusters
 from repro.congest.network import SynchronousNetwork
 from repro.congest.primitives import distributed_bfs
 from repro.congest.ruling_sets import greedy_ruling_set
-from repro.core.clusters import Cluster, Partition
+from repro.core.clusters import Partition
 from repro.core.emulator import PhaseStats
 from repro.core.parameters import SpannerSchedule
 from repro.graphs.graph import Graph
@@ -144,57 +145,48 @@ class DistributedSpannerBuilder:
         )
         stats.popular_centers = len(detection.popular)
 
-        next_partition = Partition()
-        superclustered: Set[int] = set()
+        # host[c] = h, offset[c] = d: the cluster centered at c joins the
+        # supercluster centered at h, at distance d (-1: it joins none).
+        n = self.graph.num_vertices
+        host = array("l", [-1]) * n
+        offset = array("d", bytes(8 * n))
 
         if superclustering_allowed and detection.popular:
-            separation = 2.0 * delta + 1.0
+            separation = self.schedule.separation(phase)
             charged = separation * (1.0 / self.schedule.rho) * (
                 float(self.graph.num_vertices) ** self.schedule.rho
             )
             ruling = greedy_ruling_set(self.graph, detection.popular, separation, net=self.net,
                                        charged_rounds=charged)
-            forest_depth = int(math.floor((2.0 / self.schedule.rho) * delta + delta))
+            forest_depth = int(math.floor(self.schedule.ruling_radius(phase) + delta))
             forest = distributed_bfs(self.net, ruling.members, depth=forest_depth)
 
             members_by_root: Dict[int, List[Tuple[int, int]]] = {
                 r: [] for r in ruling.members
             }
-            center_set = set(centers)
             for center in centers:
-                if center in forest.dist:
-                    root = forest.root[center]
-                    if root in members_by_root and center != root:
-                        members_by_root[root].append((center, forest.dist[center]))
+                if center in forest.dist and center != forest.root[center]:
+                    members_by_root[forest.root[center]].append((center, forest.dist[center]))
 
             # Announcements travel up the forest; the paths they traverse are
             # added to the spanner.  The convergecast is pipelined: charge
             # (depth + max batch) rounds per tree.
             for root in sorted(members_by_root):
-                root_cluster = partition.cluster_of_center(root)
                 joined = members_by_root[root]
-                member_vertices: Set[int] = set(root_cluster.members)
-                radius = root_cluster.radius
-                superclustered.add(root)
+                host[root] = root
                 for center, d in joined:
-                    added = self._add_forest_path(center, forest)
+                    added = self._add_tree_path(center, forest.parent)
                     stats.superclustering_edges += added
                     self._superclustering_edges += added
-                    joined_cluster = partition.cluster_of_center(center)
-                    member_vertices |= joined_cluster.members
-                    radius = max(radius, d + joined_cluster.radius)
-                    superclustered.add(center)
-                next_partition.add(
-                    Cluster(center=root, members=member_vertices, radius=radius,
-                            phase_created=phase + 1)
-                )
+                    host[center] = root
+                    offset[center] = d
                 stats.superclusters_formed += 1
                 self.net.charge_rounds(forest_depth + len(joined))
                 self.net.charge_messages(sum(forest.dist[c] for c, _ in joined))
 
         # Interconnection step: U_i clusters add shortest paths to all of
         # their neighboring clusters.
-        unclustered = [c for c in centers if c not in superclustered]
+        unclustered = [c for c in centers if host[c] < 0]
         stats.unpopular_centers = len(unclustered)
         if unclustered:
             detect_popular_clusters(
@@ -203,31 +195,20 @@ class DistributedSpannerBuilder:
         for center in unclustered:
             parent = bfs_tree(self.graph, center, radius=delta)
             for other in sorted(detection.knowledge.get(center, {})):
-                added = self._add_path_from_tree(other, parent)
+                added = self._add_tree_path(other, parent)
                 stats.interconnection_edges += added
                 self._interconnection_edges += added
 
         self.phase_stats.append(stats)
-        return next_partition
+        return partition.regroup(host, offset, phase + 1)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _add_forest_path(self, vertex: int, forest) -> int:
-        """Add the forest path from ``vertex`` to its root; return new edges."""
+    def _add_tree_path(self, vertex: int, parent: Dict[int, int]) -> int:
+        """Add the tree path from ``vertex`` up to its root; return new edges."""
         added = 0
         u = vertex
-        while forest.parent[u] != u:
-            p = forest.parent[u]
-            if self.spanner.add_edge(u, p):
-                added += 1
-            u = p
-        return added
-
-    def _add_path_from_tree(self, target: int, parent: Dict[int, int]) -> int:
-        """Add the BFS-tree path from ``target`` back to the tree root."""
-        added = 0
-        u = target
         while parent.get(u, u) != u:
             p = parent[u]
             if self.spanner.add_edge(u, p):

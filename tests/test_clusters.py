@@ -8,8 +8,16 @@ from array import array
 
 import pytest
 
+from repro.baselines import (
+    build_elkin_neiman_emulator,
+    build_elkin_peleg_emulator,
+    build_thorup_zwick_emulator,
+)
 from repro.core.clusters import Cluster, Partition
 from repro.core.emulator import UltraSparseEmulatorBuilder
+from repro.core.fast_centralized import FastCentralizedBuilder
+from repro.core.spanner import NearAdditiveSpannerBuilder
+from repro.distributed import DistributedEmulatorBuilder, DistributedSpannerBuilder
 from repro.graphs import generators
 
 
@@ -42,26 +50,6 @@ class TestCluster:
         frozen = c.frozen_members()
         assert frozen == frozenset({0, 1})
 
-    def test_merged_with(self):
-        a = Cluster(center=0, members={0, 1}, radius=1.0)
-        b = Cluster(center=2, members={2, 3}, radius=2.0)
-        merged = a.merged_with([b], radius=5.0, phase_created=1)
-        assert merged.center == 0
-        assert merged.members == {0, 1, 2, 3}
-        assert merged.radius == 5.0
-        assert merged.phase_created == 1
-
-    def test_merged_with_default_radius(self):
-        a = Cluster(center=0, members={0}, radius=1.0)
-        b = Cluster(center=1, members={1}, radius=3.0)
-        assert a.merged_with([b]).radius == 3.0
-
-    def test_merged_with_invalid_center(self):
-        a = Cluster(center=0, members={0})
-        b = Cluster(center=1, members={1})
-        with pytest.raises(ValueError):
-            a.merged_with([b], new_center=9)
-
     def test_repr(self):
         assert "center=0" in repr(Cluster.singleton(0))
 
@@ -92,13 +80,6 @@ class TestPartition:
         p = Partition([Cluster(center=0, members={0, 1})])
         with pytest.raises(ValueError):
             p.add(Cluster(center=2, members={1, 2}))
-
-    def test_remove(self):
-        p = Partition.singletons(3)
-        removed = p.remove(1)
-        assert removed.center == 1
-        assert not p.covers(1)
-        assert p.num_clusters == 2
 
     def test_centers_sorted(self):
         p = Partition([Cluster.singleton(3), Cluster.singleton(1), Cluster.singleton(2)])
@@ -202,12 +183,30 @@ class TestArrayBackedPartition:
             assert _answers(partition, 144) == _answers(copy, 144)
 
     def test_clusters_are_grouped_once_and_cached(self):
-        p = Partition.singletons(4)
-        assert p.cluster_of_center(2) is p.cluster_of_vertex(2)
-        p.remove(2)
-        assert p.cluster_of_vertex(2) is None and p.cluster_of_center(1).members == {1}
-        p.add(Cluster(center=2, members={2}, radius=3.0))
+        p = Partition([Cluster.singleton(0), Cluster.singleton(1)])
+        assert p.cluster_of_center(1) is p.cluster_of_vertex(1)
+        assert p.cluster_of_vertex(2) is None
+        p.add(Cluster(center=2, members={2, 3}, radius=3.0))
+        assert p.cluster_of_vertex(3).center == 2 and p.cluster_of_center(1).members == {1}
         assert p.cluster_of_center(2).radius == 3.0 and p.max_radius() == 3.0
+
+    @pytest.mark.parametrize("assignments", [
+        {1: (0, 1.0)},                # host 0 does not host itself
+        {0: (0, 0.0), 1: (0, 1.0), 2: (1, 1.0)},  # host 1 joined 0
+        {0: (0, 2.0), 1: (0, 1.0)},   # host 0 hosts itself at offset 2
+    ])
+    def test_regroup_rejects_a_host_that_does_not_host_itself(self, assignments):
+        with pytest.raises(ValueError):
+            Partition.singletons(4).regroup(*_hosts(4, assignments), 1)
+
+    def test_regroup_rejects_a_host_that_is_not_a_center(self):
+        p1 = Partition.singletons(4).regroup(*_hosts(4, {0: (0, 0.0), 1: (0, 1.0),
+                                                         2: (2, 0.0)}), 1)
+        # 1 is no center of p1, so it cannot host 2 even while hosting itself.
+        with pytest.raises(ValueError):
+            p1.regroup(*_hosts(4, {1: (1, 0.0), 2: (1, 1.0)}), 2)
+        with pytest.raises(ValueError):
+            p1.regroup(*_hosts(5, {0: (0, 0.0), 2: (4, 1.0), 4: (4, 0.0)}), 2)
 
     def test_pickles_as_arrays(self):
         p = Partition.singletons(5).regroup(*_hosts(5, {0: (0, 0.0), 4: (0, 1.0)}), 1)
@@ -226,3 +225,47 @@ class TestArrayBackedPartition:
     def test_add_rejects_negative_vertices(self):
         with pytest.raises(ValueError):
             Partition().add(Cluster(center=0, members={0, -1}))
+
+
+#: SAI builders besides Algorithm 1, each run with its default parameters.
+SAI_BUILDERS = {
+    "emulator/fast": lambda g: FastCentralizedBuilder(g).build(),
+    "spanner/centralized": lambda g: NearAdditiveSpannerBuilder(g).build(),
+    "emulator/congest": lambda g: DistributedEmulatorBuilder(g).build(),
+    "spanner/congest": lambda g: DistributedSpannerBuilder(g).build(),
+    "elkin-peleg": build_elkin_peleg_emulator,
+    "elkin-neiman": lambda g: build_elkin_neiman_emulator(g, seed=0),
+    "thorup-zwick": lambda g: build_thorup_zwick_emulator(g, seed=0),
+}
+
+#: Two of the golden corpus's families: one connected, one not.
+SAI_FAMILIES = {
+    "grid": lambda: generators.grid_graph(12, 12),
+    "disconnected": lambda: generators.gnm_random_graph(160, 240, seed=3),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SAI_FAMILIES))
+@pytest.mark.parametrize("builder", sorted(SAI_BUILDERS))
+def test_builders_regroup_without_cluster_views(monkeypatch, builder, family):
+    # Every builder forms P_{i+1} by relabelling P_i: no build may group
+    # member sets into Cluster views, and every partition it forms is
+    # disjoint.
+    def refuse(self):
+        raise AssertionError("a build materialized the Cluster views of a partition")
+
+    formed = []
+    regroup = Partition.regroup
+
+    def checked_regroup(self, host, offset, phase_created):
+        result = regroup(self, host, offset, phase_created)
+        result.validate_disjoint()
+        formed.append(result)
+        return result
+
+    monkeypatch.setattr(Partition, "_grouped", refuse)
+    monkeypatch.setattr(Partition, "regroup", checked_regroup)
+    result = SAI_BUILDERS[builder](SAI_FAMILIES[family]())
+    assert formed
+    for partition in getattr(result, "partitions", ()):
+        partition.validate_disjoint()

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from repro import BuildSpec, build
 from repro.analysis.validation import verify_emulator, verify_no_shortening
+from repro.congest.bellman_ford import detect_popular_clusters
+from repro.core.emulator import PhaseStats
 from repro.core.parameters import DistributedSchedule, size_bound
 from repro.distributed.emulator_congest import (
     DistributedEmulatorBuilder,
@@ -140,3 +144,23 @@ class TestAgreementWithCentralized:
         r2 = build(graph, CONGEST_EMULATOR).raw
         assert sorted(r1.emulator.edges()) == sorted(r2.emulator.edges())
         assert r1.rounds == r2.rounds
+
+
+def test_a_center_cannot_join_two_superclusters():
+    # Task 3 writes each superclustered center's host once; a center that
+    # already has a host (here: the smallest popular center, which some
+    # ruling tree spans) makes the step raise instead of overwriting it.
+    graph = generators.grid_graph(12, 12)
+    builder = DistributedEmulatorBuilder(graph)
+    schedule, n = builder.schedule, graph.num_vertices
+    centers = list(range(n))
+    detection = detect_popular_clusters(
+        graph, centers, schedule.degree(0), schedule.delta(0), net=builder.net)
+    host = array("l", [-1]) * n
+    offset = array("d", bytes(8 * n))
+    victim = min(detection.popular)
+    host[victim] = victim
+    stats = PhaseStats(phase=0, num_clusters=n, delta=schedule.delta(0),
+                       degree_threshold=schedule.degree(0))
+    with pytest.raises(AssertionError, match=f"center {victim} joins the superclusters"):
+        builder._superclustering_step(0, centers, detection.popular, host, offset, stats)
