@@ -4,7 +4,7 @@ The three builders (centralized emulator, fast emulator, spanner) all
 run the superclustering-and-interconnection loop of Algorithm 1; their
 ``build`` loops wrap each ``_run_phase`` call in a ``repro.obs`` span,
 and :func:`annotate_phase_span` copies the phase's outcome — the
-:class:`~repro.core.emulator.PhaseStats` counters, the kernel backend and
+:class:`~repro.core.emulator.PhaseStats` counters and
 ``centers_explored`` (the centers whose ``delta_i`` ball the phase read)
 — onto that span once the phase is done.
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.graphs import kernels
 from repro.obs import current_span
 
 __all__ = ["annotate_phase_span"]
@@ -40,7 +39,6 @@ def annotate_phase_span(stats: Any, *, centers_explored: int) -> None:
         buffered_centers=stats.buffered_centers,
         interconnection_edges=stats.interconnection_edges,
         superclustering_edges=stats.superclustering_edges,
-        backend=kernels.get_backend(),
         centers_explored=centers_explored,
     )
 

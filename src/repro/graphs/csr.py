@@ -13,10 +13,9 @@ buffers —
 
 — (plus an aligned ``weights`` ``array('d')`` for the weighted variant)
 so the kernels in :mod:`repro.graphs.kernels` can walk edges with flat
-reads instead of per-call dictionaries, and vectorized backends can
+reads instead of per-call dictionaries, and the vectorized ones can
 operate on the buffers wholesale (:func:`numpy.frombuffer` views are
-zero-copy, and the same buffers back a :class:`scipy.sparse.csr_matrix`
-when SciPy is available).
+zero-copy, and the same buffers back a :class:`scipy.sparse.csr_matrix`).
 
 A snapshot is immutable.  :meth:`Graph.csr` / :meth:`WeightedGraph.csr`
 compile one lazily and cache it on the graph instance with the same
@@ -36,12 +35,11 @@ from __future__ import annotations
 from array import array
 from typing import Any, List, Optional, Tuple
 
-__all__ = ["CSRGraph", "WeightedCSRGraph"]
+import numpy as _np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-try:  # optional vectorized backend; the scalar kernels never need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_KERNEL_BACKEND
-    _np = None
+__all__ = ["CSRGraph", "WeightedCSRGraph"]
 
 
 class CSRGraph:
@@ -103,9 +101,7 @@ class CSRGraph:
         return self._adjacency
 
     def numpy_views(self):
-        """Zero-copy ``(indptr, indices)`` numpy views, or ``None`` without numpy."""
-        if _np is None:
-            return None
+        """Zero-copy ``(indptr, indices)`` numpy views."""
         if self._numpy is None:
             indptr = _np.frombuffer(self.indptr, dtype=_np.dtype(self.indptr.typecode))
             if len(self.indices):
@@ -118,24 +114,22 @@ class CSRGraph:
         return self._numpy
 
     def scipy_matrix(self):
-        """The snapshot as a unit-weight ``scipy.sparse.csr_matrix``, or ``None``.
+        """The snapshot as a unit-weight ``scipy.sparse.csr_matrix``.
 
         Data is float64 so :func:`scipy.sparse.csgraph.dijkstra` does not
         re-convert the matrix on every call.
         """
         if self._scipy is None:
             self._scipy = _build_scipy_matrix(self, data=None)
-        return None if self._scipy is _SCIPY_UNAVAILABLE else self._scipy
+        return self._scipy
 
     def component_labels(self):
         """Each vertex's connected-component label as an int32 numpy array.
 
         One :func:`scipy.sparse.csgraph.connected_components` call per
-        snapshot; needs scipy.
+        snapshot.
         """
         if self._components is None:
-            from scipy.sparse.csgraph import connected_components
-
             self._components = connected_components(self.scipy_matrix(), directed=False)[1]
         return self._components
 
@@ -200,9 +194,7 @@ class WeightedCSRGraph(CSRGraph):
         return self._pairs
 
     def numpy_views(self):
-        """Zero-copy ``(indptr, indices, weights)`` numpy views, or ``None``."""
-        if _np is None:
-            return None
+        """Zero-copy ``(indptr, indices, weights)`` numpy views."""
         if self._numpy is None:
             indptr = _np.frombuffer(self.indptr, dtype=_np.dtype(self.indptr.typecode))
             if len(self.indices):
@@ -219,10 +211,10 @@ class WeightedCSRGraph(CSRGraph):
         return self._numpy
 
     def scipy_matrix(self):
-        """The snapshot as a weighted ``scipy.sparse.csr_matrix``, or ``None``."""
+        """The snapshot as a weighted ``scipy.sparse.csr_matrix``."""
         if self._scipy is None:
             self._scipy = _build_scipy_matrix(self, data=self.weights)
-        return None if self._scipy is _SCIPY_UNAVAILABLE else self._scipy
+        return self._scipy
 
     def subdivision_size(self) -> Optional[int]:
         """Dummy vertices of the unit subdivision (``sum(w - 1)`` over the
@@ -246,8 +238,6 @@ class WeightedCSRGraph(CSRGraph):
         return self._subdivision
 
     def _build_subdivision(self):
-        from scipy.sparse import csr_matrix
-
         dummies = self.subdivision_size()
         if dummies is None:
             raise ValueError("a unit subdivision needs positive-integer weights")
@@ -292,19 +282,8 @@ class WeightedCSRGraph(CSRGraph):
                       state["weights"])
 
 
-#: Sentinel cached when scipy is not importable, so the probe runs once.
-_SCIPY_UNAVAILABLE = object()
-
-
 def _build_scipy_matrix(csr: CSRGraph, data: Optional[array]):
-    try:
-        from scipy.sparse import csr_matrix
-    except ImportError:  # pragma: no cover - exercised via REPRO_KERNEL_BACKEND
-        return _SCIPY_UNAVAILABLE
-    views = csr.numpy_views()
-    if views is None:  # scipy without numpy cannot happen, but stay safe
-        return _SCIPY_UNAVAILABLE
-    indptr, indices = views[0], views[1]
+    indptr, indices = csr.numpy_views()[:2]
     if data is None:
         values = _np.ones(len(indices), dtype=_np.float64)
     else:

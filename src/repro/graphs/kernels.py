@@ -16,28 +16,23 @@ vertices), bit for bit the row of :func:`scipy.sparse.csgraph.dijkstra`
 (see *Rows* below).  The construction phases read one center's ball at a
 time through :func:`ball` (see *Phase explorations* below).
 
-Three backends implement the kernels:
+Each call picks its path from its radius and the snapshot's size alone:
 
-``python``
-    Scalar level-synchronous loops over the snapshot's adjacency-list
-    view.  Always available, output-sensitive (cost proportional to the
-    explored ball, like the dict implementations), and measurably faster
-    than the dict path at every size.
-``numpy``
-    Vectorized level-synchronous expansion over zero-copy
-    :func:`numpy.frombuffer` views of the CSR buffers.  Wins on large
-    unbounded searches; used when numpy is importable.
-``scipy``
-    The C row kernels below over a ``csr_matrix`` sharing the same
-    buffers, converted to a dict.
+* a bounded search runs a scalar level-synchronous loop over the
+  snapshot's adjacency-list view — output-sensitive (cost proportional
+  to the explored ball, like the dict implementations), so a radius-2
+  ball on a large graph does not pay for a dense ``n``-vector;
+* an unbounded search on at least :data:`VECTOR_MIN_VERTICES` vertices
+  runs the C row kernels below over a ``csr_matrix`` sharing the same
+  buffers and converts the row to a dict; multi-source BFS runs a
+  vectorized level-synchronous expansion over zero-copy
+  :func:`numpy.frombuffer` views of the CSR buffers instead;
+* hop-limited Bellman–Ford vectorizes from
+  :data:`HOP_VECTOR_MIN_VERTICES` vertices.
 
-``auto`` (the default) picks per call: bounded explorations stay on the
-scalar backend (output-sensitive — a radius-2 ball on a large graph
-should not pay for a dense ``n``-vector), unbounded searches use scipy,
-then numpy, above :data:`VECTOR_MIN_VERTICES` vertices.  Set
-``REPRO_KERNEL_BACKEND=python|numpy|scipy`` (or call
-:func:`set_backend`) to force one backend, e.g. to run the equivalence
-suite against every implementation.
+Smaller unbounded searches stay on the scalar loops, where per-call
+vectorization overhead outweighs the saved per-edge work.  The tests
+cover both sides of each selection by monkeypatching its threshold.
 
 Rows
 ----
@@ -56,16 +51,15 @@ the same row bit for bit.
 Determinism
 -----------
 Distances are unique, and multi-source origins are canonical: ties are
-broken toward the **smallest source ID** on every backend.  (With
-sources enqueued in ascending order, the scalar frontier stays grouped
-by origin, so the first claimer of a vertex carries the minimum origin
-among its predecessors; the vectorized backend computes that minimum
+broken toward the **smallest source ID** on every path.  (With sources
+enqueued in ascending order, the scalar frontier stays grouped by
+origin, so the first claimer of a vertex carries the minimum origin
+among its predecessors; the vectorized expansion computes that minimum
 directly.  Both equal the dict implementation's documented behaviour.)
 Dict *iteration order* is canonical too: BFS, multi-source and Dijkstra
 results iterate in ascending ``(distance, vertex)`` order on every
-backend, so seeded consumers that materialize an order (e.g. workload
-generators sampling a BFS ball) are reproducible regardless of which
-backend answered.
+path, so seeded consumers that materialize an order (e.g. workload
+generators sampling a BFS ball) do not depend on which path answered.
 
 Phase explorations
 ------------------
@@ -82,8 +76,9 @@ counts before it lists: past radius 2 it runs one unbounded
 whose every pair lies within the radius needs no other search until a
 center's list is read.  There is no batching layer and no cross-build
 cache, because per-center searches measured faster and lighter than
-both.  :func:`multi_source_attributed` covers the call
-sites that only need Voronoi-style nearest-source assignments: one pass
+both.  :func:`multi_source_bfs` covers the call sites that only need
+Voronoi-style nearest-source assignments (see
+:func:`repro.graphs.shortest_paths.multi_source_attributed`): one pass
 returning each vertex's closest source and distance with the documented
 smallest-source-ID tie-break.  The one exception to the canonical order
 is :func:`hop_limited`, whose vectorized path emits ascending vertex
@@ -93,12 +88,14 @@ discovery order — its consumers are lookup-only.
 
 from __future__ import annotations
 
-import os
 import threading
-import warnings
 from heapq import heappop, heappush
 from math import floor, inf, isinf, isnan
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+import numpy as _np
+from scipy.sparse.csgraph import breadth_first_order as _scipy_bfs_order
+from scipy.sparse.csgraph import dijkstra as _scipy_csgraph_dijkstra
 
 from repro.graphs.csr import CSRGraph, WeightedCSRGraph
 
@@ -106,7 +103,6 @@ __all__ = [
     "bfs_distances",
     "bounded_bfs",
     "multi_source_bfs",
-    "multi_source_attributed",
     "dijkstra",
     "bfs_row",
     "dijkstra_row",
@@ -115,25 +111,9 @@ __all__ = [
     "hop_limited",
     "normalize_radius",
     "normalize_max_distance",
-    "set_backend",
-    "get_backend",
-    "available_backends",
 ]
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_KERNEL_BACKEND
-    _np = None
-
-try:
-    from scipy.sparse.csgraph import breadth_first_order as _scipy_bfs_order
-    from scipy.sparse.csgraph import dijkstra as _scipy_csgraph_dijkstra
-except ImportError:  # pragma: no cover - exercised via REPRO_KERNEL_BACKEND
-    _scipy_bfs_order = _scipy_csgraph_dijkstra = None
-
-_BACKENDS = ("auto", "python", "numpy", "scipy")
-
-#: Unbounded searches below this vertex count stay on the scalar backend:
+#: Unbounded searches below this vertex count stay on the scalar loops:
 #: per-call vectorization overhead beats the saved per-edge work there.
 VECTOR_MIN_VERTICES = 2048
 #: Hop-limited Bellman–Ford vectorizes earlier: its per-round work is
@@ -144,63 +124,6 @@ HOP_VECTOR_MIN_VERTICES = 512
 #: Weighted-Dijkstra epsilon matching the hop-limited Bellman–Ford
 #: tolerance in :mod:`repro.hopsets.bounded_hop`.
 _EPS = 1e-12
-
-
-def _initial_backend() -> str:
-    name = os.environ.get("REPRO_KERNEL_BACKEND", "auto").strip().lower()
-    if name not in _BACKENDS:
-        warnings.warn(
-            f"unknown REPRO_KERNEL_BACKEND {name!r}; falling back to 'auto' "
-            f"(valid: {', '.join(_BACKENDS)})",
-            RuntimeWarning,
-        )
-        return "auto"
-    # A forced-but-unimportable backend must not silently degrade: a run
-    # that claims to exercise the scipy path had better have scipy.
-    if (name == "numpy" and _np is None) or (
-        name == "scipy" and _scipy_csgraph_dijkstra is None
-    ):
-        warnings.warn(
-            f"REPRO_KERNEL_BACKEND={name} requested but {name} is not "
-            "importable; falling back to 'auto'",
-            RuntimeWarning,
-        )
-        return "auto"
-    return name
-
-
-_BACKEND = _initial_backend()
-
-
-def set_backend(name: str) -> None:
-    """Force a kernel backend (``auto``/``python``/``numpy``/``scipy``).
-
-    Forcing a backend that is not importable raises ``ValueError`` — the
-    equivalence suite relies on a forced backend actually running.
-    """
-    global _BACKEND
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; valid: {', '.join(_BACKENDS)}")
-    if name == "numpy" and _np is None:
-        raise ValueError("numpy backend requested but numpy is not importable")
-    if name == "scipy" and _scipy_csgraph_dijkstra is None:
-        raise ValueError("scipy backend requested but scipy is not importable")
-    _BACKEND = name
-
-
-def get_backend() -> str:
-    """The currently selected backend name."""
-    return _BACKEND
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backends usable in this interpreter (``python`` is always present)."""
-    names = ["python"]
-    if _np is not None:
-        names.append("numpy")
-    if _scipy_csgraph_dijkstra is not None:
-        names.append("scipy")
-    return tuple(names)
 
 
 def normalize_radius(radius) -> Optional[int]:
@@ -251,7 +174,7 @@ class _Workspace:
 
     ``stamp[v] == epoch`` means "visited in the current call"; bumping
     ``epoch`` invalidates every entry at once.  The scalar and vectorized
-    backends keep separate stamp buffers but share the epoch counter, so
+    kernels keep separate stamp buffers but share the epoch counter, so
     a buffer can never observe a stale stamp as current.
     """
 
@@ -302,10 +225,6 @@ def _check_source(csr: CSRGraph, source: int) -> None:
         raise ValueError(f"source {source} not in graph")
 
 
-def _scipy_usable(csr: CSRGraph) -> bool:
-    return _scipy_csgraph_dijkstra is not None and csr.scipy_matrix() is not None
-
-
 # ----------------------------------------------------------------------
 # Single-source BFS
 # ----------------------------------------------------------------------
@@ -326,20 +245,8 @@ def bounded_bfs(
     """
     _check_source(csr, source)
     r = normalize_radius(radius)
-    backend = _BACKEND
-    if backend == "scipy" or (
-        backend == "auto" and r is None
-        and csr.num_vertices >= VECTOR_MIN_VERTICES and _scipy_usable(csr)
-    ):
-        if _scipy_usable(csr):
-            return _scipy_bfs(csr, source, r, as_float)
-        backend = "numpy" if _np is not None else "python"
-    if backend == "numpy" or (
-        backend == "auto" and r is None
-        and csr.num_vertices >= VECTOR_MIN_VERTICES and _np is not None
-    ):
-        if _np is not None:
-            return _numpy_bfs(csr, source, r, as_float)
+    if r is None and csr.num_vertices >= VECTOR_MIN_VERTICES:
+        return _dense_to_dict(bfs_row(csr, source), as_float)
     return _scalar_bfs(csr, source, r, as_float)
 
 
@@ -371,48 +278,6 @@ def _scalar_bfs(csr: CSRGraph, source: int, r: Optional[int], as_float: bool) ->
     return out
 
 
-def _numpy_bfs(csr: CSRGraph, source: int, r: Optional[int], as_float: bool) -> Dict:
-    indptr, indices = csr.numpy_views()
-    ws = _workspace(csr)
-    stamp, _, _ = ws.numpy_buffers()
-    epoch = ws.next_epoch()
-    stamp[source] = epoch
-    frontier = _np.array([source], dtype=_np.int64)
-    levels = [frontier]
-    depth = 0
-    while frontier.size and (r is None or depth < r):
-        neigh = _gather_neighbors(indptr, indices, frontier)
-        if neigh is None:
-            break
-        neigh = neigh[stamp[neigh] != epoch]
-        if neigh.size == 0:
-            break
-        frontier = _np.unique(neigh)
-        stamp[frontier] = epoch
-        depth += 1
-        levels.append(frontier)
-    keys = _np.concatenate(levels) if len(levels) > 1 else levels[0]
-    counts = [level.shape[0] for level in levels]
-    values = _np.repeat(_np.arange(len(levels), dtype=_np.int64), counts)
-    if as_float:
-        values = values.astype(_np.float64)
-    return dict(zip(keys.tolist(), values.tolist()))
-
-
-def _gather_neighbors(indptr, indices, frontier):
-    """All neighbors of ``frontier`` concatenated (with duplicates), or ``None``."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return None
-    cum = _np.empty(counts.shape[0] + 1, dtype=_np.int64)
-    cum[0] = 0
-    _np.cumsum(counts, out=cum[1:])
-    offsets = _np.repeat(starts - cum[:-1], counts) + _np.arange(total)
-    return indices[offsets]
-
-
 def bfs_row(csr: CSRGraph, source: int, radius=None):
     """Hop distances from ``source`` as a dense float64 row (``inf`` = unreached).
 
@@ -430,8 +295,6 @@ def bfs_row(csr: CSRGraph, source: int, radius=None):
 
 
 def _scipy_row(csr: CSRGraph, source: int, limit: float, *, unweighted: bool):
-    if not _scipy_usable(csr):
-        raise RuntimeError("dense distance rows require numpy and scipy")
     return _scipy_csgraph_dijkstra(csr.scipy_matrix(), unweighted=unweighted,
                                    indices=source, limit=limit)
 
@@ -472,7 +335,7 @@ def _unbounded_row(csr: CSRGraph, source: int, *, unweighted: bool):
     row bit for bit.
     """
     use = csr._bfs_rows
-    if use is False or not _scipy_usable(csr):
+    if use is False:
         return _scipy_row(csr, source, inf, unweighted=unweighted)
     if use is None and isinstance(csr, WeightedCSRGraph):
         dummies = csr.subdivision_size()
@@ -518,15 +381,11 @@ def _bfs_order_row(unit, source: int, n: int):
     return row, int(depth[-1]), order.shape[0]
 
 
-def _scipy_bfs(csr: CSRGraph, source: int, r: Optional[int], as_float: bool) -> Dict:
-    return _dense_to_dict(bfs_row(csr, source, r), as_float)
-
-
 def finite_entries(dense):
     """``(vertices, distances)`` arrays of a dense row's finite entries.
 
     Both come in the canonical ascending ``(distance, vertex)`` order
-    every kernel backend's dict iterates in.
+    every kernel's dict iterates in.
     """
     unreachable = _np.isinf(dense)
     if unreachable.any():
@@ -536,7 +395,7 @@ def finite_entries(dense):
         reached = _np.arange(dense.shape[0], dtype=_np.int64)
         values = dense
     # Stable two-key sort: distance major, vertex ID minor — the same
-    # iteration order the scalar and numpy backends produce.
+    # iteration order the scalar and multi-source kernels produce.
     order = _np.lexsort((reached, values))
     return reached[order], values[order]
 
@@ -574,7 +433,7 @@ def ball(csr: CSRGraph, source: int, radius) -> Tuple[Any, Any, int]:
 
     Balls up to :data:`BALL_WALK_MAX_RADIUS` walk the adjacency lists and
     come back as lists (a radius-1 ball is the source's row); deeper balls
-    are one :func:`bfs_row` search (so they need scipy), returned as the
+    are one :func:`bfs_row` search, returned as the
     numpy arrays of :func:`finite_entries` so callers can mask them
     without a Python loop.
     """
@@ -594,38 +453,25 @@ def ball(csr: CSRGraph, source: int, radius) -> Tuple[Any, Any, int]:
 # Multi-source BFS (smallest-source-ID tie-breaking)
 # ----------------------------------------------------------------------
 def multi_source_bfs(
-    csr: CSRGraph, sources: Iterable[int], radius=None, *, normalized: bool = False
+    csr: CSRGraph, sources: Iterable[int], radius=None
 ) -> Tuple[Dict[int, int], Dict[int, int]]:
     """Multi-source BFS returning ``(dist, origin)``.
 
     ``origin[v]`` is the closest source, ties broken toward the smallest
-    source ID (the deterministic constructions rely on this).
-
-    ``normalized=True`` promises ``sources`` is already a sorted,
-    deduplicated, in-range sequence (and ``radius`` already clamped) —
-    the dispatchers in :mod:`repro.graphs.shortest_paths` normalize once
-    and skip the repeat here.
+    source ID (the deterministic constructions rely on this).  Sources
+    may repeat and come in any order; one outside the graph raises
+    ``ValueError``, and ``radius`` clamps like :func:`bounded_bfs`.
     """
     n = csr.num_vertices
-    if normalized:
-        source_list = list(sources)
-        r = radius
-    else:
-        source_list = sorted(set(sources))
-        for s in source_list:
-            if not (0 <= s < n):
-                raise ValueError(f"source {s} not in graph")
-        r = normalize_radius(radius)
+    source_list = sorted(set(sources))
+    for s in source_list:
+        if not (0 <= s < n):
+            raise ValueError(f"source {s} not in graph")
+    r = normalize_radius(radius)
     if not source_list:
         return {}, {}
-    backend = _BACKEND
-    vectorize = False
-    if backend in ("numpy", "scipy"):
-        vectorize = _np is not None
-    elif backend == "auto":
-        vectorize = r is None and n >= VECTOR_MIN_VERTICES and _np is not None
-    if vectorize:
-        return _numpy_multi_source(csr, source_list, r)
+    if r is None and n >= VECTOR_MIN_VERTICES:
+        return _numpy_multi_source(csr, source_list)
     return _scalar_multi_source(csr, source_list, r)
 
 
@@ -669,7 +515,7 @@ def _scalar_multi_source(
 
 
 def _numpy_multi_source(
-    csr: CSRGraph, source_list: List[int], r: Optional[int]
+    csr: CSRGraph, source_list: List[int]
 ) -> Tuple[Dict[int, int], Dict[int, int]]:
     indptr, indices = csr.numpy_views()
     ws = _workspace(csr)
@@ -684,7 +530,7 @@ def _numpy_multi_source(
         dist_out[s] = 0
         origin_out[s] = s
     depth = 0
-    while frontier.size and (r is None or depth < r):
+    while frontier.size:
         starts = indptr[frontier]
         counts = indptr[frontier + 1] - starts
         total = int(counts.sum())
@@ -720,21 +566,6 @@ def _numpy_multi_source(
     return dist_out, origin_out
 
 
-def multi_source_attributed(
-    csr: CSRGraph, sources: Iterable[int], radius=None, *, normalized: bool = False
-) -> Dict[int, Tuple[int, int]]:
-    """One pass mapping each reached vertex to ``(nearest source, distance)``.
-
-    The Voronoi-style companion of :func:`ball` for call sites that do
-    not need full per-source balls — e.g. "attach every cluster
-    to its closest sampled center".  Ties are broken toward the smallest
-    source ID (the same canonical rule as :func:`multi_source_bfs`, which
-    this wraps), and iteration order is ascending ``(distance, vertex)``.
-    """
-    dist, origin = multi_source_bfs(csr, sources, radius, normalized=normalized)
-    return {v: (origin[v], d) for v, d in dist.items()}
-
-
 # ----------------------------------------------------------------------
 # Dijkstra on weighted CSR
 # ----------------------------------------------------------------------
@@ -748,13 +579,8 @@ def dijkstra(
     """
     _check_source(wcsr, source)
     limit = normalize_max_distance(max_distance)
-    backend = _BACKEND
-    if backend == "scipy" or (
-        backend == "auto" and limit is None
-        and wcsr.num_vertices >= VECTOR_MIN_VERTICES and _scipy_usable(wcsr)
-    ):
-        if _scipy_usable(wcsr):
-            return _dense_to_dict(dijkstra_row(wcsr, source, limit), as_float=True)
+    if limit is None and wcsr.num_vertices >= VECTOR_MIN_VERTICES:
+        return _dense_to_dict(dijkstra_row(wcsr, source), as_float=True)
     return _scalar_dijkstra(wcsr, source, limit)
 
 
@@ -805,15 +631,6 @@ def _scalar_dijkstra(
 # ----------------------------------------------------------------------
 # Hop-limited Bellman–Ford on weighted CSR
 # ----------------------------------------------------------------------
-def vectorized_hop_limited_usable(num_vertices: int) -> bool:
-    """Whether :func:`hop_limited` would run vectorized for this size."""
-    if _np is None:
-        return False
-    if _BACKEND in ("numpy", "scipy"):
-        return True
-    return _BACKEND == "auto" and num_vertices >= HOP_VECTOR_MIN_VERTICES
-
-
 def hop_limited(
     wcsr: WeightedCSRGraph, source: int, max_hops: int
 ) -> Dict[int, float]:
@@ -827,8 +644,6 @@ def hop_limited(
     _check_source(wcsr, source)
     if max_hops < 0:
         raise ValueError(f"max_hops must be non-negative, got {max_hops}")
-    if _np is None:  # pragma: no cover - guarded by vectorized_hop_limited_usable
-        raise RuntimeError("hop_limited kernel requires numpy")
     indptr, indices, weights = wcsr.numpy_views()
     ws = _workspace(wcsr)
     stamp, _, best = ws.numpy_buffers()

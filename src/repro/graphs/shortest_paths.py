@@ -115,12 +115,7 @@ def multi_source_bfs(
     broken toward the smallest source ID, which makes the result
     deterministic — the deterministic constructions rely on this.
     """
-    source_list = sorted(set(sources))
-    for s in source_list:
-        if s not in graph:
-            raise ValueError(f"source {s} not in graph")
-    return kernels.multi_source_bfs(graph.csr(), source_list, kernels.normalize_radius(radius),
-                                    normalized=True)
+    return kernels.multi_source_bfs(graph.csr(), sources, radius)
 
 
 def multi_source_attributed(

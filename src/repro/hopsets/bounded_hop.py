@@ -82,10 +82,16 @@ def hop_limited_distances(
         raise ValueError(f"source {source} out of range [0, {weighted.num_vertices})")
     if max_hops < 0:
         raise ValueError(f"max_hops must be non-negative, got {max_hops}")
-    if kernels.vectorized_hop_limited_usable(weighted.num_vertices):
+    if weighted.num_vertices >= kernels.HOP_VECTOR_MIN_VERTICES:
         # Vectorized rounds over the cached CSR snapshot; same relaxation
-        # schedule and 1e-12 improvement tolerance as the loop below.
+        # schedule and 1e-12 improvement tolerance as the loop.
         return kernels.hop_limited(weighted.csr(), source, max_hops)
+    return _scalar_hop_limited(weighted, source, max_hops)
+
+
+def _scalar_hop_limited(weighted: WeightedGraph, source: int, max_hops: int) -> Dict[int, float]:
+    """The relaxation rounds as a loop over the adjacency dicts, for graphs
+    below :data:`~repro.graphs.kernels.HOP_VECTOR_MIN_VERTICES` vertices."""
     best: Dict[int, float] = {source: 0.0}
     frontier: Dict[int, float] = {source: 0.0}
     for _ in range(max_hops):

@@ -108,7 +108,7 @@ def local_queries(
     :func:`~repro.graphs.kernels.ball`, when the stream first draws it;
     its canonical ``(distance, vertex)`` order puts the source first.
     Targets are sampled *from the full ball*, so the Voronoi-style
-    :func:`~repro.graphs.kernels.multi_source_attributed` assignment
+    :func:`~repro.graphs.shortest_paths.multi_source_attributed` assignment
     (which hands each vertex to a single source) cannot serve here.
     """
     n = graph.num_vertices

@@ -7,8 +7,10 @@ output edges together with the size and the guaranteed alpha and beta.
 The three emulator builders also pin the internals the analysis reads:
 H's edges in ``WeightedGraph.edges()`` order (which is the insertion
 order per vertex), the charge ledger's ``(edge, weight, charged_to,
-phase, kind)`` sequence, ``phase_stats``, the partitions ``P_i``
-(center, sorted members, radius, phase_created) and the ``U_i`` sets.
+phase, kind)`` sequence and ``phase_stats``.  The centralized and fast
+emulators pin the partitions ``P_i`` (center, sorted members, radius,
+phase_created) and the ``U_i`` sets too; the CONGEST emulator's result
+carries neither, so its entries pin only the first three.
 The centralized emulator is additionally pinned at three non-default
 ``(eps, kappa)`` settings whose phases run at delta > 1, so partial
 and whole-component explorations are both covered.

@@ -1,11 +1,13 @@
 """Equivalence and lifecycle tests for the flat-array CSR kernels.
 
-The contract under test: every kernel backend produces *identical*
+The contract under test: every kernel path produces *identical*
 distances and origins to the original dict/deque implementations (kept in
 :mod:`repro.graphs.shortest_paths` as the ``_dict_*`` reference
 functions), on every graph shape the constructions meet — random,
 disconnected, empty, single-vertex — and multi-source tie-breaking is
-deterministic toward the smallest source ID on every backend.
+deterministic toward the smallest source ID on every path.  Each kernel
+picks its path from the radius and the snapshot's size, so the tests
+reach both sides of a selection by monkeypatching its threshold.
 """
 
 from __future__ import annotations
@@ -33,17 +35,51 @@ from repro.graphs.shortest_paths import (
     multi_source_bfs,
 )
 from repro.graphs.weighted_graph import WeightedGraph
+from repro.hopsets import bounded_hop
 from repro.hopsets.bounded_hop import hop_limited_distances, union_with_graph
 
-BACKENDS = kernels.available_backends()
+
+def _heap_rows(csr, source, *, unweighted):
+    return kernels._scipy_row(csr, source, math.inf, unweighted=unweighted)
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    """Run the test once per importable kernel backend."""
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend("auto")
+def _breadth_first_rows(csr, source, *, unweighted):
+    if isinstance(csr, WeightedCSRGraph) and csr.subdivision_size() is None:
+        return _heap_rows(csr, source, unweighted=unweighted)
+    return kernels._bfs_order_row(csr.unit_matrix(), source, csr.num_vertices)[0]
+
+
+#: The kernel paths a ``backend`` test runs on.  ``python`` keeps every
+#: search on the scalar loops.  ``numpy`` and ``scipy`` drop the size
+#: thresholds to 0, so every unbounded search vectorizes: ``numpy`` takes
+#: each unbounded row in breadth-first order (distances rebuilt in numpy)
+#: wherever the weights allow one, ``scipy`` from scipy's heap Dijkstra.
+PATHS = {"python": None, "numpy": _breadth_first_rows, "scipy": _heap_rows}
+
+
+def _select(monkeypatch, name):
+    threshold = sys.maxsize if name == "python" else 0
+    monkeypatch.setattr(kernels, "VECTOR_MIN_VERTICES", threshold)
+    monkeypatch.setattr(kernels, "HOP_VECTOR_MIN_VERTICES", threshold)
+    if PATHS[name] is not None:
+        monkeypatch.setattr(kernels, "_unbounded_row", PATHS[name])
+
+
+@pytest.fixture(params=list(PATHS))
+def backend(request, monkeypatch):
+    """Run the test once per kernel path (see :data:`PATHS`)."""
+    _select(monkeypatch, request.param)
+    return request.param
+
+
+def _on_every_path(monkeypatch, run):
+    """``run()``'s result on each kernel path, the scalar one first."""
+    results = []
+    for name in PATHS:
+        with monkeypatch.context() as patched:
+            _select(patched, name)
+            results.append(run())
+    return results
 
 
 def random_graph(n, avg_degree, seed):
@@ -162,24 +198,18 @@ def test_multi_source_tie_breaks_toward_smallest_source(backend):
     assert all(origin[v] == 3 for v in (1, 2, 4, 6, 8))
 
 
-def test_multi_source_deterministic_across_backends():
+def test_multi_source_deterministic_across_backends(monkeypatch):
     g = random_graph(120, 5.0, 33)
-    rng = random.Random(5)
-    expected = None
-    for name in BACKENDS:
-        kernels.set_backend(name)
-        try:
-            rng_local = random.Random(5)
-            runs = [
-                multi_source_bfs(g, rng_local.sample(range(120), 7), r)
-                for r in (None, 2, 6)
-            ]
-        finally:
-            kernels.set_backend("auto")
-        if expected is None:
-            expected = runs
-        else:
-            assert runs == expected, name
+
+    def run():
+        rng = random.Random(5)
+        return [
+            [list(part.items()) for part in multi_source_bfs(g, rng.sample(range(120), 7), r)]
+            for r in (None, 2, 6)
+        ]
+
+    scalar, *vector = _on_every_path(monkeypatch, run)
+    assert all(runs == scalar for runs in vector)
 
 
 def test_multi_source_attributed_equivalence(backend):
@@ -211,53 +241,40 @@ def test_multi_source_attributed_empty_sources(backend):
     assert multi_source_attributed(Graph(4, [(0, 1)]), []) == {}
 
 
-def test_iteration_order_identical_across_backends():
-    """Dict iteration order is canonical (distance, vertex) on every backend.
+def test_iteration_order_identical_across_backends(monkeypatch):
+    """Dict iteration order is canonical (distance, vertex) on every path.
 
     Seeded consumers materialize BFS results into lists (e.g. the
     ``local`` workload generator samples a BFS ball by index), so the
     order itself — not just the mapping — must not depend on which
-    backend answered.
+    path answered.
     """
     g = random_graph(110, 5.0, 34)
     wg = random_weighted(110, 5.0, 35)
-    expected = None
-    for name in BACKENDS:
-        kernels.set_backend(name)
-        try:
-            runs = (
-                [list(bounded_bfs(g, s, r).items()) for s in (0, 7, 103)
-                 for r in (None, 2, 4)],
-                [list(wg.dijkstra(s).items()) for s in (0, 7)],
-                [list(part.items())
-                 for part in multi_source_bfs(g, [5, 40, 90])],
-            )
-        finally:
-            kernels.set_backend("auto")
-        if expected is None:
-            expected = runs
-        else:
-            assert runs == expected, name
+
+    def run():
+        return (
+            [list(bounded_bfs(g, s, r).items()) for s in (0, 7, 103)
+             for r in (None, 2, 4)],
+            [list(wg.dijkstra(s).items()) for s in (0, 7)],
+            [list(part.items())
+             for part in multi_source_bfs(g, [5, 40, 90])],
+        )
+
+    scalar, *vector = _on_every_path(monkeypatch, run)
+    assert all(runs == scalar for runs in vector)
     # The canonical order really is (distance, vertex) ascending.
-    items = expected[0][0]
+    items = scalar[0][0]
     assert items == sorted(items, key=lambda kv: (kv[1], kv[0]))
 
 
-def test_local_workload_reproducible_across_backends():
+def test_local_workload_reproducible():
     from repro.serve.workloads import generate_queries
 
     g = random_graph(100, 4.0, 36)
-    expected = None
-    for name in BACKENDS:
-        kernels.set_backend(name)
-        try:
-            queries = generate_queries(g, "local", 200, seed=9)
-        finally:
-            kernels.set_backend("auto")
-        if expected is None:
-            expected = queries
-        else:
-            assert queries == expected, name
+    fresh = Graph(100, list(g.edges()))  # its own snapshot and balls
+    assert generate_queries(g, "local", 200, seed=9) == generate_queries(
+        fresh, "local", 200, seed=9)
 
 
 # ----------------------------------------------------------------------
@@ -459,25 +476,51 @@ def test_ball_rejects_bad_arguments():
         kernels.ball(csr, 0, -1)
 
 
-def test_hop_limited_kernel_matches_scalar():
+def test_hop_limited_kernel_matches_scalar(monkeypatch):
     graph = random_graph(80, 4.0, 44)
     overlay = random_weighted(80, 2.0, 45)
     union = union_with_graph(graph, overlay)
-    kernels.set_backend("python")
-    try:
-        scalar = {t: hop_limited_distances(union, 3, t) for t in (0, 1, 2, 5, 12)}
-    finally:
-        kernels.set_backend("auto")
-    if "numpy" not in BACKENDS:
-        pytest.skip("numpy not importable; vectorized hop-limited kernel unavailable")
-    kernels.set_backend("numpy")
-    try:
+
+    def run():
+        return {t: hop_limited_distances(union, 3, t) for t in (0, 1, 2, 5, 12)}
+
+    scalar, *vector = _on_every_path(monkeypatch, run)
+    for runs in vector:
         for t, want in scalar.items():
-            got = hop_limited_distances(union, 3, t)
-            assert got.keys() == want.keys(), t
+            got = runs[t]
+            # The vectorized rounds emit ascending vertex order, the scalar
+            # loop discovery order; consumers only look distances up.
+            assert list(got) == sorted(want), t
             assert all(math.isclose(got[v], want[v], abs_tol=1e-9) for v in want), t
-    finally:
-        kernels.set_backend("auto")
+
+
+def test_vector_side_never_reaches_the_scalar_loops(monkeypatch):
+    g = random_graph(120, 5.0, 46)
+    wg = random_weighted(120, 4.0, 47)
+
+    def run():
+        return (
+            [list(bounded_bfs(g, s, r).items()) for s in (0, 64) for r in (None, math.inf)],
+            [list(part.items()) for part in multi_source_bfs(g, [9, 3, 77, 9])],
+            [list(wg.dijkstra(s, max_distance=d).items()) for s in (0, 64)
+             for d in (None, math.inf)],
+            hop_limited_distances(wg, 5, 4),
+        )
+
+    expected = run()
+
+    def scalar_loop(*args):
+        raise AssertionError("an unbounded search fell to a scalar loop")
+
+    monkeypatch.setattr(kernels, "VECTOR_MIN_VERTICES", 0)
+    monkeypatch.setattr(kernels, "HOP_VECTOR_MIN_VERTICES", 0)
+    for name in ("_scalar_bfs", "_scalar_multi_source", "_scalar_dijkstra"):
+        monkeypatch.setattr(kernels, name, scalar_loop)
+    monkeypatch.setattr(bounded_hop, "_scalar_hop_limited", scalar_loop)
+    *dicts, hops = run()
+    assert dicts == list(expected[:3])
+    assert hops.keys() == expected[3].keys()
+    assert all(math.isclose(hops[v], d, abs_tol=1e-9) for v, d in expected[3].items())
 
 
 # ----------------------------------------------------------------------
@@ -611,15 +654,8 @@ def test_content_hash_ignores_memo_on_copy_mutation():
 
 
 # ----------------------------------------------------------------------
-# Backend plumbing
+# Argument checks
 # ----------------------------------------------------------------------
-def test_backend_selection_errors():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
-    assert kernels.get_backend() == "auto"
-    assert "python" in kernels.available_backends()
-
-
 def test_source_validation(backend):
     g = Graph(3, [(0, 1)])
     with pytest.raises(ValueError):

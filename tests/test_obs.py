@@ -126,7 +126,7 @@ def test_build_trace_is_deterministic():
     assert [attrs["phase"] for _, attrs, _ in phase_rows] == list(range(len(phase_rows)))
     # Phase spans carry the per-phase counters, never timing values.
     for _, attrs, _ in phase_rows:
-        assert "clusters" in attrs and "backend" in attrs
+        assert "clusters" in attrs
         assert not any("seconds" in key or "elapsed" in key for key in attrs)
 
 

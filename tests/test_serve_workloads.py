@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from repro.graphs import generators, kernels
+from repro.graphs import generators
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import bfs_distances
 from repro.serve import available_workloads, generate_queries
@@ -94,19 +94,14 @@ class TestShapes:
         for num in (10, 49):
             assert longer[:num] == generate_queries(graph, "local", num, seed=9), num
 
-    def test_local_identical_across_backends_and_disconnected(self):
+    def test_local_on_a_disconnected_graph(self):
         graph = _disconnected_graph(45)  # isolated vertices take the fallback pair
-        expected = None
-        for name in kernels.available_backends():
-            kernels.set_backend(name)
-            try:
-                stream = generate_queries(graph, "local", 250, seed=5)
-            finally:
-                kernels.set_backend("auto")
-            if expected is None:
-                expected = stream
-            else:
-                assert stream == expected, name
+        pairs = generate_queries(graph, "local", 250, seed=5)
+        assert len(pairs) == 250 and all(u != v for u, v in pairs)
+        # A drawn isolated source (1 in 6) takes a uniform pair instead of
+        # a ball pair, which mostly joins two components.
+        far = [(u, v) for u, v in pairs if bfs_distances(graph, u).get(v, float("inf")) > 4]
+        assert 0 < len(far) < 250 // 2
 
     def test_mixed_stream_re_reads_a_hot_set(self):
         pairs = generate_queries(GRAPH, "mixed", 500, seed=0)
