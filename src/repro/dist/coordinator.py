@@ -44,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import selectors
 import socket
 import sys
 import threading
@@ -107,6 +108,8 @@ class _CoordinatorServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
     coordinator: "DistCoordinator"
+    #: Set by :meth:`DistCoordinator.close`; handlers then refuse requests.
+    closed = False
 
     def handle_error(self, request, client_address):  # noqa: D102
         exc = sys.exc_info()[1]
@@ -123,6 +126,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802
+        if self._refused_as_closed():
+            return
         coordinator = self.server.coordinator
         path = urlparse(self.path).path
         try:
@@ -152,6 +157,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(200, payload)
 
     def do_GET(self) -> None:  # noqa: N802
+        if self._refused_as_closed():
+            return
         coordinator = self.server.coordinator
         parsed = urlparse(self.path)
         path = parsed.path
@@ -176,6 +183,19 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond(500, {"error": f"{type(error).__name__}: {error}"})
 
     # ------------------------------------------------------------------
+    def _refused_as_closed(self) -> bool:
+        """After close, answer 503 and end the connection.
+
+        Workers keep one connection for a whole sweep: without this, its
+        handler thread would go on answering for a closed coordinator.
+        The worker reconnects, and finds the port shut, as after a kill.
+        """
+        if not self.server.closed:
+            return False
+        self._respond(503, {"error": "coordinator closed"},
+                      extra_headers={"Connection": "close"})
+        return True
+
     def _read_json_body(self) -> Dict[str, Any]:
         try:
             length = int(self.headers.get("Content-Length", "0"))
@@ -274,6 +294,7 @@ class DistCoordinator:
         self._cond = threading.Condition(self._lock)
 
         self._rows: List[_TaskRow] = []
+        self._read_lock = threading.Lock()
         self._graph_blobs: Dict[str, bytes] = {}
         graph_hashes: Dict[int, str] = {}
         for index, name, graph, spec in tasks:
@@ -290,6 +311,8 @@ class DistCoordinator:
                     "uncacheable and cannot be distributed"
                 )
             self._rows.append(_TaskRow(index, name, graph_hash, spec, key))
+        # The task set is fixed from here on.
+        self._by_index = {row.index: row for row in self._rows}
 
         material = "\n".join(sorted(row.key for row in self._rows))
         self.sweep_id = hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
@@ -322,6 +345,8 @@ class DistCoordinator:
         self._serve_thread: Optional[threading.Thread] = None
         self._reaper_thread: Optional[threading.Thread] = None
         self._closed = threading.Event()
+        # close() writes one byte here to wake the serve loop.
+        self._wake_r, self._wake_w = socket.socketpair()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -333,11 +358,8 @@ class DistCoordinator:
 
     def start(self) -> "DistCoordinator":
         """Serve in background threads; returns ``self``."""
-        # close() waits for the serve loop's next poll, and every
-        # distributed sweep ends with a close(): keep the poll short.
         self._serve_thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.01},
-            name="dist-coordinator", daemon=True,
+            target=self._serve, name="dist-coordinator", daemon=True,
         )
         self._serve_thread.start()
         self._reaper_thread = threading.Thread(
@@ -355,15 +377,31 @@ class DistCoordinator:
         # worker sees the server go away on its next call.
         with self._cond:
             self._cond.notify_all()
-        if self._serve_thread is not None:
-            # shutdown() blocks on serve_forever's acknowledgement, so it
-            # must only run when the serve loop actually started.
-            self._server.shutdown()
-        self._server.server_close()
+        self._server.closed = True
+        self._wake_w.send(b"\0")
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
+        self._server.server_close()
+        self._wake_r.close()
+        self._wake_w.close()
         if self._reaper_thread is not None:
             self._reaper_thread.join(timeout=5.0)
+
+    def _serve(self) -> None:
+        """Accept connections until :meth:`close`.
+
+        Blocks on the listening socket and the wake-up pair together, so
+        an idle coordinator never wakes and ``close()`` waits out no poll.
+        """
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._server, selectors.EVENT_READ)
+            selector.register(self._wake_r, selectors.EVENT_READ)
+            while not self._closed.is_set():
+                for key, _ in selector.select():
+                    if key.fileobj is self._server and not self._closed.is_set():
+                        # The server's own accept step: accept, hand the
+                        # connection to a handler thread, report errors.
+                        self._server._handle_request_noblock()
 
     def __enter__(self) -> "DistCoordinator":
         return self.start()
@@ -429,9 +467,9 @@ class DistCoordinator:
         task_id = self._task_id(body)
         fault_point("dist.heartbeat", worker=worker, task=task_id)
         now = time.monotonic()
+        row = self._row(task_id)
         with self._cond:
             self._touch_worker(worker, now)
-            row = self._row(task_id)
             if row.state == LEASED and row.lease_id == body.get("lease"):
                 row.deadline = now + self.lease_ttl
                 return {"ok": True, "ttl": self.lease_ttl}
@@ -448,22 +486,27 @@ class DistCoordinator:
         worker = str(body.get("worker") or "anonymous")
         task_id = self._task_id(body)
         fault_point("dist.complete", worker=worker, task=task_id)
+        row = self._row(task_id)
+        error = body.get("error")
+        # Read the delivery back before taking the lock: unpickling a
+        # result must not stall every other lease and completion.
+        result = None
+        if error is None and row.state not in TERMINAL_STATES:
+            with self._read_lock:  # the store's counters are not thread-safe
+                result = self._store.get(row.key)
         now = time.monotonic()
         with self._cond:
             self._touch_worker(worker, now)
-            row = self._row(task_id)
             if row.state in TERMINAL_STATES:
                 self.duplicate_completions += 1
                 return {"ok": True, "accepted": False, "state": row.state}
             if row.state != LEASED or row.lease_id != body.get("lease"):
                 self.stale_completions += 1
             self._absorb_worker_telemetry(body)
-            error = body.get("error")
             if error is not None:
                 row.error = str(error)
                 self._fail_attempt_locked(row)
                 return {"ok": True, "accepted": True, "state": row.state}
-            result = self._store.get(row.key)
             if result is None:
                 # The worker thinks it delivered, but the shared store
                 # cannot produce the entry (lost write, torn file,
@@ -616,10 +659,8 @@ class DistCoordinator:
     # Internals (locked unless noted)
     # ------------------------------------------------------------------
     def _row(self, task_id: int) -> _TaskRow:
-        for row in self._rows:
-            if row.index == task_id:
-                return row
-        raise KeyError(task_id)
+        """The row of ``task_id`` (needs no lock: the index never changes)."""
+        return self._by_index[task_id]
 
     @staticmethod
     def _task_id(body: Dict[str, Any]) -> int:

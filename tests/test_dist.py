@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import http.client
+import io
 import json
 import os
 import signal
@@ -332,6 +333,71 @@ class TestCoordinatorStateMachine:
         finally:
             gc.enable()
 
+    def test_a_lease_is_answered_while_a_delivery_reads_back(self, tmp_path):
+        store = ResultCache(tmp_path)
+        reading, release = threading.Event(), threading.Event()
+        real_get = store.get
+
+        def stalled_get(key):
+            reading.set()
+            release.wait(30)
+            return real_get(key)
+
+        with DistCoordinator(_tasks(), store) as coordinator:
+            lease = coordinator.lease("w1")
+            store.put(lease["task"]["key"], _built(_tasks()[0][3]))
+            store.get = stalled_get
+            delivered, granted = [], []
+            completing = threading.Thread(target=lambda: delivered.append(
+                coordinator.complete({"worker": "w1", "task": 0,
+                                      "lease": lease["lease"],
+                                      "key": lease["task"]["key"]})), daemon=True)
+            completing.start()
+            try:
+                assert reading.wait(30)
+                leasing = threading.Thread(
+                    target=lambda: granted.append(coordinator.lease("w2")),
+                    daemon=True)
+                leasing.start()
+                leasing.join(10)
+                assert not leasing.is_alive()
+                assert granted[0]["task"]["id"] == 1
+                assert delivered == []  # still reading back
+            finally:
+                release.set()
+            completing.join(30)
+            assert not completing.is_alive()
+            assert delivered[0]["accepted"] and delivered[0]["state"] == DONE
+
+    def test_close_ends_the_serve_loop_and_refuses_kept_connections(self, tmp_path):
+        coordinator = DistCoordinator(_tasks(), ResultCache(tmp_path)).start()
+        connection = http.client.HTTPConnection(
+            coordinator.host, coordinator.port, timeout=10)
+        try:
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().read()
+            coordinator.close()
+            assert not coordinator._serve_thread.is_alive()
+            assert coordinator._wake_r.fileno() == -1
+            assert coordinator._wake_w.fileno() == -1
+            coordinator.close()  # idempotent
+            # The kept connection's handler no longer serves the closed
+            # coordinator: it refuses and ends the connection.
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 503 and response.will_close
+        finally:
+            connection.close()
+
+    def test_close_before_start_releases_every_socket(self, tmp_path):
+        coordinator = DistCoordinator(_tasks(), ResultCache(tmp_path))
+        coordinator.close()
+        coordinator.close()
+        assert coordinator._server.socket.fileno() == -1
+        assert coordinator._wake_r.fileno() == -1
+        assert coordinator._wake_w.fileno() == -1
+
     def test_uncacheable_task_is_rejected_at_construction(self, tmp_path):
         spec = next(iter(SWEEP.specs()))
         bad = BuildSpec(product=spec.product, method=spec.method,
@@ -409,6 +475,39 @@ class TestLongPolledLease:
         thread.join(30)
         assert not thread.is_alive()
         assert answers[0]["task"] is None and answers[0]["done"] is False
+
+    def test_close_still_answers_a_lease_held_over_http(self, tmp_path):
+        # A worker's last request may be in flight as the coordinator
+        # closes (an external worker's final /complete): it gets its answer.
+        coordinator = DistCoordinator(_tasks(), ResultCache(tmp_path)).start()
+        condition = _ParkingCondition(coordinator._lock)
+        answers = []
+
+        def post_lease():
+            connection = http.client.HTTPConnection(
+                coordinator.host, coordinator.port, timeout=30)
+            try:
+                connection.request("POST", "/lease",
+                                   body=json.dumps({"worker": "idle"}).encode(),
+                                   headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                answers.append((response.status, json.loads(response.read())))
+            finally:
+                connection.close()
+
+        try:
+            for _ in _tasks():
+                coordinator.lease("busy")
+            coordinator._cond = condition
+            thread = threading.Thread(target=post_lease, daemon=True)
+            thread.start()
+            assert condition.parked.wait(30)
+        finally:
+            coordinator.close()
+        thread.join(30)
+        assert not thread.is_alive()
+        status, body = answers[0]
+        assert status == 200 and body["task"] is None and body["done"] is False
 
 
 # ----------------------------------------------------------------------
@@ -544,6 +643,167 @@ class TestDistributedSweep:
         events = journal.read_text().splitlines()
         assert len(events) == len(records) + 1  # header + one per task
         assert json.loads(events[0])["event"] == "sweep"
+
+
+# ----------------------------------------------------------------------
+# Worker transport and warm graphs
+# ----------------------------------------------------------------------
+class TestWorkerTransport:
+    def test_a_worker_keeps_one_connection_for_a_whole_sweep(self, monkeypatch):
+        from repro.dist.coordinator import _CoordinatorServer
+
+        accepted = []
+        real = _CoordinatorServer.process_request
+
+        def counting(server, request, client_address):
+            accepted.append(client_address)
+            return real(server, request, client_address)
+
+        monkeypatch.setattr(_CoordinatorServer, "process_request", counting)
+        sweep = GridSweep(products=("emulator", "spanner"), methods=("centralized",),
+                          eps_values=(None, 0.25), kappas=(None, 4.0))
+        assert len(list(sweep.specs())) >= 8
+        records = run_sweep({"grid": GRID}, sweep, dist=dict(THREAD_DIST))
+        assert _canon(records) == _canon(run_sweep({"grid": GRID}, sweep))
+        # Leases, graph fetches and completions all share one connection
+        # per worker thread; heartbeats (none at this TTL) have their own.
+        assert 1 <= len(accepted) <= 2 * THREAD_DIST["local_workers"]
+
+    def test_a_4xx_answer_is_raised_without_a_retry(self, tmp_path):
+        from repro.dist.worker import CoordinatorRejected
+
+        with DistCoordinator(_tasks(), ResultCache(tmp_path)) as coordinator:
+            worker = DistWorker(coordinator.url, ResultCache(tmp_path),
+                                give_up_after=30.0)
+            try:
+                with pytest.raises(CoordinatorRejected, match="404"):
+                    worker._request("/frobnicate", {})
+                # The connection survives a rejection.
+                assert worker._request("/healthz")["ok"]
+            finally:
+                worker._connection.close()
+
+    def test_a_worker_on_a_kept_connection_gives_up_on_a_closed_coordinator(
+            self, tmp_path):
+        coordinator = DistCoordinator(_tasks(), ResultCache(tmp_path)).start()
+        worker = DistWorker(coordinator.url, ResultCache(tmp_path),
+                            give_up_after=0.5)
+        try:
+            assert worker._request("/healthz")["ok"]  # opens the connection
+        finally:
+            coordinator.close()
+        summary = worker.run()
+        assert summary["unreachable"] and summary["leases"] == 0
+
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_heartbeats_during_a_build_use_their_own_connection(
+            self, tmp_path, monkeypatch):
+        from repro.dist import worker as worker_module
+
+        beats = []
+        enough = threading.Event()
+        real_heartbeat = DistCoordinator.heartbeat
+
+        def counting(coordinator, body):
+            answer = real_heartbeat(coordinator, body)
+            beats.append(answer)
+            if len(beats) >= 3:
+                enough.set()
+            return answer
+
+        def waiting_build(graph, spec):
+            enough.wait(30)  # the build runs while heartbeats fire
+            return build(graph, spec)
+
+        monkeypatch.setattr(DistCoordinator, "heartbeat", counting)
+        monkeypatch.setattr(worker_module, "build", waiting_build)
+        store = ResultCache(tmp_path)
+        tasks = _tasks()[:2]
+        with DistCoordinator(tasks, store, lease_ttl=0.3,
+                             max_attempts=5) as coordinator:
+            summary = DistWorker(coordinator.url, store, worker_id="w1",
+                                 give_up_after=5.0).run()
+            assert coordinator.done
+        assert summary["completed"] == len(tasks) and not summary["crashed"]
+        assert enough.is_set()
+        for thread in threading.enumerate():
+            if thread.name.startswith("heartbeat-"):
+                thread.join(10)
+                assert not thread.is_alive()
+
+
+class TestServeJobs:
+    def test_a_repeated_graph_is_reused_and_an_unused_one_dropped(
+            self, tmp_path, monkeypatch):
+        from repro.dist import worker as worker_module
+        from repro.graphs.graph import Graph
+
+        other = generators.grid_graph(3, 5)
+        spec = next(iter(SWEEP.specs()))
+        fetched = []
+        real_payload = DistCoordinator.graph_payload
+
+        def logging_payload(coordinator, graph_hash):
+            fetched.append((coordinator.port, graph_hash))
+            return real_payload(coordinator, graph_hash)
+
+        monkeypatch.setattr(DistCoordinator, "graph_payload", logging_payload)
+
+        held = []  # per job: the graphs its worker ran on, as object ids
+
+        class Recording(worker_module.DistWorker):
+            def run(self):
+                summary = super().run()
+                held.append({h: id(g) for h, g in self.graphs.items()})
+                return summary
+
+        monkeypatch.setattr(worker_module, "DistWorker", Recording)
+        first_alive = []
+
+        class Summaries:
+            """Stdout: at each summary, is job 1's graph object alive?"""
+
+            def __init__(self):
+                self.lines = []
+
+            def write(self, text):
+                self.lines.append(json.loads(text))
+                gc.collect()
+                first = held[0][GRID.content_hash()]
+                first_alive.append(any(
+                    id(o) == first for o in gc.get_objects()
+                    if isinstance(o, Graph)))
+
+            def flush(self):
+                pass
+
+        coordinators = [
+            DistCoordinator([(0, "g", graph, spec)],
+                            ResultCache(tmp_path / str(i))).start()
+            for i, graph in enumerate((GRID, GRID, other))
+        ]
+        try:
+            jobs = "".join(
+                json.dumps({"url": c.url, "cache_dir": str(tmp_path / str(i)),
+                            "worker_id": f"job-{i}"}) + "\n"
+                for i, c in enumerate(coordinators))
+            out = Summaries()
+            monkeypatch.setattr(sys, "stdin", io.StringIO(jobs))
+            monkeypatch.setattr(sys, "stdout", out)
+            worker_module.serve_jobs()
+            assert all(c.done for c in coordinators)
+        finally:
+            for coordinator in coordinators:
+                coordinator.close()
+        assert [line["completed"] for line in out.lines] == [1, 1, 1]
+        assert all(line["reusable"] for line in out.lines)
+        ports = [c.port for c in coordinators]
+        assert fetched == [(ports[0], GRID.content_hash()),
+                           (ports[2], other.content_hash())]
+        # Job 2 ran on job 1's very graph object; job 3 dropped it.
+        assert held[1] == held[0]
+        assert first_alive == [True, True, False]
 
 
 # ----------------------------------------------------------------------
