@@ -4,9 +4,8 @@ Times the same fault-free sweep through the process-pool executor and
 through the coordinator/worker work queue with the same number of local
 worker processes, and gates the acceptance bound: the distributed
 executor's wire protocol (lease + heartbeat + ``/complete`` per task
-over one kept connection per worker; the graph shipped at most once per
-worker, and not again while a warm worker still holds it) must cost
-**<= 2x** the process pool.
+over one kept connection per worker thread, graph shipped once per
+worker) must cost **<= 2x** the process pool.
 
 The two sides do not pay the same start-up: the process pool starts
 fresh worker interpreters for every sweep, while the distributed

@@ -110,6 +110,10 @@ class _CoordinatorServer(ThreadingHTTPServer):
     coordinator: "DistCoordinator"
     #: Set by :meth:`DistCoordinator.close`; handlers then refuse requests.
     closed = False
+    #: ``handle_request()`` never blocks: the serve loop calls it only
+    #: once its own selector has seen a connection waiting, and a
+    #: connection gone by then is simply not accepted.
+    timeout = 0
 
     def handle_error(self, request, client_address):  # noqa: D102
         exc = sys.exc_info()[1]
@@ -399,9 +403,9 @@ class DistCoordinator:
             while not self._closed.is_set():
                 for key, _ in selector.select():
                     if key.fileobj is self._server and not self._closed.is_set():
-                        # The server's own accept step: accept, hand the
-                        # connection to a handler thread, report errors.
-                        self._server._handle_request_noblock()
+                        # Accept, hand the connection to a handler
+                        # thread, report errors.
+                        self._server.handle_request()
 
     def __enter__(self) -> "DistCoordinator":
         return self.start()

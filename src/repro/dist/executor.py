@@ -30,15 +30,12 @@ Local worker processes stay warm across sweeps.  Each is a
 coordinator URL) per stdin line and answers with a summary line; after a
 clean summary it goes back to a module-level pool, and the next sweep in
 this process reuses it instead of paying interpreter start-up and
-``import repro`` again (~1 s).  It also keeps the graphs its last job
-used, by content hash, so a sweep over the same graph again skips the
-graph fetch, the unpickle and the CSR compile.  An idle worker costs
-its resident set (~84 MB, that graph included) and no CPU.  A worker is
-retired, never reused, when its job crashed or lost the coordinator,
-when it ran under a ``REPRO_FAULTS`` plan (it exits by itself), when it
-is still busy as its sweep ends, or when this process's environment or
-package root no longer match the ones it was started with (``REPRO_*``
-settings are read at import).
+``import repro`` again (~1 s).  An idle worker costs its resident set
+(~84 MB) and no CPU.  A worker is retired, never reused, when its job
+crashed or lost the coordinator, when it ran under a ``REPRO_FAULTS``
+plan (it exits by itself), when it is still busy as its sweep ends, or
+when this process's environment or package root no longer match the
+ones it was started with (``REPRO_*`` settings are read at import).
 Workers exit on stdin EOF, so none outlives this process; an ``atexit``
 hook closes and reaps the rest.
 """

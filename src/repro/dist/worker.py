@@ -4,11 +4,8 @@ A :class:`DistWorker` is a loop around the coordinator's wire protocol:
 
 1. ``POST /lease`` — receive a ``(graph hash, spec)`` task, its lease id
    and the content-addressed key the result must land under.
-2. Look the graph up by its content hash among the graphs this worker
-   already holds (its own earlier tasks', and those handed over from the
-   previous job by :func:`serve_jobs`); only a new hash costs a
-   ``GET /graph`` and an unpickle.  A k-spec sweep ships each graph at
-   most once per worker, and a repeated sweep not at all.
+2. Fetch the graph (``GET /graph``, memoized per hash — a k-spec sweep
+   ships each graph once per worker, not once per task).
 3. Build via the facade while a background thread renews the lease every
    ``ttl / 3`` seconds.
 4. Deliver: write the result into the shared
@@ -18,13 +15,13 @@ A :class:`DistWorker` is a loop around the coordinator's wire protocol:
    counters, so the coordinator's trace and fault accounting cover
    remote builds exactly like local ones.
 
-Requests travel over one persistent HTTP/1.1 connection per thread (the
-task loop's, and each heartbeat thread's own, opened on its first
-heartbeat), with ``TCP_NODELAY`` as in :mod:`repro.serve.remote`.  Every
-call retries with bounded backoff (honouring ``Retry-After`` on 503) for
-up to ``give_up_after`` seconds of consecutive failure, reconnecting
-after any transport error, so a worker rides out coordinator restarts
-and injected ``dist.*`` faults.
+Requests travel over one kept HTTP/1.1 connection per thread (the task
+loop's, and each heartbeat thread's own, opened on its first heartbeat):
+a :class:`~repro.serve.remote.KeptConnection`, as the daemon's clients
+use.  Every call retries with bounded backoff (honouring
+``Retry-After`` on 503) for up to ``give_up_after`` seconds of
+consecutive failure, reconnecting after any transport error, so a
+worker rides out coordinator restarts and injected ``dist.*`` faults.
 
 Failure semantics, mirror-imaged from the coordinator's state machine:
 
@@ -53,7 +50,7 @@ import socket
 import sys
 import threading
 import time
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional
 from urllib.parse import urlsplit
 
 from repro.api.cache import ResultCache
@@ -61,6 +58,7 @@ from repro.api.facade import build
 from repro.dist.protocol import spec_from_wire
 from repro.faults import FaultInjected, active_plan, fault_point
 from repro.obs import capture_spans, clear_spans, freeze_spans
+from repro.serve.remote import KeptConnection
 
 __all__ = ["DistWorker", "serve_jobs"]
 
@@ -74,53 +72,6 @@ class CoordinatorRejected(RuntimeError):
 
     A protocol disagreement, not a transient: it is never retried.
     """
-
-
-class _Connection:
-    """One keep-alive HTTP/1.1 connection to the coordinator.
-
-    Owned by a single thread (``http.client`` connections are not
-    thread-safe).  It connects on first use; a transport error, or an
-    answer that ends the connection, closes it, and the next request
-    connects again.
-    """
-
-    def __init__(self, host: str, port: int, timeout: float) -> None:
-        self._host = host
-        self._port = port
-        self._timeout = timeout
-        self._http: Optional[http.client.HTTPConnection] = None
-
-    def request(self, method: str, path: str,
-                body: Optional[bytes]) -> Tuple[int, Optional[str], bytes]:
-        """One round trip: ``(status, Retry-After header, body)``."""
-        try:
-            if self._http is None:
-                connection = http.client.HTTPConnection(
-                    self._host, self._port, timeout=self._timeout
-                )
-                self._http = connection
-                connection.connect()
-                # Small request/response pairs: Nagle plus delayed ACK
-                # would stall each one.
-                connection.sock.setsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                )
-            headers = {"Content-Type": "application/json"} if body else {}
-            self._http.request(method, path, body=body, headers=headers)
-            response = self._http.getresponse()
-            payload = response.read()  # always drain: keep-alive hygiene
-        except (http.client.HTTPException, OSError):
-            self.close()
-            raise
-        if response.will_close:
-            self.close()
-        return response.status, response.getheader("Retry-After"), payload
-
-    def close(self) -> None:
-        if self._http is not None:
-            self._http.close()
-            self._http = None
 
 
 class DistWorker:
@@ -147,10 +98,6 @@ class DistWorker:
     give_up_after:
         Seconds of *consecutive* request failure before the worker
         declares the coordinator gone.
-    graphs:
-        Graphs an earlier worker already holds, by content hash; a task
-        on one of them skips ``GET /graph``.  The hash is a content
-        address, so the build cannot tell the difference.
     """
 
     def __init__(
@@ -164,7 +111,6 @@ class DistWorker:
         max_tasks: Optional[int] = None,
         request_timeout: float = 10.0,
         give_up_after: float = 30.0,
-        graphs: Optional[Mapping[str, Any]] = None,
     ) -> None:
         self.url = url.rstrip("/")
         self.cache = cache
@@ -174,10 +120,10 @@ class DistWorker:
         self.max_tasks = max_tasks
         self.request_timeout = request_timeout
         self.give_up_after = give_up_after
-        #: The graphs this worker's tasks ran on, by content hash.
-        self.graphs: Dict[str, Any] = {}
-        self._handed_over: Dict[str, Any] = dict(graphs or {})
+        self._graphs: Dict[str, Any] = {}
         parts = urlsplit(self.url)
+        if parts.scheme != "http":
+            raise ValueError(f"coordinator URL {url!r} is not http://")
         if not parts.hostname:
             raise ValueError(f"coordinator URL {url!r} names no host")
         self._host = parts.hostname
@@ -193,36 +139,39 @@ class DistWorker:
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
-    def _new_connection(self) -> _Connection:
-        return _Connection(self._host, self._port, self.request_timeout)
+    def _new_connection(self) -> KeptConnection:
+        return KeptConnection(self._host, self._port, self.request_timeout)
 
     def _request(self, path: str, body: Optional[Dict[str, Any]] = None,
                  *, raw: bool = False,
-                 connection: Optional[_Connection] = None) -> Any:
+                 connection: Optional[KeptConnection] = None) -> Any:
         """One wire call with deadline-bounded retry (backoff, Retry-After).
 
         ``connection`` defaults to the task loop's; a heartbeat thread
         passes its own.
         """
-        connection = connection or self._connection
+        if connection is None:
+            connection = self._connection
         method = "GET" if body is None else "POST"
         data = None if body is None else json.dumps(body).encode("utf-8")
         deadline = time.monotonic() + self.give_up_after
         delay = 0.05
         while True:
             try:
-                status, retry_after, payload = connection.request(
+                response, payload = connection.round_trip(
                     method, self._path + path, data
                 )
             except (http.client.HTTPException, OSError):
                 wait = delay
             else:
+                status = response.status
                 if 200 <= status < 300:
                     try:
                         return payload if raw else json.loads(payload.decode("utf-8"))
                     except ValueError:
                         wait = delay
                 elif status == 503:
+                    retry_after = response.getheader("Retry-After")
                     try:
                         wait = float(retry_after) if retry_after else delay
                     except ValueError:
@@ -242,13 +191,11 @@ class DistWorker:
             delay = min(delay * 2.0, 0.5)
 
     def _fetch_graph(self, graph_hash: str) -> Any:
-        graph = self.graphs.get(graph_hash)
+        graph = self._graphs.get(graph_hash)
         if graph is None:
-            graph = self._handed_over.pop(graph_hash, None)
-            if graph is None:
-                blob = self._request(f"/graph?hash={graph_hash}", raw=True)
-                graph = pickle.loads(blob)
-            self.graphs[graph_hash] = graph
+            blob = self._request(f"/graph?hash={graph_hash}", raw=True)
+            graph = pickle.loads(blob)
+            self._graphs[graph_hash] = graph
         return graph
 
     # ------------------------------------------------------------------
@@ -260,8 +207,6 @@ class DistWorker:
             self._loop()
         finally:
             self._connection.close()
-            # Handed-over graphs no task used are not kept past the run.
-            self._handed_over.clear()
         return {
             "worker": self.worker_id,
             "completed": self.completed,
@@ -387,31 +332,23 @@ def serve_jobs() -> None:
     """Run one :class:`DistWorker` per JSON job line until stdin ends.
 
     A job is ``{"url", "cache_dir", "worker_id"}``; each gets a fresh
-    worker with fresh counters, handed the graphs the previous job used
-    (keyed by content hash, so a repeated sweep skips the graph fetch,
-    the unpickle and the CSR compile, and keeps the snapshot's derived
-    caches).  Graphs a job did not use are dropped when it ends, so at
-    most one job's graphs are held between jobs.  Each job is answered
-    with the run summary as one JSON line on stdout, plus
-    ``peak_rss_kb`` (this process's peak resident set so far) and
-    ``reusable``.  The process leaves after a job that crashed or lost
-    its coordinator, and after every job under a fault plan, whose RNG
-    and counters must start fresh for the next sweep; ``reusable`` says
-    whether it stays.  The span buffer is cleared between jobs: spans
-    travel in ``/complete`` and nothing here reads them again.
+    worker (no graph or counter carries over) and is answered with the
+    run summary as one JSON line on stdout, plus ``peak_rss_kb`` (this
+    process's peak resident set so far) and ``reusable``.  The process
+    leaves after a job that crashed or lost its coordinator, and after
+    every job under a fault plan, whose RNG and counters must start
+    fresh for the next sweep; ``reusable`` says whether it stays.  The
+    span buffer is cleared between jobs: spans travel in ``/complete``
+    and nothing here reads them again.
     """
     # Keep stdout for summary lines alone: anything else printed while
     # building goes to stderr.
     out, sys.stdout = sys.stdout, sys.stderr
-    graphs: Dict[str, Any] = {}
     for line in sys.stdin:
         job = json.loads(line)
-        worker = DistWorker(
-            job["url"], ResultCache(job["cache_dir"]),
-            worker_id=job["worker_id"], graphs=graphs,
-        )
-        summary = worker.run()
-        graphs = worker.graphs
+        summary = DistWorker(
+            job["url"], ResultCache(job["cache_dir"]), worker_id=job["worker_id"]
+        ).run()
         clear_spans()
         summary["peak_rss_kb"] = _peak_rss_kb()
         summary["reusable"] = not (

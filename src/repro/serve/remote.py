@@ -16,8 +16,8 @@ declaratively::
 
 Transport behaviour:
 
-* **connection reuse** — one persistent ``http.client.HTTPConnection``
-  per oracle (the daemon speaks HTTP/1.1 keep-alive), recreated on
+* **connection reuse** — one persistent :class:`KeptConnection` per
+  oracle (the daemon speaks HTTP/1.1 keep-alive), reopened after
   transport errors;
 * **timeouts and bounded retry** — every transport failure (connection
   refused, reset, timeout) is retried up to ``retries`` times with
@@ -62,7 +62,7 @@ from repro.serve.live import GraphMutation, LiveAnswer
 from repro.serve.registry import register_oracle
 from repro.serve.spec import ServeSpec
 
-__all__ = ["CircuitOpenError", "RemoteOracle", "RemoteOracleError"]
+__all__ = ["CircuitOpenError", "KeptConnection", "RemoteOracle", "RemoteOracleError"]
 
 #: Transport-level failures worth retrying (the daemon may be restarting,
 #: the connection may have idled out).  HTTP-level errors are never here;
@@ -73,6 +73,45 @@ _TRANSPORT_ERRORS = (ConnectionError, socket.timeout, socket.gaierror,
 
 #: Numeric encoding of the breaker state on the Prometheus gauge.
 _BREAKER_GAUGE = {"closed": 0.0, "open": 1.0, "half_open": 2.0}
+
+
+class KeptConnection(http.client.HTTPConnection):
+    """A keep-alive HTTP/1.1 client connection with Nagle's algorithm off.
+
+    It connects on first use, and again on the next request after any
+    close: a transport error, an answer that ends the connection, or
+    :meth:`close`.  Like any ``http.client`` connection it is not
+    thread-safe: one thread owns it, or a lock guards it.  The daemon's
+    clients and the distributed sweep's workers both talk through it.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        super().__init__(host, port, timeout=timeout)
+        #: Connections opened so far.
+        self.connects = 0
+
+    def connect(self) -> None:  # noqa: D102
+        super().connect()
+        # Small request/response pairs: Nagle plus delayed ACK would
+        # stall each one.
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.connects += 1
+
+    def round_trip(self, method: str, path: str, body: Optional[bytes] = None
+                   ) -> Tuple[http.client.HTTPResponse, bytes]:
+        """Send one request and read its whole answer: ``(response, body)``.
+
+        A JSON body gets its content type.  Any error closes the
+        connection before it propagates, so the next call starts clean.
+        """
+        headers = {"Content-Type": "application/json"} if body else {}
+        try:
+            self.request(method, path, body=body, headers=headers)
+            response = self.getresponse()
+            return response, response.read()  # always drain: keep-alive hygiene
+        except BaseException:
+            self.close()
+            raise
 
 
 class RemoteOracleError(RuntimeError):
@@ -157,10 +196,9 @@ class RemoteOracle:
         self._breaker_open_until = 0.0
         self._consecutive_failures = 0
         self._lock = threading.Lock()
-        self._connection: Optional[http.client.HTTPConnection] = None
+        self._connection = KeptConnection(self._host, self._port, self._timeout)
         self.requests = 0
         self.retried_requests = 0
-        self.reconnects = 0
         self.breaker_opens = 0
         self.fast_failures = 0
         try:
@@ -318,10 +356,15 @@ class RemoteOracle:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    @property
+    def reconnects(self) -> int:
+        """Connections this oracle has opened (``1`` while one is kept)."""
+        return self._connection.connects
+
     def close(self) -> None:
         """Drop the persistent connection (reopened lazily on next use)."""
         with self._lock:
-            self._close_connection_locked()
+            self._connection.close()
 
     def __enter__(self) -> "RemoteOracle":
         return self
@@ -340,7 +383,7 @@ class RemoteOracle:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
-        self._connection = None
+        self._connection = KeptConnection(self._host, self._port, self._timeout)
 
     # ------------------------------------------------------------------
     # Transport
@@ -370,27 +413,6 @@ class RemoteOracle:
             body["oracle"] = self._oracle_name
         return body
 
-    def _connection_locked(self) -> http.client.HTTPConnection:
-        if self._connection is None:
-            connection = http.client.HTTPConnection(
-                self._host, self._port, timeout=self._timeout
-            )
-            # Mirror the daemon: disable Nagle, or every small
-            # request/response round trip eats a delayed-ACK stall.
-            connection.connect()
-            connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._connection = connection
-            self.reconnects += 1
-        return self._connection
-
-    def _close_connection_locked(self) -> None:
-        if self._connection is not None:
-            try:
-                self._connection.close()
-            except Exception:  # pragma: no cover - close is best-effort
-                pass
-            self._connection = None
-
     def _request(self, method: str, path: str,
                  body: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """One JSON round trip: breaker gate, jittered bounded retries.
@@ -403,7 +425,6 @@ class RemoteOracle:
         as a breaker failure.
         """
         encoded = None if body is None else json.dumps(body).encode("utf-8")
-        headers = {"Content-Type": "application/json"} if encoded else {}
         last_error: Optional[Exception] = None
         with self._lock:
             self.requests += 1
@@ -417,13 +438,10 @@ class RemoteOracle:
                     ))
                 try:
                     fault_point("remote.request", path=path, attempt=attempt)
-                    connection = self._connection_locked()
-                    connection.request(method, path, body=encoded, headers=headers)
-                    response = connection.getresponse()
-                    raw = response.read()  # always drain: keep-alive hygiene
+                    response, raw = self._connection.round_trip(method, path, encoded)
                 except _TRANSPORT_ERRORS as error:
                     last_error = error
-                    self._close_connection_locked()
+                    self._connection.close()
                     continue
                 self._breaker_success_locked()
                 return self._decode_locked(response.status, raw, path)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import gc
 import http.client
-import io
 import json
 import os
 import signal
@@ -646,7 +645,7 @@ class TestDistributedSweep:
 
 
 # ----------------------------------------------------------------------
-# Worker transport and warm graphs
+# Worker transport
 # ----------------------------------------------------------------------
 class TestWorkerTransport:
     def test_a_worker_keeps_one_connection_for_a_whole_sweep(self, monkeypatch):
@@ -668,6 +667,13 @@ class TestWorkerTransport:
         # Leases, graph fetches and completions all share one connection
         # per worker thread; heartbeats (none at this TTL) have their own.
         assert 1 <= len(accepted) <= 2 * THREAD_DIST["local_workers"]
+
+    def test_a_url_the_worker_cannot_speak_is_refused(self, tmp_path):
+        store = ResultCache(tmp_path)
+        with pytest.raises(ValueError, match="not http://"):
+            DistWorker("https://127.0.0.1:8443", store)
+        with pytest.raises(ValueError, match="names no host"):
+            DistWorker("http://", store)
 
     def test_a_4xx_answer_is_raised_without_a_retry(self, tmp_path):
         from repro.dist.worker import CoordinatorRejected
@@ -731,79 +737,6 @@ class TestWorkerTransport:
             if thread.name.startswith("heartbeat-"):
                 thread.join(10)
                 assert not thread.is_alive()
-
-
-class TestServeJobs:
-    def test_a_repeated_graph_is_reused_and_an_unused_one_dropped(
-            self, tmp_path, monkeypatch):
-        from repro.dist import worker as worker_module
-        from repro.graphs.graph import Graph
-
-        other = generators.grid_graph(3, 5)
-        spec = next(iter(SWEEP.specs()))
-        fetched = []
-        real_payload = DistCoordinator.graph_payload
-
-        def logging_payload(coordinator, graph_hash):
-            fetched.append((coordinator.port, graph_hash))
-            return real_payload(coordinator, graph_hash)
-
-        monkeypatch.setattr(DistCoordinator, "graph_payload", logging_payload)
-
-        held = []  # per job: the graphs its worker ran on, as object ids
-
-        class Recording(worker_module.DistWorker):
-            def run(self):
-                summary = super().run()
-                held.append({h: id(g) for h, g in self.graphs.items()})
-                return summary
-
-        monkeypatch.setattr(worker_module, "DistWorker", Recording)
-        first_alive = []
-
-        class Summaries:
-            """Stdout: at each summary, is job 1's graph object alive?"""
-
-            def __init__(self):
-                self.lines = []
-
-            def write(self, text):
-                self.lines.append(json.loads(text))
-                gc.collect()
-                first = held[0][GRID.content_hash()]
-                first_alive.append(any(
-                    id(o) == first for o in gc.get_objects()
-                    if isinstance(o, Graph)))
-
-            def flush(self):
-                pass
-
-        coordinators = [
-            DistCoordinator([(0, "g", graph, spec)],
-                            ResultCache(tmp_path / str(i))).start()
-            for i, graph in enumerate((GRID, GRID, other))
-        ]
-        try:
-            jobs = "".join(
-                json.dumps({"url": c.url, "cache_dir": str(tmp_path / str(i)),
-                            "worker_id": f"job-{i}"}) + "\n"
-                for i, c in enumerate(coordinators))
-            out = Summaries()
-            monkeypatch.setattr(sys, "stdin", io.StringIO(jobs))
-            monkeypatch.setattr(sys, "stdout", out)
-            worker_module.serve_jobs()
-            assert all(c.done for c in coordinators)
-        finally:
-            for coordinator in coordinators:
-                coordinator.close()
-        assert [line["completed"] for line in out.lines] == [1, 1, 1]
-        assert all(line["reusable"] for line in out.lines)
-        ports = [c.port for c in coordinators]
-        assert fetched == [(ports[0], GRID.content_hash()),
-                           (ports[2], other.content_hash())]
-        # Job 2 ran on job 1's very graph object; job 3 dropped it.
-        assert held[1] == held[0]
-        assert first_alive == [True, True, False]
 
 
 # ----------------------------------------------------------------------
