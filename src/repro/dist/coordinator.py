@@ -1,10 +1,10 @@
 """The work-queue coordinator: leases, heartbeats, completions, journal.
 
 One :class:`DistCoordinator` owns one sweep's pending tasks.  It serves
-the four-endpoint wire protocol over a :class:`ThreadingHTTPServer`
-(same serving discipline as :mod:`repro.serve.daemon`: HTTP/1.1
-keep-alive, JSON bodies, quiet handling of client disconnects) and runs
-the at-least-once state machine that makes worker death survivable:
+the four-endpoint wire protocol through the package's one HTTP server
+base, :mod:`repro.serve.jsonhttp` (serve loop, close policy, body
+reader, error statuses), and runs the at-least-once state machine that
+makes worker death survivable:
 
 ``pending`` → ``leased`` (``/lease`` grants a TTL lease) → ``done``
 (``/complete`` delivers a result through the shared content-addressed
@@ -42,17 +42,11 @@ already retry); ``dist.journal`` fires inside the journal itself.
 from __future__ import annotations
 
 import hashlib
-import json
 import pickle
-import selectors
-import socket
-import sys
 import threading
 import time
-import weakref
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, urlsplit
 
 from repro.api.cache import ResultCache
 from repro.api.spec import BuildSpec
@@ -67,12 +61,10 @@ from repro.dist.protocol import (
 )
 from repro.faults import FaultInjected, fault_point
 from repro.graphs.graph import Graph
-from repro.obs import inc, merge_spans, prometheus_text, set_gauge
+from repro.obs import inc, merge_spans, set_gauge
+from repro.serve.jsonhttp import Answer, JsonHandler, JsonServer
 
 __all__ = ["DistCoordinator"]
-
-#: Maximum accepted request body (spans from a large chunk stay well under).
-MAX_BODY_BYTES = 32 * 1024 * 1024
 
 
 class _TaskRow:
@@ -104,147 +96,41 @@ class _TaskRow:
         self.replayed = False
 
 
-class _CoordinatorServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    coordinator: "DistCoordinator"
-    #: Set by :meth:`DistCoordinator.close`; handlers then refuse requests.
-    closed = False
-    #: ``handle_request()`` never blocks: the serve loop calls it only
-    #: once its own selector has seen a connection waiting, and a
-    #: connection gone by then is simply not accepted.
-    timeout = 0
-
-    def handle_error(self, request, client_address):  # noqa: D102
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (ConnectionError, BrokenPipeError, socket.timeout,
-                            OSError, ValueError)):
-            return  # client went away mid-request: routine, not a stack trace
-        super().handle_error(request, client_address)
+def _terminal_event(row: _TaskRow) -> Dict[str, Any]:
+    """The journal event of a done or quarantined row."""
+    if row.state == DONE:
+        return {"event": "done", "task": row.index, "key": row.key,
+                "worker": row.completed_by, "attempts": row.attempts}
+    return {"event": "quarantined", "task": row.index, "key": row.key,
+            "error": row.error, "attempts": row.attempts}
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-    server: _CoordinatorServer
+class _CoordinatorHandler(JsonHandler):
+    """The coordinator's routes: each calls one :class:`DistCoordinator` method."""
 
-    # ------------------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802
-        if self._refused_as_closed():
-            return
-        coordinator = self.server.coordinator
-        path = urlparse(self.path).path
-        try:
-            body = self._read_json_body()
-            if path == "/lease":
-                payload = coordinator.lease(str(body.get("worker") or "anonymous"))
-            elif path == "/heartbeat":
-                payload = coordinator.heartbeat(body)
-            elif path == "/complete":
-                payload = coordinator.complete(body)
-            else:
-                self._respond(404, {"error": f"unknown endpoint {path!r}"})
-                return
-        except FaultInjected as error:
-            self._respond(503, {"error": str(error), "transient": True},
-                          extra_headers={"Retry-After": "0.1"})
-            return
-        except ValueError as error:
-            self._respond(400, {"error": str(error)})
-            return
-        except KeyError as error:
-            self._respond(404, {"error": f"unknown task {error}"})
-            return
-        except Exception as error:  # pragma: no cover - defensive
-            self._respond(500, {"error": f"{type(error).__name__}: {error}"})
-            return
-        self._respond(200, payload)
+    def error_answer(self, error: Exception) -> Answer:
+        # An injected fault is the transient failure workers already retry.
+        if isinstance(error, FaultInjected):
+            return 503, {"error": str(error), "transient": True}, {"Retry-After": "0.1"}
+        return super().error_answer(error)
 
-    def do_GET(self) -> None:  # noqa: N802
-        if self._refused_as_closed():
-            return
-        coordinator = self.server.coordinator
-        parsed = urlparse(self.path)
-        path = parsed.path
-        try:
-            if path == "/status":
-                self._respond(200, coordinator.status())
-            elif path == "/healthz":
-                self._respond(200, coordinator.healthz())
-            elif path == "/metrics":
-                self._write_raw(200, prometheus_text().encode("utf-8"),
-                                "text/plain; version=0.0.4")
-            elif path == "/graph":
-                params = parse_qs(parsed.query)
-                graph_hash = (params.get("hash") or [""])[0]
-                blob = coordinator.graph_payload(graph_hash)
-                self._write_raw(200, blob, "application/octet-stream")
-            else:
-                self._respond(404, {"error": f"unknown endpoint {path!r}"})
-        except KeyError as error:
-            self._respond(404, {"error": str(error)})
-        except Exception as error:  # pragma: no cover - defensive
-            self._respond(500, {"error": f"{type(error).__name__}: {error}"})
+    def _graph(self) -> None:
+        graph_hash = (parse_qs(urlsplit(self.path).query).get("hash") or [""])[0]
+        self.send_raw(200, self.server.owner.graph_payload(graph_hash),
+                      "application/octet-stream")
 
-    # ------------------------------------------------------------------
-    def _refused_as_closed(self) -> bool:
-        """After close, answer 503 and end the connection.
-
-        Workers keep one connection for a whole sweep: without this, its
-        handler thread would go on answering for a closed coordinator.
-        The worker reconnects, and finds the port shut, as after a kill.
-        """
-        if not self.server.closed:
-            return False
-        self._respond(503, {"error": "coordinator closed"},
-                      extra_headers={"Connection": "close"})
-        return True
-
-    def _read_json_body(self) -> Dict[str, Any]:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise ValueError("invalid Content-Length") from None
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise ValueError(f"request body of {length} bytes refused")
-        raw = self.rfile.read(length) if length else b"{}"
-        try:
-            body = json.loads(raw.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, ValueError):
-            raise ValueError("request body is not valid JSON") from None
-        if not isinstance(body, dict):
-            raise ValueError("request body must be a JSON object")
-        return body
-
-    def _respond(
-        self, status: int, payload: Dict[str, Any],
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        data = json.dumps(payload).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (extra_headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
-        except (ConnectionError, BrokenPipeError, OSError):
-            pass  # client disconnected while we were answering
-
-    def _write_raw(self, status: int, data: bytes, content_type: str) -> None:
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-        except (ConnectionError, BrokenPipeError, OSError):
-            pass
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if self.server.coordinator.verbose:
-            sys.stderr.write("dist-coordinator: " + format % args + "\n")
+    routes = {
+        "/lease": {"POST": lambda handler: handler.server.owner.lease(
+            str(handler.json_body().get("worker") or "anonymous"))},
+        "/heartbeat": {"POST": lambda handler: handler.server.owner.heartbeat(
+            handler.json_body())},
+        "/complete": {"POST": lambda handler: handler.server.owner.complete(
+            handler.json_body())},
+        "/status": {"GET": lambda handler: handler.server.owner.status()},
+        "/healthz": {"GET": lambda handler: handler.server.owner.healthz()},
+        "/metrics": {"GET": JsonHandler.metrics},
+        "/graph": {"GET": _graph},
+    }
 
 
 class DistCoordinator:
@@ -340,17 +226,10 @@ class DistCoordinator:
         if self.journal is not None:
             self._replay_journal()
 
-        self._server = _CoordinatorServer((host, int(port)), _Handler)
-        # A weak back-reference: a strong one would make the coordinator,
-        # its task rows and every delivered result a reference cycle that
-        # outlives close() until the next full garbage collection.
-        self._server.coordinator = weakref.proxy(self)
+        self._server = JsonServer((host, int(port)), _CoordinatorHandler, self)
         self.host, self.port = self._server.server_address[:2]
-        self._serve_thread: Optional[threading.Thread] = None
         self._reaper_thread: Optional[threading.Thread] = None
         self._closed = threading.Event()
-        # close() writes one byte here to wake the serve loop.
-        self._wake_r, self._wake_w = socket.socketpair()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -362,10 +241,7 @@ class DistCoordinator:
 
     def start(self) -> "DistCoordinator":
         """Serve in background threads; returns ``self``."""
-        self._serve_thread = threading.Thread(
-            target=self._serve, name="dist-coordinator", daemon=True,
-        )
-        self._serve_thread.start()
+        self._server.start("dist-coordinator")
         self._reaper_thread = threading.Thread(
             target=self._reaper_loop, name="dist-reaper", daemon=True
         )
@@ -377,35 +253,13 @@ class DistCoordinator:
         if self._closed.is_set():
             return
         self._closed.set()
-        # Wake every held /lease first: its handler thread answers and the
-        # worker sees the server go away on its next call.
+        # Wake every held /lease first: it is answered before its
+        # connection ends, and the worker's next call finds the server gone.
         with self._cond:
             self._cond.notify_all()
-        self._server.closed = True
-        self._wake_w.send(b"\0")
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
-        self._server.server_close()
-        self._wake_r.close()
-        self._wake_w.close()
+        self._server.close()
         if self._reaper_thread is not None:
             self._reaper_thread.join(timeout=5.0)
-
-    def _serve(self) -> None:
-        """Accept connections until :meth:`close`.
-
-        Blocks on the listening socket and the wake-up pair together, so
-        an idle coordinator never wakes and ``close()`` waits out no poll.
-        """
-        with selectors.DefaultSelector() as selector:
-            selector.register(self._server, selectors.EVENT_READ)
-            selector.register(self._wake_r, selectors.EVENT_READ)
-            while not self._closed.is_set():
-                for key, _ in selector.select():
-                    if key.fileobj is self._server and not self._closed.is_set():
-                        # Accept, hand the connection to a handler
-                        # thread, report errors.
-                        self._server.handle_request()
 
     def __enter__(self) -> "DistCoordinator":
         return self.start()
@@ -528,10 +382,7 @@ class DistCoordinator:
             self.completions += 1
             self._workers[worker]["completed"] += 1
             inc("repro_dist_completions_total", help="Work-queue tasks completed")
-            self._journal_locked({
-                "event": "done", "task": row.index, "key": row.key,
-                "worker": worker, "attempts": row.attempts,
-            })
+            self._journal_locked(row)
             self._cond.notify_all()
             return {"ok": True, "accepted": True, "state": row.state}
 
@@ -600,10 +451,7 @@ class DistCoordinator:
     def healthz(self) -> Dict[str, Any]:
         now = time.monotonic()
         with self._lock:
-            live = sum(
-                1 for info in self._workers.values()
-                if now - info["last_seen"] <= 2.0 * self.lease_ttl
-            )
+            live = self._live_workers_locked(now)
             pending = sum(1 for r in self._rows if r.state not in TERMINAL_STATES)
             return {
                 "ok": True,
@@ -617,20 +465,15 @@ class DistCoordinator:
     # ------------------------------------------------------------------
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until every task is terminal; ``False`` on timeout."""
+        # Every terminal transition and close() notify the condition.
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while not self._done_locked():
-                if self._closed.is_set():
-                    return self._done_locked()
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                self._cond.wait(
-                    min(0.1, remaining) if remaining is not None else 0.1
-                )
-            return True
+            while not self._done_locked() and not self._closed.is_set():
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    return False
+                self._cond.wait(remaining)
+            return self._done_locked()
 
     @property
     def done(self) -> bool:
@@ -664,7 +507,10 @@ class DistCoordinator:
     # ------------------------------------------------------------------
     def _row(self, task_id: int) -> _TaskRow:
         """The row of ``task_id`` (needs no lock: the index never changes)."""
-        return self._by_index[task_id]
+        try:
+            return self._by_index[task_id]
+        except KeyError:
+            raise KeyError(f"unknown task {task_id}") from None
 
     @staticmethod
     def _task_id(body: Dict[str, Any]) -> int:
@@ -683,12 +529,13 @@ class DistCoordinator:
         info["last_seen"] = now
         self._set_liveness_gauge_locked(now)
 
+    def _live_workers_locked(self, now: float) -> int:
+        """Workers heard from within two lease TTLs."""
+        return sum(1 for info in self._workers.values()
+                   if now - info["last_seen"] <= 2.0 * self.lease_ttl)
+
     def _set_liveness_gauge_locked(self, now: float) -> None:
-        live = sum(
-            1 for info in self._workers.values()
-            if now - info["last_seen"] <= 2.0 * self.lease_ttl
-        )
-        set_gauge("repro_dist_workers_live", live,
+        set_gauge("repro_dist_workers_live", self._live_workers_locked(now),
                   help="Workers heard from within two lease TTLs")
 
     def _reap_locked(self, now: float) -> None:
@@ -710,10 +557,7 @@ class DistCoordinator:
             row.state = QUARANTINED
             inc("repro_dist_quarantined_total",
                 help="Tasks quarantined past their attempt cap")
-            self._journal_locked({
-                "event": "quarantined", "task": row.index, "key": row.key,
-                "error": row.error, "attempts": row.attempts,
-            })
+            self._journal_locked(row)
         else:
             row.state = PENDING
             row.lease_id = None
@@ -735,26 +579,13 @@ class DistCoordinator:
                 except (AttributeError, TypeError, ValueError):
                     pass
 
-    def _journal_locked(self, event: Dict[str, Any]) -> None:
+    def _journal_locked(self, row: _TaskRow) -> None:
+        """Journal ``row``'s terminal transition, then maybe rotate."""
         if self.journal is None:
             return
-        self.journal.record(event)
-        self.journal.maybe_rotate(self._terminal_events_locked())
-
-    def _terminal_events_locked(self) -> List[Dict[str, Any]]:
-        events = []
-        for row in self._rows:
-            if row.state == DONE:
-                events.append({
-                    "event": "done", "task": row.index, "key": row.key,
-                    "worker": row.completed_by, "attempts": row.attempts,
-                })
-            elif row.state == QUARANTINED:
-                events.append({
-                    "event": "quarantined", "task": row.index, "key": row.key,
-                    "error": row.error, "attempts": row.attempts,
-                })
-        return events
+        self.journal.record(_terminal_event(row))
+        self.journal.maybe_rotate([_terminal_event(other) for other in self._rows
+                                   if other.state in TERMINAL_STATES])
 
     def _replay_journal(self) -> None:
         """Restore terminal task state from a prior coordinator's journal."""
@@ -773,19 +604,16 @@ class DistCoordinator:
                 row.result = result
                 row.completed_by = event.get("worker") or "journal"
                 row.worker = row.completed_by
-                row.attempts = int(event.get("attempts", 1) or 1)
-                row.replayed = True
-                self.replayed += 1
-                inc("repro_dist_journal_replays_total",
-                    help="Completed tasks restored from the coordinator journal")
             elif kind == "quarantined":
                 row.state = QUARANTINED
                 row.error = event.get("error") or "quarantined (replayed)"
-                row.attempts = int(event.get("attempts", 1) or 1)
-                row.replayed = True
-                self.replayed += 1
-                inc("repro_dist_journal_replays_total",
-                    help="Completed tasks restored from the coordinator journal")
+            else:
+                continue
+            row.attempts = int(event.get("attempts", 1) or 1)
+            row.replayed = True
+            self.replayed += 1
+            inc("repro_dist_journal_replays_total",
+                help="Completed tasks restored from the coordinator journal")
 
     def _reaper_loop(self) -> None:
         """Reap expired leases even when no worker is calling in."""

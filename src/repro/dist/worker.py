@@ -17,7 +17,7 @@ A :class:`DistWorker` is a loop around the coordinator's wire protocol:
 
 Requests travel over one kept HTTP/1.1 connection per thread (the task
 loop's, and each heartbeat thread's own, opened on its first heartbeat):
-a :class:`~repro.serve.remote.KeptConnection`, as the daemon's clients
+a :class:`~repro.serve.jsonhttp.KeptConnection`, as the daemon's clients
 use.  Every call retries with bounded backoff (honouring
 ``Retry-After`` on 503) for up to ``give_up_after`` seconds of
 consecutive failure, reconnecting after any transport error, so a
@@ -58,7 +58,7 @@ from repro.api.facade import build
 from repro.dist.protocol import spec_from_wire
 from repro.faults import FaultInjected, active_plan, fault_point
 from repro.obs import capture_spans, clear_spans, freeze_spans
-from repro.serve.remote import KeptConnection
+from repro.serve.jsonhttp import KeptConnection
 
 __all__ = ["DistWorker", "serve_jobs"]
 

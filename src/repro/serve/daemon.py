@@ -34,9 +34,11 @@ as ``null`` and are restored to ``float("inf")`` client-side):
     ``num_vertices`` / ``space_in_edges``) — the handshake the
     :class:`~repro.serve.remote.RemoteOracle` client reads once.
 
-Concurrency model: :class:`~http.server.ThreadingHTTPServer` gives one
-thread per connection, and every named oracle is served by its engine
-directly — :class:`~repro.serve.engine.QueryEngine` (or the
+Concurrency model: the daemon serves through the package's one HTTP
+server base, :mod:`repro.serve.jsonhttp` (one thread per connection, one
+serve loop, one close policy, one body reader), and every named oracle
+is served by its engine directly —
+:class:`~repro.serve.engine.QueryEngine` (or the
 :class:`~repro.serve.live.LiveEngine` built on it) is thread-safe and
 coalesces misses: concurrent queries for the same source wait on the one
 in-flight backend computation instead of queueing duplicate work, and the
@@ -55,11 +57,9 @@ steady-state hit rate from the first request.
 from __future__ import annotations
 
 import json
-import socket
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.faults import fault_point
@@ -76,6 +76,7 @@ from repro.obs import (
     span,
 )
 from repro.serve.engine import DeadlineExceeded, QueryEngine, deadline_scope
+from repro.serve.jsonhttp import Answer, JsonHandler, JsonServer
 from repro.serve.live import GraphMutation, LiveEngine
 from repro.serve.service import load as serve_load
 from repro.serve.spec import ServeSpec
@@ -265,18 +266,13 @@ class OracleDaemon:
             raise ValueError(
                 f"default_deadline_ms must be > 0, got {default_deadline_ms}"
             )
-        self._server = _DaemonServer((host, port), _DaemonHandler)
-        self._server.repro_daemon = self  # type: ignore[attr-defined]
+        self._server = JsonServer((host, port), _DaemonHandler, self)
         self._entries: Dict[str, _OracleEntry] = {}
         self._default_name: Optional[str] = None
-        self._thread: Optional[threading.Thread] = None
-        self._serving = False
         self._closed = False
         self._draining = False
         self._started_at = time.time()
         self._counter_lock = threading.Lock()
-        self._conn_lock = threading.Lock()
-        self._connections: set = set()
         self._lifecycle_lock = threading.Lock()
         self._max_inflight = max_inflight
         self._default_deadline_ms = default_deadline_ms
@@ -525,51 +521,29 @@ class OracleDaemon:
         """Serve in a background thread (returns once the socket accepts)."""
         if self._closed:
             raise RuntimeError("daemon is closed")
-        if self._thread is None:
-            self._serving = True
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                kwargs={"poll_interval": 0.05},
-                name=f"repro-serve-daemon:{self.port}",
-                daemon=True,
-            )
-            self._thread.start()
+        self._server.start(f"repro-serve-daemon:{self.port}")
         return self
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`close` or interrupt."""
-        if self._closed:
-            raise RuntimeError("daemon is closed")
-        self._serving = True
-        try:
-            self._server.serve_forever(poll_interval=0.05)
-        finally:
-            self._serving = False
+        """Serve until :meth:`close`/:meth:`drain` (from another thread) or interrupt."""
+        self.start()
+        self._server.wait()
 
     def close(self) -> None:
         """Stop serving *abruptly*, release the socket, and close every engine.
 
-        In-flight requests are cut off mid-stream (clients see transport
-        errors, as with a real kill); :meth:`drain` is the graceful
-        SIGTERM-style alternative.
+        Idle keep-alive connections are cut at once (their clients see a
+        transport error on the next request, as with a real kill); a
+        request being answered still gets its answer, then its
+        connection ends.  :meth:`drain` is the graceful SIGTERM-style
+        alternative.
         """
         with self._lifecycle_lock:
             if self._closed:
                 return
             self._closed = True
             remove_collector(self._collect_engine_metrics)
-            if self._serving:
-                self._server.shutdown()
-                self._serving = False
-            # ``shutdown()`` only stops *accepting*; keep-alive clients hold
-            # open connections whose handler threads would keep answering.  A
-            # closed daemon must look dead to them, so sever every tracked
-            # connection (clients see a transport error, as with a real kill).
-            self._sever_connections()
-            if self._thread is not None:
-                self._thread.join(timeout=5.0)
-                self._thread = None
-            self._server.server_close()
+            self._server.close()
             for entry in self._entries.values():
                 entry.engine.close()
 
@@ -589,11 +563,8 @@ class OracleDaemon:
                 return True
             with self._inflight_cond:
                 self._draining = True
-            if self._serving:
-                self._server.shutdown()
-                self._serving = False
             # Refuse new connections while existing handlers finish.
-            self._server.server_close()
+            self._server.stop()
             deadline = time.monotonic() + timeout
             with self._inflight_cond:
                 while self._inflight_requests > 0:
@@ -605,28 +576,12 @@ class OracleDaemon:
             self._closed = True
             remove_collector(self._collect_engine_metrics)
             # Every admitted response has been written (or the timeout
-            # hit): severing now sends idle keep-alive clients a clean FIN.
-            self._sever_connections()
-            if self._thread is not None:
-                self._thread.join(timeout=5.0)
-                self._thread = None
+            # hit): ending the connections now sends idle keep-alive
+            # clients a clean FIN.
+            self._server.close()
             for entry in self._entries.values():
                 entry.engine.close()
             return drained
-
-    def _sever_connections(self) -> None:
-        with self._conn_lock:
-            connections = list(self._connections)
-            self._connections.clear()
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:
-                pass
 
     def __enter__(self) -> "OracleDaemon":
         return self
@@ -715,38 +670,10 @@ class OracleDaemon:
                            else min(deadline_ms, float(requested_ms)))
         return None if deadline_ms is None else deadline_ms / 1000.0
 
-    def _track_connection(self, connection: Any) -> None:
-        with self._conn_lock:
-            self._connections.add(connection)
-
-    def _untrack_connection(self, connection: Any) -> None:
-        with self._conn_lock:
-            self._connections.discard(connection)
-
 
 # ----------------------------------------------------------------------
 # The HTTP face
 # ----------------------------------------------------------------------
-class _DaemonServer(ThreadingHTTPServer):
-    """A threading HTTP server that stays quiet when connections are severed.
-
-    :meth:`OracleDaemon.close` force-closes keep-alive connections, which
-    surfaces as an ``OSError`` in the handler thread blocked on the next
-    request line; that is expected teardown, not an error worth a stack
-    trace on stderr.
-    """
-
-    def handle_error(self, request: Any, client_address: Any) -> None:
-        import sys
-
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (OSError, ValueError)):
-            # ValueError: "readline of closed file" from the severed rfile.
-            return
-        super().handle_error(request, client_address)
-
-
-
 def _require_vertex(body: Mapping[str, Any], key: str) -> int:
     """A vertex id field of a request body (bool is *not* an int here)."""
     value = body.get(key)
@@ -770,257 +697,147 @@ def _pairs_field(body: Mapping[str, Any], key: str,
     return pairs
 
 
-def _require_pairs_field(body: Mapping[str, Any]) -> List[Tuple[int, int]]:
-    """The ``pairs`` field of a ``/query_batch`` body."""
-    return _pairs_field(body, "pairs")
+def _ask(entry: _OracleEntry, method: str, *args: Any) -> Tuple[Any, Dict[str, Any]]:
+    """Call ``method`` on the entry's engine -> ``(value, tags)``.
+
+    A live oracle answers through the ``*_tagged`` variant, and its
+    version/staleness/guarantee tags ride along in the payload.
+    """
+    if not entry.live:
+        return getattr(entry.engine, method)(*args), {}
+    answer = getattr(entry.engine, f"{method}_tagged")(*args)
+    return answer.value, {"version": answer.version,
+                          "staleness": answer.staleness,
+                          "guaranteed": answer.guaranteed}
 
 
-class _DaemonHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests to the owning :class:`OracleDaemon`."""
+def _handle_query(entry: _OracleEntry, body: Mapping[str, Any]) -> Dict[str, Any]:
+    u = _require_vertex(body, "u")
+    v = _require_vertex(body, "v")
+    value, tags = _ask(entry, "query", u, v)
+    return {"u": u, "v": v, "answer": to_wire(value), **tags}
 
-    protocol_version = "HTTP/1.1"  # keep-alive: clients reuse connections
-    # Small request/response pairs on one keep-alive connection are the
-    # daemon's whole workload; Nagle + delayed ACK would add ~40ms to
-    # every round trip.
-    disable_nagle_algorithm = True
-    #: Refuse request bodies past this size (a malformed client, not a DoS shield).
-    MAX_BODY_BYTES = 32 * 1024 * 1024
 
-    @property
-    def daemon(self) -> OracleDaemon:
-        return self.server.repro_daemon  # type: ignore[attr-defined]
+def _handle_query_batch(entry: _OracleEntry, body: Mapping[str, Any]) -> Dict[str, Any]:
+    values, tags = _ask(entry, "query_batch", _pairs_field(body, "pairs"))
+    return {"answers": [to_wire(value) for value in values], **tags}
 
-    # Register the connection so a closing daemon can sever keep-alive
-    # clients (``shutdown()`` alone leaves their handler threads serving).
-    def setup(self) -> None:
-        super().setup()
-        self.daemon._track_connection(self.connection)
 
-    def finish(self) -> None:
-        self.daemon._untrack_connection(self.connection)
-        super().finish()
+def _handle_single_source(entry: _OracleEntry, body: Mapping[str, Any]) -> Dict[str, Any]:
+    source = _require_vertex(body, "source")
+    distances, tags = _ask(entry, "single_source", source)
+    return {"source": source,
+            "distances": {str(v): d for v, d in distances.items()}, **tags}
 
-    # BaseHTTPRequestHandler logs every request to stderr by default;
-    # keep the wire quiet unless the daemon asks for verbosity.
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if self.daemon.verbose:
-            super().log_message(format, *args)
 
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:
-        started = time.perf_counter()
-        self.daemon._begin_request()
-        try:
-            with span("daemon.request", endpoint=self.path):
-                if self.path == "/metrics":
-                    # Prometheus scrape: text exposition, not the JSON frame.
-                    self._respond_text(200, self.daemon.metrics_text(), started)
-                    return
-                try:
-                    if self.path == "/healthz":
-                        code, payload = 200, self.daemon.healthz()
-                    elif self.path == "/stats":
-                        code, payload = 200, self.daemon.stats()
-                    else:
-                        code, payload = 404, {"error": f"unknown path {self.path!r}"}
-                except Exception as error:  # pragma: no cover - defensive
-                    code, payload = 500, {"error": str(error)}
-                self._respond(code, payload, started)
-        finally:
-            self.daemon._end_request()
+def _handle_mutate(entry: _OracleEntry, body: Mapping[str, Any]) -> Dict[str, Any]:
+    if not entry.live:
+        raise ValueError(
+            "oracle is not live and accepts no mutations; serve it with "
+            "a live spec (ServeSpec(live=True) / `repro serve-daemon --live`)"
+        )
+    unknown = set(body) - {"oracle", "inserts", "deletes", "wait", "deadline_ms"}
+    if unknown:
+        raise ValueError(
+            f"unknown mutate keys {sorted(unknown)}; valid keys: "
+            "['deadline_ms', 'deletes', 'inserts', 'oracle', 'wait']"
+        )
+    inserts = _pairs_field(body, "inserts", default=[])
+    deletes = _pairs_field(body, "deletes", default=[])
+    wait = body.get("wait", False)
+    if not isinstance(wait, bool):
+        raise ValueError(f"field 'wait' must be a boolean, got {wait!r}")
+    engine = entry.engine
+    receipt = engine.apply(
+        GraphMutation(inserts=tuple(inserts), deletes=tuple(deletes))
+    )
+    payload = receipt.to_dict()
+    if wait:
+        engine.quiesce(timeout=120.0)
+        version = engine.version
+        payload["version"] = version.version
+        payload["watermark"] = version.watermark
+        payload["staleness"] = engine.staleness
+    return payload
 
-    def do_POST(self) -> None:
-        started = time.perf_counter()
-        handlers = {
-            "/query": self._handle_query,
-            "/query_batch": self._handle_query_batch,
-            "/single_source": self._handle_single_source,
-            "/mutate": self._handle_mutate,
-        }
-        handler = handlers.get(self.path)
-        if handler is None:
-            code, payload = (405, {"error": f"{self.path!r} is not a POST endpoint"}) \
-                if self.path in ("/healthz", "/stats", "/metrics") \
-                else (404, {"error": f"unknown path {self.path!r}"})
-            self._respond(code, payload, started)
+
+class _DaemonHandler(JsonHandler):
+    """Routes HTTP requests to the owning :class:`OracleDaemon`.
+
+    ``GET`` routes bypass admission control; every ``POST`` route is an
+    oracle call ``route(entry, body) -> payload``, admitted (or shed with
+    ``503``) and run inside the request's deadline.
+    """
+
+    #: The answering oracle's name, for the request counters; reset once
+    #: each answer is counted.
+    oracle = ""
+
+    def serve(self, route: Any) -> None:
+        daemon = self.server.owner
+        if self.command == "GET":
+            daemon._begin_request()
+            try:
+                with span("daemon.request", endpoint=self.path):
+                    super().serve(route)
+            finally:
+                daemon._end_request()
             return
-        admitted, shed_reason = self.daemon._try_admit()
+        admitted, shed_reason = daemon._try_admit()
         if not admitted:
-            # Drain the unread body so the keep-alive stream stays framed.
-            self._discard_body()
-            retry_after = self.daemon.retry_after_seconds
-            self._respond(
-                503,
-                {"error": f"request shed ({shed_reason})", "retry_after": retry_after},
-                started,
-                headers={"Retry-After": f"{retry_after:g}"},
-            )
-            # A draining daemon stops reading this connection after the 503.
+            retry_after = daemon.retry_after_seconds
             if shed_reason == "draining":
+                # A draining daemon reads nothing more from this connection.
                 self.close_connection = True
+            self.send_json(
+                503, {"error": f"request shed ({shed_reason})", "retry_after": retry_after},
+                {"Retry-After": f"{retry_after:g}"},
+            )
             return
-        oracle = ""
-        headers: Optional[Dict[str, str]] = None
-        admitted = True
         try:
             with span("daemon.request", endpoint=self.path) as request_span:
                 try:
                     fault_point("daemon.request", endpoint=self.path)
-                    body = self._read_json_body()
-                    oracle = body.get("oracle") or self.daemon.default_oracle_name or ""
-                    request_span.set(oracle=oracle)
-                    entry = self.daemon._entry_for(body.get("oracle"))
-                    deadline = self.daemon._effective_deadline(body.get("deadline_ms"))
+                    body = self.json_body()
+                    self.oracle = body.get("oracle") or daemon.default_oracle_name or ""
+                    request_span.set(oracle=self.oracle)
+                    entry = daemon._entry_for(body.get("oracle"))
+                    deadline = daemon._effective_deadline(body.get("deadline_ms"))
                     with deadline_scope(deadline):
-                        code, payload = handler(entry, body)
-                except DeadlineExceeded as error:
-                    self.daemon._record_deadline_exceeded(self.path)
-                    retry_after = self.daemon.retry_after_seconds
-                    code, payload = 504, {"error": str(error),
-                                          "retry_after": retry_after}
-                    headers = {"Retry-After": f"{retry_after:g}"}
-                except ValueError as error:
-                    code, payload = 400, {"error": str(error)}
-                except KeyError as error:
-                    code, payload = 404, {"error": error.args[0] if error.args else str(error)}
-                except Exception as error:  # pragma: no cover - defensive
-                    code, payload = 500, {"error": str(error)}
+                        answer = 200, route(entry, body), None
+                except Exception as error:
+                    answer = self.error_answer(error)
                 admitted = False
-                self.daemon._release_admission()
-                self._respond(code, payload, started, oracle=oracle, headers=headers)
+                daemon._release_admission()
+                self.send_json(*answer)
         finally:
             if admitted:  # pragma: no cover - only if the span itself raised
-                self.daemon._release_admission()
-            self.daemon._end_request()
+                daemon._release_admission()
+            daemon._end_request()
 
-    # Wrong-method probes on the query endpoints get 405, not a stack trace.
-    def do_PUT(self) -> None:
-        self._respond(405, {"error": "method not allowed"}, time.perf_counter())
+    def error_answer(self, error: Exception) -> Answer:
+        if isinstance(error, DeadlineExceeded):
+            daemon = self.server.owner
+            daemon._record_deadline_exceeded(self.path)
+            retry_after = daemon.retry_after_seconds
+            return (504, {"error": str(error), "retry_after": retry_after},
+                    {"Retry-After": f"{retry_after:g}"})
+        return super().error_answer(error)
 
-    do_DELETE = do_PUT
+    def count_answer(self, code: int) -> None:
+        # Counted before the answer is written: a client that has read it
+        # (and at once asks /stats) must already see this request counted.
+        self.server.owner._record_request(
+            (time.perf_counter() - self.started) * 1000.0, ok=code < 400,
+            endpoint=self.path, oracle=self.oracle)
+        self.oracle = ""
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _ask(entry: _OracleEntry, method: str, *args: Any) -> Tuple[Any, Dict[str, Any]]:
-        """Call ``method`` on the entry's engine -> ``(value, tags)``.
-
-        A live oracle answers through the ``*_tagged`` variant, and its
-        version/staleness/guarantee tags ride along in the payload.
-        """
-        if not entry.live:
-            return getattr(entry.engine, method)(*args), {}
-        answer = getattr(entry.engine, f"{method}_tagged")(*args)
-        return answer.value, {"version": answer.version,
-                              "staleness": answer.staleness,
-                              "guaranteed": answer.guaranteed}
-
-    def _handle_query(self, entry: _OracleEntry,
-                      body: Mapping[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        u = _require_vertex(body, "u")
-        v = _require_vertex(body, "v")
-        value, tags = self._ask(entry, "query", u, v)
-        return 200, {"u": u, "v": v, "answer": to_wire(value), **tags}
-
-    def _handle_query_batch(self, entry: _OracleEntry,
-                            body: Mapping[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        values, tags = self._ask(entry, "query_batch", _require_pairs_field(body))
-        return 200, {"answers": [to_wire(value) for value in values], **tags}
-
-    def _handle_single_source(self, entry: _OracleEntry,
-                              body: Mapping[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        source = _require_vertex(body, "source")
-        distances, tags = self._ask(entry, "single_source", source)
-        return 200, {"source": source,
-                     "distances": {str(v): d for v, d in distances.items()}, **tags}
-
-    def _handle_mutate(self, entry: _OracleEntry,
-                       body: Mapping[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        if not entry.live:
-            raise ValueError(
-                "oracle is not live and accepts no mutations; serve it with "
-                "a live spec (ServeSpec(live=True) / `repro serve-daemon --live`)"
-            )
-        unknown = set(body) - {"oracle", "inserts", "deletes", "wait", "deadline_ms"}
-        if unknown:
-            raise ValueError(
-                f"unknown mutate keys {sorted(unknown)}; valid keys: "
-                "['deadline_ms', 'deletes', 'inserts', 'oracle', 'wait']"
-            )
-        inserts = _pairs_field(body, "inserts", default=[])
-        deletes = _pairs_field(body, "deletes", default=[])
-        wait = body.get("wait", False)
-        if not isinstance(wait, bool):
-            raise ValueError(f"field 'wait' must be a boolean, got {wait!r}")
-        engine = entry.engine
-        receipt = engine.apply(
-            GraphMutation(inserts=tuple(inserts), deletes=tuple(deletes))
-        )
-        payload = receipt.to_dict()
-        if wait:
-            engine.quiesce(timeout=120.0)
-            version = engine.version
-            payload["version"] = version.version
-            payload["watermark"] = version.watermark
-            payload["staleness"] = engine.staleness
-        return 200, payload
-
-    # ------------------------------------------------------------------
-    def _discard_body(self) -> None:
-        """Read and drop the request body (shed responses skip parsing)."""
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
-        if 0 < length <= self.MAX_BODY_BYTES:
-            self.rfile.read(length)
-        elif length > self.MAX_BODY_BYTES:
-            self.close_connection = True
-
-    def _read_json_body(self) -> Dict[str, Any]:
-        length = self.headers.get("Content-Length")
-        try:
-            length = int(length or 0)
-        except ValueError:
-            raise ValueError(f"invalid Content-Length {length!r}") from None
-        if length <= 0:
-            raise ValueError("request body required (JSON object)")
-        if length > self.MAX_BODY_BYTES:
-            raise ValueError(f"request body of {length} bytes exceeds "
-                             f"{self.MAX_BODY_BYTES} byte limit")
-        raw = self.rfile.read(length)
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"request body is not valid JSON: {error}") from None
-        if not isinstance(body, dict):
-            raise ValueError(f"request body must be a JSON object, got {type(body).__name__}")
-        return body
-
-    def _respond(self, code: int, payload: Dict[str, Any], started: float,
-                 *, oracle: str = "",
-                 headers: Optional[Dict[str, str]] = None) -> None:
-        self._write_response(code, json.dumps(payload).encode("utf-8"),
-                             "application/json", started, oracle=oracle,
-                             headers=headers)
-
-    def _respond_text(self, code: int, body: str, started: float) -> None:
-        self._write_response(code, body.encode("utf-8"),
-                             "text/plain; version=0.0.4; charset=utf-8", started)
-
-    def _write_response(self, code: int, encoded: bytes, content_type: str,
-                        started: float, *, oracle: str = "",
-                        headers: Optional[Dict[str, str]] = None) -> None:
-        # Record before writing: a client that has read its response (and
-        # immediately asks /stats) must already see this request counted.
-        self.daemon._record_request((time.perf_counter() - started) * 1000.0,
-                                    ok=code < 400, endpoint=self.path, oracle=oracle)
-        try:
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(encoded)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(encoded)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass  # client went away mid-response; nothing to salvage
+    routes = {
+        "/query": {"POST": _handle_query},
+        "/query_batch": {"POST": _handle_query_batch},
+        "/single_source": {"POST": _handle_single_source},
+        "/mutate": {"POST": _handle_mutate},
+        "/healthz": {"GET": lambda handler: handler.server.owner.healthz()},
+        "/stats": {"GET": lambda handler: handler.server.owner.stats()},
+        "/metrics": {"GET": JsonHandler.metrics},
+    }

@@ -16,9 +16,9 @@ declaratively::
 
 Transport behaviour:
 
-* **connection reuse** — one persistent :class:`KeptConnection` per
-  oracle (the daemon speaks HTTP/1.1 keep-alive), reopened after
-  transport errors;
+* **connection reuse** — one persistent
+  :class:`~repro.serve.jsonhttp.KeptConnection` per oracle (the daemon
+  speaks HTTP/1.1 keep-alive), reopened after transport errors;
 * **timeouts and bounded retry** — every transport failure (connection
   refused, reset, timeout) is retried up to ``retries`` times with
   *full-jitter* exponential backoff (attempt ``k`` sleeps a seeded-random
@@ -58,11 +58,12 @@ from repro.faults import FaultInjected, fault_point
 from repro.graphs.graph import Graph
 from repro.obs import set_gauge
 from repro.serve.daemon import from_wire
+from repro.serve.jsonhttp import KeptConnection
 from repro.serve.live import GraphMutation, LiveAnswer
 from repro.serve.registry import register_oracle
 from repro.serve.spec import ServeSpec
 
-__all__ = ["CircuitOpenError", "KeptConnection", "RemoteOracle", "RemoteOracleError"]
+__all__ = ["CircuitOpenError", "RemoteOracle", "RemoteOracleError"]
 
 #: Transport-level failures worth retrying (the daemon may be restarting,
 #: the connection may have idled out).  HTTP-level errors are never here;
@@ -73,45 +74,6 @@ _TRANSPORT_ERRORS = (ConnectionError, socket.timeout, socket.gaierror,
 
 #: Numeric encoding of the breaker state on the Prometheus gauge.
 _BREAKER_GAUGE = {"closed": 0.0, "open": 1.0, "half_open": 2.0}
-
-
-class KeptConnection(http.client.HTTPConnection):
-    """A keep-alive HTTP/1.1 client connection with Nagle's algorithm off.
-
-    It connects on first use, and again on the next request after any
-    close: a transport error, an answer that ends the connection, or
-    :meth:`close`.  Like any ``http.client`` connection it is not
-    thread-safe: one thread owns it, or a lock guards it.  The daemon's
-    clients and the distributed sweep's workers both talk through it.
-    """
-
-    def __init__(self, host: str, port: int, timeout: float) -> None:
-        super().__init__(host, port, timeout=timeout)
-        #: Connections opened so far.
-        self.connects = 0
-
-    def connect(self) -> None:  # noqa: D102
-        super().connect()
-        # Small request/response pairs: Nagle plus delayed ACK would
-        # stall each one.
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.connects += 1
-
-    def round_trip(self, method: str, path: str, body: Optional[bytes] = None
-                   ) -> Tuple[http.client.HTTPResponse, bytes]:
-        """Send one request and read its whole answer: ``(response, body)``.
-
-        A JSON body gets its content type.  Any error closes the
-        connection before it propagates, so the next call starts clean.
-        """
-        headers = {"Content-Type": "application/json"} if body else {}
-        try:
-            self.request(method, path, body=body, headers=headers)
-            response = self.getresponse()
-            return response, response.read()  # always drain: keep-alive hygiene
-        except BaseException:
-            self.close()
-            raise
 
 
 class RemoteOracleError(RuntimeError):

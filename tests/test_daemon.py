@@ -257,10 +257,13 @@ class TestMalformedRequests:
     def test_wrong_method_is_a_405(self, daemon):
         status, _ = _post(daemon, "/stats", {})
         assert status == 405
-        connection = http.client.HTTPConnection(daemon.host, daemon.port, timeout=5)
-        connection.request("PUT", "/query", body=b"{}")
-        assert connection.getresponse().status == 405
-        connection.close()
+        for method, body in (("PUT", b"{}"), ("DELETE", None), ("GET", None)):
+            connection = http.client.HTTPConnection(daemon.host, daemon.port, timeout=5)
+            connection.request(method, "/query", body=body)
+            response = connection.getresponse()
+            assert response.status == 405
+            assert "error" in json.loads(response.read())
+            connection.close()
 
     def test_errors_count_in_the_stats(self):
         with OracleDaemon(port=0) as d:

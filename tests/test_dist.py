@@ -368,35 +368,6 @@ class TestCoordinatorStateMachine:
             assert not completing.is_alive()
             assert delivered[0]["accepted"] and delivered[0]["state"] == DONE
 
-    def test_close_ends_the_serve_loop_and_refuses_kept_connections(self, tmp_path):
-        coordinator = DistCoordinator(_tasks(), ResultCache(tmp_path)).start()
-        connection = http.client.HTTPConnection(
-            coordinator.host, coordinator.port, timeout=10)
-        try:
-            connection.request("GET", "/healthz")
-            assert connection.getresponse().read()
-            coordinator.close()
-            assert not coordinator._serve_thread.is_alive()
-            assert coordinator._wake_r.fileno() == -1
-            assert coordinator._wake_w.fileno() == -1
-            coordinator.close()  # idempotent
-            # The kept connection's handler no longer serves the closed
-            # coordinator: it refuses and ends the connection.
-            connection.request("GET", "/healthz")
-            response = connection.getresponse()
-            response.read()
-            assert response.status == 503 and response.will_close
-        finally:
-            connection.close()
-
-    def test_close_before_start_releases_every_socket(self, tmp_path):
-        coordinator = DistCoordinator(_tasks(), ResultCache(tmp_path))
-        coordinator.close()
-        coordinator.close()
-        assert coordinator._server.socket.fileno() == -1
-        assert coordinator._wake_r.fileno() == -1
-        assert coordinator._wake_w.fileno() == -1
-
     def test_uncacheable_task_is_rejected_at_construction(self, tmp_path):
         spec = next(iter(SWEEP.specs()))
         bad = BuildSpec(product=spec.product, method=spec.method,
@@ -410,13 +381,16 @@ class _ParkingCondition(threading.Condition):
 
     A held lease can then only return when something notifies it, so
     the long-poll tests check what woke it by ordering, not wall clock.
+    ``timeouts`` records the timeout each wait asked for.
     """
 
     def __init__(self, lock):
         super().__init__(lock)
         self.parked = threading.Event()
+        self.timeouts = []
 
     def wait(self, timeout=None):
+        self.timeouts.append(timeout)
         self.parked.set()
         return super().wait()
 
@@ -449,6 +423,32 @@ class TestLongPolledLease:
             thread.join(30)
             assert not thread.is_alive()
             assert answers[0]["task"] is None and answers[0]["done"] is True
+
+    def test_wait_returns_when_the_last_completion_lands(self, tmp_path):
+        store = ResultCache(tmp_path)
+        with DistCoordinator(_tasks(), store) as coordinator:
+            leases = [coordinator.lease("busy") for _ in _tasks()]
+            for lease in leases:
+                store.put(lease["task"]["key"], _built(_tasks()[lease["task"]["id"]][3]))
+            for lease in leases[:-1]:
+                coordinator.complete({"worker": "busy", "task": lease["task"]["id"],
+                                      "lease": lease["lease"], "key": lease["task"]["key"]})
+            condition = _ParkingCondition(coordinator._lock)
+            coordinator._cond = condition
+            finished = []
+            thread = threading.Thread(
+                target=lambda: finished.append(coordinator.wait()), daemon=True)
+            thread.start()
+            assert condition.parked.wait(30)
+            assert finished == []
+            last = leases[-1]
+            coordinator.complete({"worker": "busy", "task": last["task"]["id"],
+                                  "lease": last["lease"], "key": last["task"]["key"]})
+            thread.join(30)
+            assert not thread.is_alive()
+            assert finished == [True]
+            # wait() parked on the notification alone, never on a poll.
+            assert condition.timeouts == [None] * len(condition.timeouts)
 
     def test_idle_lease_is_granted_a_task_that_becomes_pending(self, tmp_path):
         with DistCoordinator(_tasks(), ResultCache(tmp_path)) as coordinator:
@@ -649,16 +649,16 @@ class TestDistributedSweep:
 # ----------------------------------------------------------------------
 class TestWorkerTransport:
     def test_a_worker_keeps_one_connection_for_a_whole_sweep(self, monkeypatch):
-        from repro.dist.coordinator import _CoordinatorServer
+        from repro.serve.jsonhttp import JsonServer
 
         accepted = []
-        real = _CoordinatorServer.process_request
+        real = JsonServer.process_request
 
         def counting(server, request, client_address):
             accepted.append(client_address)
             return real(server, request, client_address)
 
-        monkeypatch.setattr(_CoordinatorServer, "process_request", counting)
+        monkeypatch.setattr(JsonServer, "process_request", counting)
         sweep = GridSweep(products=("emulator", "spanner"), methods=("centralized",),
                           eps_values=(None, 0.25), kappas=(None, 4.0))
         assert len(list(sweep.specs())) >= 8
@@ -807,6 +807,19 @@ class TestHttpSurface:
             status, _ = self._post(coordinator, "/complete",
                                    {"worker": "w", "task": 99, "lease": "x"})
             assert status == 404
+            # A known path asked with the wrong method is a JSON 405.
+            status, _ = self._get(coordinator, "/lease")
+            assert status == 405
+            for method in ("PUT", "DELETE"):
+                connection = http.client.HTTPConnection(
+                    coordinator.host, coordinator.port, timeout=10)
+                try:
+                    connection.request(method, "/status")
+                    response = connection.getresponse()
+                    assert response.status == 405
+                    assert "error" in json.loads(response.read())
+                finally:
+                    connection.close()
 
     def test_injected_coordinator_fault_is_a_retryable_503(self, tmp_path):
         with DistCoordinator(_tasks(), ResultCache(tmp_path)) as coordinator:

@@ -164,3 +164,57 @@ def test_a_center_cannot_join_two_superclusters():
                        degree_threshold=schedule.degree(0))
     with pytest.raises(AssertionError, match=f"center {victim} joins the superclusters"):
         builder._superclustering_step(0, centers, detection.popular, host, offset, stats)
+
+
+def test_a_non_center_hub_splits_its_announcements_into_superclusters(monkeypatch):
+    # Root center 0 -- non-center hub 1 -- centers 2..64 at depth 2, and
+    # centers 66, 67 at depth 3 behind the non-center relay 65.  The hub
+    # receives 65 announcements, past ``hub_cap``, so Task 3 splits them
+    # into superclusters at the hub, each headed by a representative.
+    leaves, relay, deep = list(range(2, 65)), 65, [66, 67]
+    n = 68
+    graph = Graph(n)
+    graph.add_edge(0, 1)
+    graph.add_edge(1, relay)
+    for center in leaves:
+        graph.add_edge(1, center)
+    for center in deep:
+        graph.add_edge(relay, center)
+    builder = DistributedEmulatorBuilder(graph)
+    schedule = builder.schedule
+    deg = int(schedule.degree(0))
+    assert len(leaves) + len(deep) >= 2 * deg + 2  # reaches hub_cap
+
+    groups = []
+    split = DistributedEmulatorBuilder._split_hub_batch
+
+    def recording(batch, degree_threshold):
+        result = split(batch, degree_threshold)
+        groups.extend(result)
+        return result
+
+    monkeypatch.setattr(DistributedEmulatorBuilder, "_split_hub_batch",
+                        staticmethod(recording))
+    host = array("l", [-1]) * n
+    offset = array("d", bytes(8 * n))
+    stats = PhaseStats(phase=0, num_clusters=n, delta=schedule.delta(0),
+                       degree_threshold=schedule.degree(0))
+    builder._superclustering_step(0, [0] + leaves + deep, {0}, host, offset, stats)
+
+    assert len(groups) >= 2
+    for group in groups:
+        assert 2 * deg + 2 <= len(group) <= 6 * deg + 6
+    # Every spanned center joins exactly one supercluster: the root its
+    # own, every other center exactly one of the hub's groups.
+    assert sorted(c for group in groups for c, _ in group) == leaves + deep
+    assert host[0] == 0 and offset[0] == 0.0
+    hub_depth = 1
+    for group in groups:
+        representative, rep_depth = min(group)
+        assert host[representative] == representative
+        assert offset[representative] == 0.0
+        for center, depth in group:
+            if center != representative:
+                assert host[center] == representative
+                assert offset[center] == (depth - hub_depth) + (rep_depth - hub_depth)
+    assert {offset[c] for c in deep} == {3.0}  # via the hub from depth 3
