@@ -10,7 +10,6 @@ emulator    centralized    Algorithm 1 (:class:`UltraSparseEmulatorBuilder`)
 emulator    fast           Section 3.3 ruling sets (:class:`FastCentralizedBuilder`)
 emulator    congest        Section 3 on the CONGEST simulator
 spanner     centralized    Section 4 (centralized simulation)
-spanner     fast           EM19-style paths over the Section 3.3 emulator
 spanner     congest        Section 4 on the CONGEST simulator
 hopset      centralized    emulator edge set of Algorithm 1 ([EN20])
 hopset      fast           emulator edge set of the Section 3.3 construction
@@ -32,11 +31,7 @@ from repro.api.spec import BuildSpec
 from repro.core.emulator import EmulatorResult, UltraSparseEmulatorBuilder
 from repro.core.fast_centralized import FastCentralizedBuilder
 from repro.core.parameters import ultra_sparse_kappa
-from repro.core.spanner import (
-    NearAdditiveSpannerBuilder,
-    SpannerResult,
-    spanner_from_emulator,
-)
+from repro.core.spanner import NearAdditiveSpannerBuilder, SpannerResult
 from repro.distributed.emulator_congest import DistributedEmulatorBuilder
 from repro.distributed.spanner_congest import DistributedSpannerBuilder
 from repro.graphs.graph import Graph
@@ -117,17 +112,6 @@ def _spanner_centralized(graph: Graph, spec: BuildSpec) -> SpannerResult:
     builder = NearAdditiveSpannerBuilder(graph, schedule=spec.schedule, eps=eps, kappa=kappa,
                                          rho=rho)
     return builder.build()
-
-
-@register_builder("spanner", "fast",
-                  description="ruling-set based fast spanner — EM19-style shortest-path "
-                              "realization of the Section 3.3 emulator")
-def _spanner_fast(graph: Graph, spec: BuildSpec) -> SpannerResult:
-    eps, kappa, rho = resolve_parameters(graph, spec)
-    emulator = FastCentralizedBuilder(
-        graph, schedule=spec.schedule, eps=eps, kappa=kappa, rho=rho
-    ).build()
-    return spanner_from_emulator(graph, emulator)
 
 
 @register_builder("spanner", "congest",

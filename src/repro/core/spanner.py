@@ -29,11 +29,7 @@ from repro.graphs.shortest_paths import bfs_tree
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs import span
 
-__all__ = [
-    "SpannerResult",
-    "NearAdditiveSpannerBuilder",
-    "spanner_from_emulator",
-]
+__all__ = ["SpannerResult", "NearAdditiveSpannerBuilder"]
 
 
 @dataclass
@@ -239,53 +235,3 @@ class NearAdditiveSpannerBuilder:
             u = p
         return added
 
-
-def spanner_from_emulator(graph: Graph, emulator_result) -> SpannerResult:
-    """Derive a subgraph spanner from an emulator, EM19-style.
-
-    Every emulator edge ``(u, v)`` of weight ``w`` is realized by a
-    shortest ``u``–``v`` path of ``graph`` (``w`` is a path length the
-    construction measured, so ``d_G(u, v) <= w`` and a BFS of radius
-    ``w`` from ``u`` reaches ``v``).  Any emulator path of weight ``W``
-    then maps to a spanner walk of length at most ``W``, so the spanner
-    inherits the emulator's ``(alpha, beta)`` stretch.  The size is the
-    EM19-flavoured ``O(beta * n^(1 + 1/kappa))`` rather than Corollary
-    4.4's ``O(n^(1 + 1/kappa))`` — this is the price of deriving from
-    the ruling-set based *fast* emulator instead of re-running the
-    Section 4 degree-slowdown schedule.
-    """
-    spanner = Graph(graph.num_vertices)
-    added = 0
-    # One bounded BFS per distinct source serves all of its emulator
-    # edges: the BFS tree's parent pointers do not depend on the radius,
-    # so exploring to the deepest target yields the same per-target
-    # shortest paths as one exploration per edge would.
-    targets_by_source: Dict[int, List[int]] = {}
-    radius_by_source: Dict[int, float] = {}
-    for u, v, w in emulator_result.emulator.edges():
-        targets_by_source.setdefault(u, []).append(v)
-        radius_by_source[u] = max(radius_by_source.get(u, 0.0), w)
-    for u in sorted(targets_by_source):
-        parent = bfs_tree(graph, u, radius=radius_by_source[u])
-        full = None
-        for v in sorted(targets_by_source[u]):
-            tree = parent
-            if v not in tree:  # defensive: w should always dominate d_G(u, v)
-                if full is None:
-                    full = bfs_tree(graph, u)
-                tree = full
-                if v not in tree:
-                    continue
-            x = v
-            while tree.get(x, x) != x:
-                p = tree[x]
-                if spanner.add_edge(x, p):
-                    added += 1
-                x = p
-    return SpannerResult(
-        spanner=spanner,
-        schedule=emulator_result.schedule,
-        phase_stats=emulator_result.phase_stats,
-        superclustering_edges=0,
-        interconnection_edges=added,
-    )

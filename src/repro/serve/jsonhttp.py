@@ -300,8 +300,13 @@ class JsonHandler(BaseHTTPRequestHandler):
                 self.send_header("Connection", "close")
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
+            if self.request_version == "HTTP/0.9":  # a bare body, no headers
+                self.wfile.write(data)
+            else:
+                # end_headers() would write the headers, then the body
+                # apart: one write is one syscall and one TCP segment.
+                self._headers_buffer += (b"\r\n", data)
+                self.flush_headers()
         except OSError:
             pass  # the client went away mid-answer: nothing to salvage
 

@@ -36,7 +36,6 @@ EXPECTED_COMBOS = [
     ("hopset", "fast"),
     ("spanner", "centralized"),
     ("spanner", "congest"),
-    ("spanner", "fast"),
 ]
 
 
@@ -103,7 +102,7 @@ class TestRegistry:
 
     def test_available_builders_filter_by_product(self):
         assert available_builders("spanner") == [
-            ("spanner", "centralized"), ("spanner", "congest"), ("spanner", "fast"),
+            ("spanner", "centralized"), ("spanner", "congest"),
         ]
 
     def test_unknown_combo_raises_keyerror_listing_valid(self):
@@ -115,7 +114,7 @@ class TestRegistry:
 
     def test_is_supported(self):
         assert is_supported("emulator", "fast")
-        assert is_supported("spanner", "fast")
+        assert not is_supported("spanner", "fast")
         assert not is_supported("spanner", "quantum")
 
     def test_register_rejects_unknown_vocabulary(self):
@@ -167,22 +166,11 @@ class TestFacade:
         assert result.verify(graph).valid
 
     def test_unknown_combo_raises_keyerror(self, grid25):
-        # Every vocabulary combo is registered now, so deregister one to
-        # exercise the facade's KeyError path.
-        from repro.api import registry as registry_module
-
-        removed = registry_module._REGISTRY.pop(("spanner", "fast"))
-        try:
-            with pytest.raises(KeyError, match="spanner"):
-                build(grid25, BuildSpec(product="spanner", method="fast"))
-        finally:
-            registry_module._REGISTRY[("spanner", "fast")] = removed
-
-    def test_fast_spanner_is_subgraph(self, grid25):
-        result = build(grid25, BuildSpec(product="spanner", method="fast"))
-        assert result.raw.is_subgraph_of(grid25)
-        assert result.raw.superclustering_edges == 0
-        assert result.raw.interconnection_edges == result.size
+        # spanner/fast is a vocabulary combo with no builder.
+        with pytest.raises(KeyError, match="spanner") as excinfo:
+            build(grid25, BuildSpec(product="spanner", method="fast"))
+        for product, method in EXPECTED_COMBOS:
+            assert f"{product}/{method}" in str(excinfo.value)
 
     def test_keyword_shorthand(self, grid25):
         result = build(grid25, product="spanner", eps=0.01, kappa=4.0)

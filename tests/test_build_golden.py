@@ -1,8 +1,10 @@
 """Golden build digests: every builder's output is pinned byte-for-byte.
 
-For all nine product x method combinations on six seeded graph families
-(n <= 256), ``tests/golden/builds.json`` pins the SHA-256 of the sorted
-output edges together with the size and the guaranteed alpha and beta.
+For all eight registered product x method combinations on six seeded
+graph families (n <= 256), ``tests/golden/builds.json`` pins the SHA-256
+of the sorted output edges together with the size and the guaranteed
+alpha and beta.  The pinned combinations are read from
+``repro.api.available_builders()``, so the corpus follows the registry.
 
 The three emulator builders also pin the internals the analysis reads:
 H's edges in ``WeightedGraph.edges()`` order (which is the insertion
@@ -13,7 +15,10 @@ phase_created) and the ``U_i`` sets too; the CONGEST emulator's result
 carries neither, so its entries pin only the first three.
 The centralized emulator is additionally pinned at three non-default
 ``(eps, kappa)`` settings whose phases run at delta > 1, so partial
-and whole-component explorations are both covered.
+and whole-component explorations are both covered.  The Section 4
+spanner is also pinned at the ultra-sparse ``kappa = ultra_sparse_kappa(n)``
+together with an exact all-pairs audit: validity, the worst additive
+error and the worst multiplicative stretch.
 
 The comparison baselines (EP01, and EN17 and TZ06 at ``seed=0``) are
 pinned on the same families: H's edges in ``WeightedGraph.edges()``
@@ -38,7 +43,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import BuildSpec, build
+from repro.api import BuildSpec, available_builders, build
 from repro.baselines import (
     build_elkin_neiman_emulator,
     build_elkin_peleg_emulator,
@@ -46,6 +51,7 @@ from repro.baselines import (
 )
 from repro.core.emulator import UltraSparseEmulatorBuilder
 from repro.core.fast_centralized import FastCentralizedBuilder
+from repro.core.parameters import ultra_sparse_kappa
 from repro.core.spanner import NearAdditiveSpannerBuilder, SpannerResult
 from repro.dist import canonical_record
 from repro.graphs import generators
@@ -63,9 +69,6 @@ FAMILIES = {
     "disconnected": lambda: generators.gnm_random_graph(160, 240, seed=3),
 }
 
-PRODUCTS = ("emulator", "spanner", "hopset")
-METHODS = ("centralized", "fast", "congest")
-
 #: Extra (eps, kappa) settings for the centralized emulator.
 EXTRA_SETTINGS = ((0.5, 8.0), (1.0, 8.0), (0.25, 16.0))
 
@@ -81,14 +84,16 @@ BASELINE_COUNTERS = ("superclustering_edges", "interconnection_edges", "ground_f
 
 
 def _cases():
-    for family in FAMILIES:
-        for product in PRODUCTS:
-            for method in METHODS:
-                yield f"{family}/{product}/{method}", family, BuildSpec(
-                    product=product, method=method)
+    for family, make in FAMILIES.items():
+        for product, method in available_builders():
+            yield f"{family}/{product}/{method}", family, BuildSpec(
+                product=product, method=method)
         for eps, kappa in EXTRA_SETTINGS:
             yield f"{family}/emulator/centralized/eps={eps}/kappa={kappa}", family, BuildSpec(
                 product="emulator", method="centralized", eps=eps, kappa=kappa)
+        yield f"{family}/spanner/centralized/ultra-sparse", family, BuildSpec(
+            product="spanner", method="centralized",
+            kappa=ultra_sparse_kappa(make().num_vertices))
         for baseline in BASELINES:
             yield f"{family}/baseline/{baseline}", family, baseline
 
@@ -106,9 +111,16 @@ def _cluster_key(cluster):
 
 def _snapshot(family, spec):
     """The pinned view of one build: plain values and digests."""
+    graph = FAMILIES[family]()
     if isinstance(spec, str):
-        return _baseline_snapshot(BASELINES[spec](FAMILIES[family]()))
-    return _result_snapshot(build(FAMILIES[family](), spec), spec)
+        return _baseline_snapshot(BASELINES[spec](graph))
+    result = build(graph, spec)
+    snapshot = _result_snapshot(result, spec)
+    if spec.product == "spanner" and spec.kappa is not None:  # the ultra-sparse pins
+        report = result.verify(graph, sample_pairs=None)
+        snapshot.update(valid=report.valid, max_additive_error=report.max_additive_error,
+                        max_multiplicative_stretch=report.max_multiplicative_stretch)
+    return snapshot
 
 
 def _baseline_snapshot(raw):
@@ -182,8 +194,7 @@ def test_pickled_emulator_keeps_its_digests_and_no_clusters(family):
     assert _result_snapshot(restored, spec) == _golden()[f"{family}/emulator/centralized"]
 
 
-@pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("product", PRODUCTS)
+@pytest.mark.parametrize("product,method", available_builders())
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_builds_depend_on_the_edge_set_alone(family, product, method):
     # The same edge set as a pickle round trip and inserted in reverse

@@ -75,14 +75,7 @@ class TestBuildCommand:
         assert code == 0
         assert "spanner (CONGEST):" in capsys.readouterr().out
 
-    def test_build_unsupported_combo_clean_error(self, capsys, monkeypatch):
-        # Every vocabulary combo is registered now; deregister one so the
-        # CLI's clean KeyError handling stays covered.
-        from repro.api import registry as registry_module
-
-        registry = dict(registry_module._REGISTRY)
-        registry.pop(("spanner", "fast"))
-        monkeypatch.setattr(registry_module, "_REGISTRY", registry)
+    def test_build_unsupported_combo_clean_error(self, capsys):
         code = main(["build", "--family", "grid", "--n", "16", "--product", "spanner",
                      "--method", "fast"])
         assert code == 2
@@ -90,25 +83,18 @@ class TestBuildCommand:
         assert "supported combinations" in err
         assert "Traceback" not in err
 
-    def test_build_fast_spanner(self, capsys):
-        code = main(["build", "--family", "grid", "--n", "16", "--product", "spanner",
-                     "--method", "fast"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "spanner" in out and "subgraph of input: True" in out
-
     def test_build_invalid_kappa_clean_error(self, capsys):
         code = main(["build", "--family", "grid", "--n", "16", "--kappa", "1"])
         assert code == 2
         assert "kappa" in capsys.readouterr().err
 
-    def test_sweep_spanner_fast_now_supported(self, capsys):
-        # spanner/fast used to be the one registry hole; it is a real
-        # builder now, so the full-surface sweep includes it.
+    def test_sweep_of_no_supported_combo_clean_error(self, capsys):
         code = main(["sweep", "--family", "grid", "--n", "16", "--products", "spanner",
                      "--methods", "fast"])
-        assert code == 0
-        assert "spanner" in capsys.readouterr().out
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sweep matches no supported (product, method) combination" in err
+        assert "Traceback" not in err
 
     def test_sweep_command(self, capsys):
         code = main(["sweep", "--family", "grid", "--n", "16", "--products", "emulator",

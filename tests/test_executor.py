@@ -478,7 +478,7 @@ class TestBatchVerification:
     @pytest.mark.parametrize("product,method", [
         ("emulator", "centralized"),
         ("spanner", "centralized"),
-        ("spanner", "fast"),
+        ("spanner", "congest"),
         ("hopset", "centralized"),
     ])
     def test_matches_unbatched_verify(self, grid16, product, method):

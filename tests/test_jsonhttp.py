@@ -141,3 +141,28 @@ def test_a_refused_body_ends_the_connection(service, framing):
     # Exactly one answer, a 400, then EOF.
     assert received.startswith(b"HTTP/1.1 400 ")
     assert received.count(b"HTTP/1.1 ") == 1
+
+
+def test_each_answer_is_one_socket_write(service, monkeypatch):
+    # Status line, headers and body leave in one write: two writes per
+    # small answer cost a second syscall and, with Nagle off, a second
+    # TCP segment.
+    service.start()
+    writes = []
+    sendall = socket.socket.sendall
+
+    def counting_sendall(sock, data, *args):
+        if sock.getsockname()[1] == service.port:  # the server's end
+            writes.append(len(data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+    connection = http.client.HTTPConnection(service.host, service.port, timeout=10)
+    try:
+        for _ in range(5):
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200 and response.read()
+    finally:
+        connection.close()
+    assert len(writes) == 5

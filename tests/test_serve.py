@@ -37,10 +37,10 @@ class TestServeSpec:
         assert ServeSpec(product="hopset", backend="exact").resolved_backend == "exact"
 
     def test_build_spec_projection(self):
-        spec = ServeSpec(product="spanner", method="fast", eps=0.01, kappa=3.0, seed=5)
+        spec = ServeSpec(product="spanner", method="congest", eps=0.01, kappa=3.0, seed=5)
         build_spec = spec.build_spec()
         assert build_spec.product == "spanner"
-        assert build_spec.method == "fast"
+        assert build_spec.method == "congest"
         assert build_spec.eps == 0.01
         assert build_spec.kappa == 3.0
         assert build_spec.seed == 5
