@@ -12,7 +12,9 @@ order per vertex), the charge ledger's ``(edge, weight, charged_to,
 phase, kind)`` sequence and ``phase_stats``.  The centralized and fast
 emulators pin the partitions ``P_i`` (center, sorted members, radius,
 phase_created) and the ``U_i`` sets too; the CONGEST emulator's result
-carries neither, so its entries pin only the first three.
+carries neither, so its entries pin only the first three.  Every
+CONGEST entry (emulator, spanner and the hopset's underlying emulator)
+also pins the simulator's ``rounds`` and ``messages`` counters.
 The centralized emulator is additionally pinned at three non-default
 ``(eps, kappa)`` settings whose phases run at delta > 1, so partial
 and whole-component explorations are both covered.  The Section 4
@@ -139,6 +141,9 @@ def _result_snapshot(result, spec):
     }
     if spec.product == "emulator":
         snapshot.update(_emulator_internals(result.raw))
+    if spec.method == "congest":  # a hopset's counters are its emulator's
+        counted = getattr(result.raw, "emulator_result", result.raw)
+        snapshot.update(rounds=counted.rounds, messages=counted.messages)
     return snapshot
 
 
