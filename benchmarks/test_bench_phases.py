@@ -1,14 +1,15 @@
 """Benchmarks for full phase-structured builds.
 
 Times the emulator and spanner builders end to end (every builder reads
-one :func:`repro.graphs.kernels.ball` per considered center) and the
-seeded ``local`` query-stream generator, which reads one ball per
-distinct source.
+one :func:`repro.graphs.kernels.ball` per considered center), the CSR
+compile of a built emulator, and the seeded ``local`` query-stream
+generator, which reads one ball per distinct source.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import time
 
 from repro.api import BuildSpec, build
@@ -74,6 +75,22 @@ def test_bench_spanner_within_5x_of_the_emulator(tier_n):
           f"spanner/centralized {times['spanner']:.1f} ms ({ratio:.2f}x)")
     if os.environ.get("REPRO_BENCH_WALL_CLOCK") == "1":
         assert ratio <= 5.0, times
+
+
+def test_bench_emulator_csr_compile(benchmark, tier_n):
+    """``H.csr()`` of a default Algorithm 1 build: one lexsort of H's edge columns.
+
+    Each round compiles a pickled copy of ``H``, which carries the
+    columns but no snapshot.
+    """
+    n = tier_n(5000)
+    graph = generators.gnm_random_graph(n, 4 * n, seed=0)
+    emulator = build(graph, BuildSpec()).raw.emulator
+    state = pickle.dumps(emulator)
+
+    csr = benchmark.pedantic(lambda h: h.csr(), setup=lambda: ((pickle.loads(state),), {}),
+                             rounds=5)
+    assert csr.num_edges == emulator.num_edges
 
 
 def test_bench_local_workload_generation(benchmark, tier_n):

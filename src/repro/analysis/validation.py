@@ -154,9 +154,7 @@ def verify_spanner(
     for u, v in spanner.edges():
         if not graph.has_edge(u, v):
             raise AssertionError(f"spanner edge ({u}, {v}) is not an edge of the input graph")
-    weighted = WeightedGraph(spanner.num_vertices)
-    for u, v in spanner.edges():
-        weighted.add_edge(u, v, 1.0)
+    weighted = WeightedGraph.from_graph(spanner)
     return verify_emulator(graph, weighted, alpha, beta, sample_pairs=sample_pairs, seed=seed,
                            graph_distances=graph_distances)
 

@@ -16,22 +16,25 @@ exactly ``n^(1+1/kappa)``.  The ledger below records every charge so that
 tests can verify the structural facts the proof relies on, not only the final
 edge count.
 
-The ledger exists only for that audit, so it is kept cheap to fill: it
-stores plain ``(u, v, weight, charged_to, kind)`` rows, appended a phase at
-a time (:meth:`ChargeLedger.record`) or one at a time
-(:meth:`ChargeLedger.charge`).  Frozen :class:`EdgeCharge` records are built
-only when a view reads them, and the ``verify_*`` checks walk the rows
-directly.
+The ledger exists only for that audit, so it is kept cheap to fill: a
+builder appends each phase's edges to one :class:`EdgeColumns` (flat
+``array`` columns ``u``, ``v``, ``weight``, ``charged_to`` and a kind
+byte) and hands it over in one :meth:`ChargeLedger.record` call, and the
+per-edge path (:meth:`ChargeLedger.charge`) appends one entry.  Tuples and
+frozen :class:`EdgeCharge` records are built only when a view reads them;
+the ``verify_*`` checks and the counts read the columns directly.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-__all__ = ["EdgeKind", "EdgeCharge", "ChargeRow", "ChargeLedger"]
+__all__ = ["EdgeKind", "EdgeCharge", "EdgeColumns", "ChargeLedger"]
 
 
 class EdgeKind(enum.Enum):
@@ -39,6 +42,11 @@ class EdgeKind(enum.Enum):
 
     INTERCONNECTION = "interconnection"
     SUPERCLUSTERING = "superclustering"
+
+
+#: Each kind's byte in :attr:`EdgeColumns.kind` indexes this tuple.
+_KINDS: Tuple[EdgeKind, ...] = (EdgeKind.INTERCONNECTION, EdgeKind.SUPERCLUSTERING)
+_INTERCONNECTION, _SUPERCLUSTERING = 0, 1
 
 
 @dataclass(frozen=True)
@@ -67,43 +75,127 @@ class EdgeCharge:
     kind: EdgeKind
 
 
-#: One ledger row as a builder inserts it: ``(u, v, weight, charged_to, kind)``.
-ChargeRow = Tuple[int, int, float, int, EdgeKind]
+class EdgeColumns:
+    """Emulator edges as flat columns, in the order a builder adds them.
+
+    Entry ``i`` is the edge ``(u[i], v[i])`` of weight ``weight[i]``,
+    charged to ``charged_to[i]``, of the kind whose byte is ``kind[i]``.
+    ``(u, v, weight)`` is also the input of
+    :meth:`repro.graphs.weighted_graph.WeightedGraph.add_edges`.
+    """
+
+    __slots__ = ("u", "v", "weight", "charged_to", "kind")
+
+    def __init__(self) -> None:
+        self.u = array("l")
+        self.v = array("l")
+        self.weight = array("d")
+        self.charged_to = array("l")
+        self.kind = bytearray()
+
+    def append(self, u: int, v: int, weight: float, charged_to: int, kind: EdgeKind) -> None:
+        """Append one edge."""
+        self.u.append(u)
+        self.v.append(v)
+        self.weight.append(weight)
+        self.charged_to.append(charged_to)
+        self.kind.append(_INTERCONNECTION if kind is EdgeKind.INTERCONNECTION
+                         else _SUPERCLUSTERING)
+
+    def interconnect(self, center: int, others: Sequence[int],
+                     weights: Sequence[float]) -> None:
+        """Append the interconnection edges ``(center, others[i])``.
+
+        Each is charged to ``center``, the unpopular center that adds them.
+        """
+        count = len(others)
+        self.u.extend(repeat(center, count))
+        self.v.extend(others)
+        self.weight.extend(weights)
+        self.charged_to.extend(repeat(center, count))
+        self.kind.extend(bytes((_INTERCONNECTION,)) * count)
+
+    def supercluster(self, hosts: Iterable[int], members: Sequence[int],
+                     weights: Iterable[float]) -> None:
+        """Append the superclustering edges ``(hosts[i], members[i])``.
+
+        Each is charged to ``members[i]``, the center whose cluster joins
+        the supercluster built around ``hosts[i]``.
+        """
+        self.u.extend(hosts)
+        self.v.extend(members)
+        self.weight.extend(weights)
+        self.charged_to.extend(members)
+        self.kind.extend(bytes((_SUPERCLUSTERING,)) * len(members))
+
+    def extend(self, other: "EdgeColumns") -> None:
+        """Append every edge of ``other``, in order."""
+        for name in self.__slots__:
+            getattr(self, name).extend(getattr(other, name))
+
+    def rows(self) -> Iterator[Tuple[int, int, float, int, EdgeKind]]:
+        """Every edge as a ``(u, v, weight, charged_to, kind)`` tuple, in order."""
+        kinds = map(_KINDS.__getitem__, self.kind)
+        return zip(self.u, self.v, self.weight, self.charged_to, kinds)
+
+    def __len__(self) -> int:
+        return len(self.u)
 
 
 class ChargeLedger:
     """Records every emulator edge together with the vertex it is charged to.
 
-    The ledger stores the builders' plain ``(u, v, weight, charged_to,
-    kind)`` rows in per-phase segments; :class:`EdgeCharge` records are
-    built only when a view (:attr:`charges`, :meth:`charges_by_vertex`,
-    :meth:`charges_by_phase`) is read.
+    The ledger keeps one :class:`EdgeColumns` per phase segment;
+    :class:`EdgeCharge` records are built only when a view
+    (:attr:`charges`, :meth:`charges_by_vertex`, :meth:`charges_by_phase`)
+    is read.
     """
 
     def __init__(self) -> None:
-        # (phase, rows) segments in insertion order; consecutive rows of
-        # one phase share a segment.
-        self._segments: List[Tuple[int, List[ChargeRow]]] = []
+        # (phase, columns) segments in insertion order; consecutive charges
+        # of one phase share a segment.
+        self._segments: List[Tuple[int, EdgeColumns]] = []
 
-    def record(self, phase: int, rows: Iterable[ChargeRow]) -> None:
-        """Record a batch of charges made in ``phase``, in order (the rows are copied)."""
-        if self._segments and self._segments[-1][0] == phase:
-            self._segments[-1][1].extend(rows)
-        else:
-            self._segments.append((phase, list(rows)))
+    def _segment(self, phase: int) -> EdgeColumns:
+        """The columns that charges of ``phase`` are appended to next."""
+        if not self._segments or self._segments[-1][0] != phase:
+            self._segments.append((phase, EdgeColumns()))
+        return self._segments[-1][1]
+
+    def record(self, phase: int, edges: EdgeColumns) -> None:
+        """Record a batch of charges made in ``phase``, in order (the columns are copied)."""
+        self._segment(phase).extend(edges)
 
     def charge(
         self, u: int, v: int, weight: float, charged_to: int, phase: int, kind: EdgeKind
     ) -> EdgeCharge:
         """Record a charge for emulator edge ``(u, v)`` and return it."""
-        self.record(phase, ((u, v, weight, charged_to, kind),))
+        self._segment(phase).append(u, v, weight, charged_to, kind)
         return _record(phase, u, v, weight, charged_to, kind)
 
     def _rows(self) -> Iterator[Tuple[int, int, int, float, int, EdgeKind]]:
-        """Every row as ``(phase, u, v, weight, charged_to, kind)``, in order."""
-        for phase, rows in self._segments:
-            for row in rows:
+        """Every charge as ``(phase, u, v, weight, charged_to, kind)``, in order."""
+        for phase, edges in self._segments:
+            for row in edges.rows():
                 yield (phase,) + row
+
+    def _charged(self, code: int) -> Iterator[Tuple[int, int]]:
+        """``(charged_to, phase)`` of every charge whose kind byte is ``code``, in order."""
+        for phase, edges in self._segments:
+            for charged_to, byte in zip(edges.charged_to, edges.kind):
+                if byte == code:
+                    yield charged_to, phase
+
+    def __setstate__(self, state) -> None:
+        # Ledgers pickled before the columns kept their segments as lists
+        # of ``(u, v, weight, charged_to, kind)`` tuples.
+        self._segments = []
+        for phase, edges in state["_segments"]:
+            if isinstance(edges, list):
+                rows, edges = edges, EdgeColumns()
+                for row in rows:
+                    edges.append(*row)
+            self._segments.append((phase, edges))
 
     # ------------------------------------------------------------------
     # Views
@@ -116,7 +208,7 @@ class ChargeLedger:
     @property
     def num_charges(self) -> int:
         """Total number of charges recorded (one per emulator-edge insertion)."""
-        return sum(len(rows) for _, rows in self._segments)
+        return sum(len(edges) for _, edges in self._segments)
 
     def charges_by_vertex(self) -> Dict[int, List[EdgeCharge]]:
         """Map ``vertex -> list of charges`` attributed to that vertex."""
@@ -135,18 +227,18 @@ class ChargeLedger:
     def edges_per_phase(self) -> Dict[int, int]:
         """Number of edges charged in each phase."""
         counts: Dict[int, int] = defaultdict(int)
-        for phase, rows in self._segments:
-            if rows:
-                counts[phase] += len(rows)
+        for phase, edges in self._segments:
+            if edges:
+                counts[phase] += len(edges)
         return dict(counts)
 
     def interconnection_count(self) -> int:
         """Total number of interconnection edges."""
-        return sum(1 for row in self._rows() if row[5] is EdgeKind.INTERCONNECTION)
+        return sum(edges.kind.count(_INTERCONNECTION) for _, edges in self._segments)
 
     def superclustering_count(self) -> int:
         """Total number of superclustering edges."""
-        return sum(1 for row in self._rows() if row[5] is EdgeKind.SUPERCLUSTERING)
+        return sum(edges.kind.count(_SUPERCLUSTERING) for _, edges in self._segments)
 
     # ------------------------------------------------------------------
     # Invariant checks (used by tests)
@@ -159,9 +251,8 @@ class ChargeLedger:
         than ``deg_i`` such edges (Section 2.2.1).
         """
         per_vertex_phase: Dict[Tuple[int, int], int] = defaultdict(int)
-        for phase, _, _, _, charged_to, kind in self._rows():
-            if kind is EdgeKind.INTERCONNECTION:
-                per_vertex_phase[(charged_to, phase)] += 1
+        for key in self._charged(_INTERCONNECTION):
+            per_vertex_phase[key] += 1
         for (vertex, phase), count in per_vertex_phase.items():
             budget = degree_by_phase[phase]
             if count >= budget and count > 0:
@@ -173,9 +264,8 @@ class ChargeLedger:
     def verify_superclustering_budget(self) -> None:
         """Check that each vertex is charged at most one superclustering edge per phase."""
         per_vertex_phase: Dict[Tuple[int, int], int] = defaultdict(int)
-        for phase, _, _, _, charged_to, kind in self._rows():
-            if kind is EdgeKind.SUPERCLUSTERING:
-                per_vertex_phase[(charged_to, phase)] += 1
+        for key in self._charged(_SUPERCLUSTERING):
+            per_vertex_phase[key] += 1
         for (vertex, phase), count in per_vertex_phase.items():
             if count > 1:
                 raise AssertionError(
@@ -190,9 +280,8 @@ class ChargeLedger:
         belong to a single phase.
         """
         phases_by_vertex: Dict[int, set] = defaultdict(set)
-        for phase, _, _, _, charged_to, kind in self._rows():
-            if kind is EdgeKind.INTERCONNECTION:
-                phases_by_vertex[charged_to].add(phase)
+        for charged_to, phase in self._charged(_INTERCONNECTION):
+            phases_by_vertex[charged_to].add(phase)
         for vertex, phases in phases_by_vertex.items():
             if len(phases) > 1:
                 raise AssertionError(

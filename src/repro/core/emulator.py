@@ -36,8 +36,9 @@ graph's CSR snapshot.  Each considered center takes one
 that is the center's adjacency row); only a popular center then reads its
 ``2 * delta_i`` ball for ``N_i``.  The live center set is one
 ``bytearray`` (gone, in ``S``, buffered) that deep balls mask through a
-zero-copy numpy view.  A phase collects its edges as plain
-``(u, v, weight, charged_to, kind)`` rows and hands them to ``H`` and to
+zero-copy numpy view.  A phase appends its edges to flat ``array``
+columns (:class:`repro.core.charging.EdgeColumns`: ``u``, ``v``,
+``weight``, ``charged_to`` and a kind byte) and hands them to ``H`` and to
 the ledger in one call each when it ends, and ``P_{i+1}`` is ``P_i``
 relabelled through each cluster's host (:meth:`Partition.regroup`).
 
@@ -56,12 +57,12 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.charging import ChargeLedger, ChargeRow, EdgeKind
+from repro.core.charging import ChargeLedger, EdgeColumns
 from repro.core.clusters import Cluster, Partition
 from repro.core.parameters import CentralizedSchedule
 from repro.core.phase_obs import annotate_phase_span
@@ -270,10 +271,9 @@ class UltraSparseEmulatorBuilder:
         host = array("l", [-1]) * n
         offset = array("d", bytes(8 * n))
         unpopular: List[int] = []
-        # The phase's emulator edges as ``(u, v, weight, charged_to, kind)``
-        # rows in insertion order; H and the ledger take them in one call
-        # each at the end of the phase.
-        rows: List[ChargeRow] = []
+        # The phase's emulator edges in insertion order; H and the ledger
+        # take them in one call each at the end of the phase.
+        edges = EdgeColumns()
         explored = 0
 
         for center in centers:
@@ -282,17 +282,15 @@ class UltraSparseEmulatorBuilder:
             state[center] = _GONE
             explored += 1
             ball = kernels.ball(csr, center, radius)
-            neighbors = _live_centers(ball, state)
+            others, distances = _live_centers(ball, state)
 
             # Emulator edges to every neighboring center are added in both
             # the popular and the unpopular case (Algorithm 1, lines 7-8).
-            is_popular = superclustering_allowed and len(neighbors) >= degree_threshold
+            is_popular = superclustering_allowed and len(others) >= degree_threshold
 
             if not is_popular:
-                rows.extend(
-                    (center, other, d, center, EdgeKind.INTERCONNECTION) for other, d in neighbors
-                )
-                stats.interconnection_edges += len(neighbors)
+                edges.interconnect(center, others, distances)
+                stats.interconnection_edges += len(others)
                 stats.unpopular_centers += 1
                 unpopular.append(center)
                 continue
@@ -302,12 +300,12 @@ class UltraSparseEmulatorBuilder:
             stats.popular_centers += 1
             stats.superclusters_formed += 1
             host[center] = center
-            for other, d in neighbors:
-                rows.append((center, other, d, other, EdgeKind.SUPERCLUSTERING))
+            edges.supercluster(repeat(center, len(others)), others, distances)
+            for other, d in zip(others, distances):
                 host[other] = center
                 offset[other] = d
                 state[other] = _GONE
-            stats.superclustering_edges += len(neighbors)
+            stats.superclustering_edges += len(others)
 
             # Park every still-unconsidered center within distance 2*delta in
             # the buffer set N_i, with this supercluster as its host of
@@ -321,11 +319,11 @@ class UltraSparseEmulatorBuilder:
         # End of phase: buffered centers that were never absorbed join the
         # supercluster recorded when they were parked (Algorithm 1, lines 22-26).
         parked = [v for v in centers if state[v] == _BUFFERED]
-        rows.extend((host[v], v, offset[v], v, EdgeKind.SUPERCLUSTERING) for v in parked)
+        edges.supercluster(map(host.__getitem__, parked), parked, map(offset.__getitem__, parked))
         stats.superclustering_edges += len(parked)
 
-        self.emulator.add_edges(rows)
-        self.ledger.record(phase, rows)
+        self.emulator.add_edges(edges.u, edges.v, edges.weight)
+        self.ledger.record(phase, edges)
         self.unclustered_centers[phase] = unpopular
         self.phase_stats.append(stats)
         annotate_phase_span(stats, centers_explored=explored)
@@ -413,10 +411,10 @@ class NeighboringCenters(Mapping):
         state = self._is_center
         for center in centers:
             state[center] = _GONE
-            neighbors = _live_centers(kernels.ball(self._csr, center, self._radius), state)
+            others, distances = _live_centers(kernels.ball(self._csr, center, self._radius), state)
             state[center] = _IN_S
-            self._lists[center] = neighbors
-            self._counts[center] = len(neighbors)
+            self._lists[center] = list(zip(others, distances))
+            self._counts[center] = len(others)
 
     def _count_by_component(self, centers: List[int]) -> None:
         if not centers:
@@ -464,18 +462,24 @@ class NeighboringCenters(Mapping):
         return list(zip(group[keep].tolist(), reach[keep].tolist()))
 
 
-def _live_centers(ball, state: bytearray) -> List[Tuple[int, float]]:
-    """The ball's centers still in S or buffered, as ``(vertex, distance)`` by vertex."""
-    vertices, distances, _ = ball
+def _live_centers(ball, state: bytearray) -> Tuple[List[int], List[float]]:
+    """The ball's centers still in S or buffered, as ``(vertices, distances)`` by vertex.
+
+    The ball's source must be gone already.
+    """
+    vertices, distances, depth = ball
     if isinstance(vertices, list):
-        # C-level filter: keep the pairs whose state byte is nonzero.
-        live = list(compress(zip(vertices, distances), map(state.__getitem__, vertices)))
-        live.sort()
-        return live
+        # C-level filter: keep the entries whose state byte is nonzero.
+        live = map(state.__getitem__, vertices)
+        if depth <= 1:  # the source, then its neighbors in ascending order
+            others = list(compress(vertices, live))
+            return others, [1.0] * len(others)
+        pairs = sorted(compress(zip(vertices, distances), live))
+        return [v for v, _ in pairs], [d for _, d in pairs]
     keep = np.frombuffer(state, dtype=np.uint8)[vertices] != _GONE
     vertices, distances = vertices[keep], distances[keep]
     order = np.argsort(vertices, kind="stable")
-    return list(zip(vertices[order].tolist(), distances[order].tolist()))
+    return vertices[order].tolist(), distances[order].tolist()
 
 
 def _park(ball, state: bytearray, center: int, host: array, offset: array) -> int:

@@ -24,7 +24,7 @@ from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.congest.ruling_sets import greedy_ruling_set
-from repro.core.charging import ChargeLedger, ChargeRow, EdgeKind
+from repro.core.charging import ChargeLedger, EdgeColumns, EdgeKind
 from repro.core.clusters import Partition
 from repro.core.emulator import EmulatorResult, NeighboringCenters, PhaseStats
 from repro.core.parameters import DistributedSchedule
@@ -138,9 +138,9 @@ class FastCentralizedBuilder:
         n = self.graph.num_vertices
         host = array("l", [-1]) * n
         offset = array("d", bytes(8 * n))
-        # The phase's emulator edges as ``(u, v, weight, charged_to, kind)``
-        # rows in insertion order.
-        rows: List[ChargeRow] = []
+        # The phase's emulator edges in insertion order: superclustering
+        # edges, then interconnection edges.
+        joins, links = EdgeColumns(), EdgeColumns()
 
         if superclustering_allowed and popular:
             separation = self.schedule.separation(phase)
@@ -160,22 +160,20 @@ class FastCentralizedBuilder:
                 for center, d in members_by_root[root]:
                     host[center] = root
                     offset[center] = d
-                    rows.append((root, center, float(d), center, EdgeKind.SUPERCLUSTERING))
+                    joins.append(root, center, float(d), center, EdgeKind.SUPERCLUSTERING)
             stats.superclusters_formed = len(members_by_root)
-            stats.superclustering_edges = len(rows)
+            stats.superclustering_edges = len(joins)
 
         # Interconnection step: clusters that were not superclustered join
         # U_i and connect to all of their neighboring clusters.
         phase_unclustered = [c for c in centers if host[c] < 0]
         stats.unpopular_centers = len(phase_unclustered)
-        links: List[ChargeRow] = [
-            (center, other, d, center, EdgeKind.INTERCONNECTION)
-            for center in phase_unclustered
-            for other, d in neighbor_map[center]
-        ]
-        self.emulator.add_edges(rows)
-        stats.interconnection_edges = self.emulator.add_edges(links)
-        self.ledger.record(phase, rows)
+        for center in phase_unclustered:
+            for other, d in neighbor_map[center]:
+                links.append(center, other, d, center, EdgeKind.INTERCONNECTION)
+        self.emulator.add_edges(joins.u, joins.v, joins.weight)
+        stats.interconnection_edges = self.emulator.add_edges(links.u, links.v, links.weight)
+        self.ledger.record(phase, joins)
         self.ledger.record(phase, links)
 
         self.unclustered_centers[phase] = phase_unclustered

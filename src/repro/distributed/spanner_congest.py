@@ -66,10 +66,7 @@ class DistributedSpannerResult:
 
     def as_weighted(self) -> WeightedGraph:
         """The spanner as a weighted graph (unit weights), for the validators."""
-        weighted = WeightedGraph(self.spanner.num_vertices)
-        for u, v in self.spanner.edges():
-            weighted.add_edge(u, v, 1.0)
-        return weighted
+        return WeightedGraph.from_graph(self.spanner)
 
     def is_subgraph_of(self, graph: Graph) -> bool:
         """Whether every spanner edge is an edge of ``graph``."""

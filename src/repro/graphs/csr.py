@@ -1,4 +1,4 @@
-"""Flat-array CSR snapshots of the adjacency-list graph classes.
+"""Flat-array CSR snapshots of the graph classes.
 
 The construction and serving hot paths are dominated by graph
 explorations (BFS / Dijkstra) whose per-edge cost on ``List[Set[int]]``
@@ -20,7 +20,9 @@ zero-copy, and the same buffers back a :class:`scipy.sparse.csr_matrix`).
 A snapshot is immutable.  :meth:`Graph.csr` / :meth:`WeightedGraph.csr`
 compile one lazily and cache it on the graph instance with the same
 lifecycle as the memoized ``content_hash`` — any mutation drops the
-cached snapshot and the next kernel call recompiles it.
+cached snapshot and the next kernel call recompiles it.  A weighted
+snapshot is compiled from the weighted graph's edge columns in one numpy
+lexsort (:meth:`WeightedCSRGraph.from_edges`).
 
 Derived views (Python adjacency lists for the scalar kernels, numpy /
 scipy wrappers for the vectorized ones, the unit graph the row kernel
@@ -169,19 +171,21 @@ class WeightedCSRGraph(CSRGraph):
         self._subdivision: Any = None
 
     @classmethod
-    def from_weighted_graph(cls, graph) -> "WeightedCSRGraph":
-        """Compile a snapshot from a :class:`~repro.graphs.weighted_graph.WeightedGraph`."""
-        n = graph.num_vertices
-        indptr = array("l", bytes(array("l").itemsize * (n + 1)))
-        indices = array("i")
-        weights = array("d")
-        for u in range(n):
-            neighbors = graph.neighbors(u)
-            for v in sorted(neighbors):
-                indices.append(v)
-                weights.append(neighbors[v])
-            indptr[u + 1] = len(indices)
-        return cls(n, indptr, indices, weights)
+    def from_edges(cls, num_vertices: int, lo, hi, weights) -> "WeightedCSRGraph":
+        """Compile a snapshot from edge columns: edge ``i`` joins ``lo[i]``
+        and ``hi[i]`` with weight ``weights[i]``, each edge listed once.
+
+        Both directions of every edge go through one numpy lexsort by
+        ``(tail, head)``, so neighbor lists come out sorted per vertex.
+        """
+        tails = _np.concatenate((lo, hi))
+        heads = _np.concatenate((hi, lo))
+        order = _np.lexsort((heads, tails))
+        indptr = _np.zeros(num_vertices + 1, dtype=_np.dtype("l"))
+        _np.cumsum(_np.bincount(tails, minlength=num_vertices), out=indptr[1:])
+        return cls(num_vertices, array("l", indptr.tobytes()),
+                   array("i", heads[order].astype(_np.dtype("i")).tobytes()),
+                   array("d", _np.concatenate((weights, weights))[order].tobytes()))
 
     def adjacency_pairs(self) -> List[List[Tuple[int, float]]]:
         """Per-vertex sorted ``(neighbor, weight)`` lists for the scalar kernels."""

@@ -44,9 +44,7 @@ def union_with_graph(graph: Graph, overlay: Optional[WeightedGraph] = None) -> W
         raise ValueError(
             f"overlay has {overlay.num_vertices} vertices but graph has {graph.num_vertices}"
         )
-    union = WeightedGraph(graph.num_vertices)
-    for u, v in graph.edges():
-        union.add_edge(u, v, 1.0)
+    union = WeightedGraph.from_graph(graph)
     if overlay is not None:
         for u, v, w in overlay.edges():
             union.add_edge(u, v, w)

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
-from repro.core.charging import ChargeLedger, EdgeKind
+from repro.core.charging import ChargeLedger, EdgeColumns, EdgeKind
+
+
+def _columns(rows):
+    """``(u, v, weight, charged_to, kind)`` rows as one phase's columns."""
+    edges = EdgeColumns()
+    for row in rows:
+        edges.append(*row)
+    return edges
 
 
 class TestChargeRecording:
@@ -61,8 +71,8 @@ class TestRowRecording:
     def _mixed(self):
         ledger = ChargeLedger()
         ledger.charge(0, 1, 1.0, charged_to=1, phase=0, kind=EdgeKind.SUPERCLUSTERING)
-        ledger.record(0, self.ROWS)
-        ledger.record(1, [])
+        ledger.record(0, _columns(self.ROWS))
+        ledger.record(1, EdgeColumns())
         ledger.charge(2, 0, 1.0, charged_to=2, phase=1, kind=EdgeKind.INTERCONNECTION)
         return ledger
 
@@ -83,23 +93,23 @@ class TestRowRecording:
         assert repr(mixed) == repr(single)
 
     def test_record_copies_the_callers_rows(self):
-        rows = list(self.ROWS)
+        edges = _columns(self.ROWS)
         ledger = ChargeLedger()
-        ledger.record(0, rows)
+        ledger.record(0, edges)
         ledger.charge(7, 8, 1.0, charged_to=7, phase=0, kind=EdgeKind.INTERCONNECTION)
-        assert rows == self.ROWS
+        assert list(edges.rows()) == self.ROWS
         assert ledger.num_charges == 4
 
     def test_checks_fail_on_recorded_violations(self):
         ledger = ChargeLedger()
-        ledger.record(0, [(0, v, 1.0, 0, EdgeKind.INTERCONNECTION) for v in (1, 2, 3)])
+        ledger.record(0, _columns([(0, v, 1.0, 0, EdgeKind.INTERCONNECTION) for v in (1, 2, 3)]))
         with pytest.raises(AssertionError, match="vertex 0 charged 3 interconnection"):
             ledger.verify_interconnection_budget({0: 3.0})
-        ledger.record(1, [(0, 4, 1.0, 0, EdgeKind.INTERCONNECTION)])
+        ledger.record(1, _columns([(0, 4, 1.0, 0, EdgeKind.INTERCONNECTION)]))
         with pytest.raises(AssertionError, match=r"phases \[0, 1\]"):
             ledger.verify_single_charging_phase()
-        ledger.record(1, [(5, 6, 1.0, 6, EdgeKind.SUPERCLUSTERING),
-                          (7, 6, 1.0, 6, EdgeKind.SUPERCLUSTERING)])
+        ledger.record(1, _columns([(5, 6, 1.0, 6, EdgeKind.SUPERCLUSTERING),
+                                   (7, 6, 1.0, 6, EdgeKind.SUPERCLUSTERING)]))
         with pytest.raises(AssertionError, match="vertex 6 charged 2 superclustering"):
             ledger.verify_superclustering_budget()
 
@@ -149,3 +159,34 @@ class TestInvariantChecks:
         ledger.charge(0, 1, 1.0, charged_to=0, phase=0, kind=EdgeKind.SUPERCLUSTERING)
         ledger.charge(0, 2, 1.0, charged_to=0, phase=1, kind=EdgeKind.INTERCONNECTION)
         ledger.verify_single_charging_phase()
+
+
+class TestEdgeColumns:
+    def test_interconnection_and_superclustering_charges(self):
+        edges = EdgeColumns()
+        edges.interconnect(4, [1, 7], [1.0, 2.0])
+        edges.supercluster([3, 3, 9], [5, 6, 2], [1.0, 1.0, 3.0])
+        assert list(edges.rows()) == [
+            (4, 1, 1.0, 4, EdgeKind.INTERCONNECTION),
+            (4, 7, 2.0, 4, EdgeKind.INTERCONNECTION),
+            (3, 5, 1.0, 5, EdgeKind.SUPERCLUSTERING),
+            (3, 6, 1.0, 6, EdgeKind.SUPERCLUSTERING),
+            (9, 2, 3.0, 2, EdgeKind.SUPERCLUSTERING),
+        ]
+        assert len(edges) == 5
+
+    def test_ledger_pickles_its_columns(self):
+        ledger = TestRowRecording()._mixed()
+        restored = pickle.loads(pickle.dumps(ledger))
+        assert restored.charges == ledger.charges
+        assert repr(restored) == repr(ledger)
+
+    def test_row_segment_state_loads(self):
+        # Ledgers pickled as lists of row tuples per phase segment.
+        ledger = ChargeLedger.__new__(ChargeLedger)
+        ledger.__setstate__({"_segments": [(0, list(TestRowRecording.ROWS)), (1, [])]})
+        expected = ChargeLedger()
+        expected.record(0, _columns(TestRowRecording.ROWS))
+        assert ledger.charges == expected.charges
+        assert ledger.edges_per_phase() == {0: 3}
+        ledger.verify_superclustering_budget()
