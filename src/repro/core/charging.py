@@ -94,7 +94,11 @@ class EdgeColumns:
         self.kind = bytearray()
 
     def append(self, u: int, v: int, weight: float, charged_to: int, kind: EdgeKind) -> None:
-        """Append one edge."""
+        """Append one edge (the per-edge path of :meth:`ChargeLedger.charge`).
+
+        The builders append a phase in bulk through :meth:`interconnect`
+        and :meth:`supercluster`.
+        """
         self.u.append(u)
         self.v.append(v)
         self.weight.append(weight)

@@ -335,7 +335,8 @@ class NeighboringCenters(Mapping):
 
     The relation every phase of the fast emulator and the spanner starts
     from: a read-only mapping from each center of the ascending
-    ``centers`` to its ``(center, distance)`` pairs by center ID.
+    ``centers`` to its neighboring centers and their distances, as two
+    lists ``(others, distances)`` by center ID.
     :meth:`count` is known up front, because the popularity test reads
     only the count; a list is computed on first read, because only the
     centers that join ``U_i`` (and every center of a final phase)
@@ -361,7 +362,7 @@ class NeighboringCenters(Mapping):
         self._centers = centers
         self._radius = kernels.normalize_radius(radius)
         self._counts: Dict[int, int] = {}
-        self._lists: Dict[int, List[Tuple[int, float]]] = {}
+        self._lists: Dict[int, Tuple[List[int], List[float]]] = {}
         # center -> (its component's centers, the first center's distances
         # to them or None): the lists a covered component reads lazily.
         self._covered: Dict[int, tuple] = {}
@@ -379,7 +380,7 @@ class NeighboringCenters(Mapping):
         """How many other centers lie within the radius of ``center``."""
         return self._counts[center]
 
-    def __getitem__(self, center: int) -> List[Tuple[int, float]]:
+    def __getitem__(self, center: int) -> Tuple[List[int], List[float]]:
         neighbors = self._lists.get(center)
         if neighbors is None:
             if center not in self._counts:
@@ -411,10 +412,10 @@ class NeighboringCenters(Mapping):
         state = self._is_center
         for center in centers:
             state[center] = _GONE
-            others, distances = _live_centers(kernels.ball(self._csr, center, self._radius), state)
+            neighbors = _live_centers(kernels.ball(self._csr, center, self._radius), state)
             state[center] = _IN_S
-            self._lists[center] = list(zip(others, distances))
-            self._counts[center] = len(others)
+            self._lists[center] = neighbors
+            self._counts[center] = len(neighbors[0])
 
     def _count_by_component(self, centers: List[int]) -> None:
         if not centers:
@@ -428,7 +429,7 @@ class NeighboringCenters(Mapping):
             first = int(group[0])
             if len(group) == 1:
                 self._counts[first] = 0
-                self._lists[first] = []
+                self._lists[first] = ([], [])
                 continue
             row = kernels.bfs_row(self._csr, first)
             if radius is None or radius >= 2 * row[np.isfinite(row)].max():
@@ -443,38 +444,32 @@ class NeighboringCenters(Mapping):
                     row = kernels.bfs_row(self._csr, center, radius)
                 reach = row[group]
                 keep = (reach <= radius) & (group != center)
-                neighbors = list(zip(group[keep].tolist(), reach[keep].tolist()))
-                self._lists[center] = neighbors
-                self._counts[center] = len(neighbors)
+                others = group[keep].tolist()
+                self._lists[center] = (others, reach[keep].tolist())
+                self._counts[center] = len(others)
 
     # ------------------------------------------------------------------
     # Lazy lists
     # ------------------------------------------------------------------
-    def _read(self, center: int) -> List[Tuple[int, float]]:
+    def _read(self, center: int) -> Tuple[List[int], List[float]]:
         covered = self._covered.pop(center, None)
         if covered is None:  # radius <= 1: the center's row, filtered
             row = self._csr.adjacency()[center] if self._radius else []
-            return [(v, 1.0) for v in compress(row, map(self._is_center.__getitem__, row))]
+            others = list(compress(row, map(self._is_center.__getitem__, row)))
+            return others, [1.0] * len(others)
         group, reach = covered
         if reach is None:
             reach = kernels.bfs_row(self._csr, center)[group]
         keep = group != center
-        return list(zip(group[keep].tolist(), reach[keep].tolist()))
+        return group[keep].tolist(), reach[keep].tolist()
 
 
 def _live_centers(ball, state: bytearray) -> Tuple[List[int], List[float]]:
-    """The ball's centers still in S or buffered, as ``(vertices, distances)`` by vertex.
-
-    The ball's source must be gone already.
-    """
-    vertices, distances, depth = ball
+    """The ball's centers still in S or buffered, as ``(vertices, distances)`` by vertex."""
+    vertices, distances, _ = ball
     if isinstance(vertices, list):
-        # C-level filter: keep the entries whose state byte is nonzero.
-        live = map(state.__getitem__, vertices)
-        if depth <= 1:  # the source, then its neighbors in ascending order
-            others = list(compress(vertices, live))
-            return others, [1.0] * len(others)
-        pairs = sorted(compress(zip(vertices, distances), live))
+        # C-level filter: keep the pairs whose state byte is nonzero.
+        pairs = sorted(compress(zip(vertices, distances), map(state.__getitem__, vertices)))
         return [v for v, _ in pairs], [d for _, d in pairs]
     keep = np.frombuffer(state, dtype=np.uint8)[vertices] != _GONE
     vertices, distances = vertices[keep], distances[keep]

@@ -24,7 +24,7 @@ from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.congest.ruling_sets import greedy_ruling_set
-from repro.core.charging import ChargeLedger, EdgeColumns, EdgeKind
+from repro.core.charging import ChargeLedger, EdgeColumns
 from repro.core.clusters import Partition
 from repro.core.emulator import EmulatorResult, NeighboringCenters, PhaseStats
 from repro.core.parameters import DistributedSchedule
@@ -155,12 +155,15 @@ class FastCentralizedBuilder:
                 if center in dist_to_root and center != root_of[center]:
                     members_by_root[root_of[center]].append((center, dist_to_root[center]))
 
+            joined: List[int] = []
             for root in sorted(members_by_root):
                 host[root] = root
                 for center, d in members_by_root[root]:
                     host[center] = root
                     offset[center] = d
-                    joins.append(root, center, float(d), center, EdgeKind.SUPERCLUSTERING)
+                    joined.append(center)
+            joins.supercluster(map(host.__getitem__, joined), joined,
+                               map(offset.__getitem__, joined))
             stats.superclusters_formed = len(members_by_root)
             stats.superclustering_edges = len(joins)
 
@@ -169,8 +172,7 @@ class FastCentralizedBuilder:
         phase_unclustered = [c for c in centers if host[c] < 0]
         stats.unpopular_centers = len(phase_unclustered)
         for center in phase_unclustered:
-            for other, d in neighbor_map[center]:
-                links.append(center, other, d, center, EdgeKind.INTERCONNECTION)
+            links.interconnect(center, *neighbor_map[center])
         self.emulator.add_edges(joins.u, joins.v, joins.weight)
         stats.interconnection_edges = self.emulator.add_edges(links.u, links.v, links.weight)
         self.ledger.record(phase, joins)

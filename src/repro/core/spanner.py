@@ -184,7 +184,8 @@ class NearAdditiveSpannerBuilder:
                 continue
             stats.unpopular_centers += 1
             parent = bfs_tree(self.graph, center, radius=delta)
-            for other, _ in neighbor_map[center]:
+            others, _ = neighbor_map[center]
+            for other in others:
                 added = self._add_tree_path(other, parent)
                 stats.interconnection_edges += added
                 self._interconnection_edges += added

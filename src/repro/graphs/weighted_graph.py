@@ -14,8 +14,8 @@ per-edge calls (:meth:`~WeightedGraph.add_edge`,
 :meth:`~WeightedGraph.has_edge`, :meth:`~WeightedGraph.weight`), the
 per-vertex maps behind :meth:`~WeightedGraph.neighbors`, and the CSR
 snapshot.  A bulk insert drops them; :meth:`~WeightedGraph.add_edge`
-keeps the first two current, so inserting edge by edge stays amortized
-``O(1)`` per edge.
+and :meth:`~WeightedGraph.remove_edge` keep the first two current, so
+inserting edge by edge stays amortized ``O(1)`` per edge.
 """
 
 from __future__ import annotations
@@ -155,6 +155,10 @@ class WeightedGraph:
         inserted, so a bad edge raises the same ``ValueError`` as
         :meth:`add_edge` would on the first one and leaves the graph
         unchanged.  Returns the number of new edges.
+
+        A call re-sorts every column, ``O((m + k) log(m + k))`` for ``k``
+        new rows on ``m`` edges, and drops the caches: insert whole phases,
+        not many small batches (:meth:`add_edge` is the per-edge path).
         """
         u = np.asarray(u, dtype="l")
         v = np.asarray(v, dtype="l")
@@ -188,14 +192,22 @@ class WeightedGraph:
         return created
 
     def remove_edge(self, u: int, v: int) -> bool:
-        """Remove edge ``(u, v)``; returns ``True`` if it was present."""
+        """Remove edge ``(u, v)``; returns ``True`` if it was present.
+
+        ``O(m)``: the later edges move up one position in the columns, and
+        their entries in the pair index with them.
+        """
         if not self.has_edge(u, v):
             return False
-        position = self._pair_index()[self._key(u, v)]
-        del self._lo[position], self._hi[position], self._weight[position]
+        index = self._pair_index()
+        position = index.pop(self._key(u, v))
+        lo, hi = self._lo, self._hi
+        del lo[position], hi[position], self._weight[position]
+        n = self._n
+        for moved in range(position, len(lo)):
+            index[lo[moved] * n + hi[moved]] = moved
         if self._maps is not None:
             del self._maps[u][v], self._maps[v][u]
-        self._index = None  # later edges moved up one position
         self._csr = None
         return True
 

@@ -73,6 +73,16 @@ class TestEdges:
         assert g.num_edges == 0
         assert g.remove_edge(0, 1) is False
 
+    def test_remove_then_add_keeps_later_positions(self):
+        g = WeightedGraph(5, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (1, 4, 4.0)])
+        g.has_edge(0, 1)  # build the pair index before the removal
+        assert g.remove_edge(2, 0) is True
+        assert g.add_edge(0, 2, 5.0) is True
+        assert g.add_edge(3, 0, 0.5) is False
+        assert [g.weight(0, v) for v in (1, 2, 3)] == [1.0, 5.0, 0.5]
+        assert g.weight(4, 1) == 4.0
+        assert list(g.edges()) == [(0, 1, 1.0), (0, 3, 0.5), (0, 2, 5.0), (1, 4, 4.0)]
+
     def test_weight_missing_edge(self):
         g = WeightedGraph(3)
         with pytest.raises(KeyError):
