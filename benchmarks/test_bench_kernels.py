@@ -20,6 +20,7 @@ import repro
 from repro.graphs import generators, kernels
 from repro.graphs.shortest_paths import (
     _dict_bfs_distances,
+    _dict_bfs_forest,
     _dict_multi_source_bfs,
 )
 
@@ -100,6 +101,39 @@ def test_bench_kernel_multi_source(benchmark, tier_n):
 
     out = benchmark(lambda: kernels.multi_source_bfs(csr, sources))
     assert out == ref
+
+
+def test_bench_kernel_forest(benchmark, tier_n):
+    """``bfs_forest`` (64 roots, unbounded and 3 hops) vs the dict FIFO forest.
+
+    Prints both times and their ratio; the forests must be equal.  No
+    wall-clock assertion: the benchmarks directory also runs in tier-1.
+    """
+    graph = _bench_graph(tier_n)
+    csr = graph.csr()
+    roots = sorted(_sources(graph, 64))
+    csr.adjacency()  # both sides read compiled snapshot views
+    csr.scipy_matrix()
+    print()
+    for hops in (None, 3):
+        depth = float("inf") if hops is None else hops
+        parent, dist, root = kernels.bfs_forest(csr, roots, hops)
+        spanned = np.flatnonzero(dist >= 0).tolist()
+        reference = _dict_bfs_forest(graph, roots, depth)
+        assert tuple({v: int(a[v]) for v in spanned} for a in (parent, dist, root)) == reference
+        times = {}
+        for label, fn in (("kernel", lambda: kernels.bfs_forest(csr, roots, hops)),
+                          ("dict", lambda: _dict_bfs_forest(graph, roots, depth))):
+            rounds = []
+            for _ in range(5):
+                start = time.perf_counter()
+                fn()
+                rounds.append(time.perf_counter() - start)
+            times[label] = min(rounds) * 1e3
+        print(f"bfs_forest n={graph.num_vertices} hops={hops}: kernel {times['kernel']:.2f} ms, "
+              f"dict {times['dict']:.2f} ms ({times['dict'] / times['kernel']:.1f}x)")
+
+    benchmark(lambda: kernels.bfs_forest(csr, roots))
 
 
 def test_bench_kernel_dijkstra(benchmark, tier_n):

@@ -34,6 +34,7 @@ from typing import Dict, Iterable, Optional, Set
 from repro.congest.network import SynchronousNetwork
 from repro.congest.primitives import bounded_flood
 from repro.graphs.graph import Graph
+from repro.graphs.kernels import normalize_radius
 from repro.graphs.shortest_paths import bounded_bfs, multi_source_bfs
 
 __all__ = [
@@ -93,20 +94,38 @@ def greedy_ruling_set(
     """
     candidate_list = sorted(set(candidates))
     radius = max(0.0, separation - 1.0)
+    n = graph.num_vertices
+    if candidate_list and not (0 <= candidate_list[0] and candidate_list[-1] < n):
+        raise ValueError(f"candidates {candidate_list[0]}..{candidate_list[-1]} not in graph")
+    hops = normalize_radius(min(radius, n))
     selected: Set[int] = set()
-    # Distance to the nearest selected vertex, maintained incrementally: when
-    # a vertex is selected we run one bounded BFS from it and relax.
-    dist_to_selected: Dict[int, float] = {}
+    # covered[v]: some selected vertex lies within ``radius`` of v.  Each
+    # selection walks its own ball (a bounded BFS over the CSR, epoch
+    # stamps marking this walk's visits), so the cost is the balls' sizes.
+    adjacency = graph.csr().adjacency()
+    covered = bytearray(n)
+    stamp = [0] * n
     for candidate in candidate_list:
-        if dist_to_selected.get(candidate, float("inf")) <= radius:
+        if covered[candidate]:
             continue
         selected.add(candidate)
-        for v, d in bounded_bfs(graph, candidate, radius).items():
-            if d < dist_to_selected.get(v, float("inf")):
-                dist_to_selected[v] = d
-    n = max(2, graph.num_vertices)
+        epoch = len(selected)
+        stamp[candidate] = epoch
+        covered[candidate] = 1
+        frontier = [candidate]
+        for _ in range(hops):
+            reached = []
+            for u in frontier:
+                for v in adjacency[u]:
+                    if stamp[v] != epoch:
+                        stamp[v] = epoch
+                        covered[v] = 1
+                        reached.append(v)
+            if not reached:
+                break
+            frontier = reached
     if charged_rounds is None:
-        charged_rounds = separation * math.ceil(math.log2(n))
+        charged_rounds = separation * math.ceil(math.log2(max(2, n)))
     rounds = int(round(charged_rounds))
     if net is not None:
         net.charge_rounds(rounds)

@@ -76,6 +76,7 @@ __all__ = [
     "EmulatorResult",
     "UltraSparseEmulatorBuilder",
     "NeighboringCenters",
+    "forest_members",
 ]
 
 # States of a phase's vertices in the builder's bytearray: not (or no
@@ -328,6 +329,22 @@ class UltraSparseEmulatorBuilder:
         self.phase_stats.append(stats)
         annotate_phase_span(stats, centers_explored=explored)
         return partition.regroup(host, offset, phase + 1)
+
+
+def forest_members(centers: List[int], dist, root):
+    """The centers a ruling forest spans, other than its roots.
+
+    ``dist`` and ``root`` are the arrays of :func:`kernels.bfs_forest`.
+    Returns ``(members, roots, distances)`` int64 arrays ordered by root,
+    then by center ID: the order in which the SAI builders join each
+    member's cluster to the supercluster of its tree's root.
+    """
+    members = np.asarray(centers, dtype=np.int64)
+    members = members[dist.take(members) > 0]
+    roots = root.take(members)
+    by_root = np.argsort(roots, kind="stable")
+    members = members.take(by_root)
+    return members, roots.take(by_root), dist.take(members)
 
 
 class NeighboringCenters(Mapping):

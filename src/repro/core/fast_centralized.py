@@ -20,17 +20,20 @@ The resulting emulator satisfies the same ``n^(1 + 1/kappa)`` size bound
 
 from __future__ import annotations
 
+import math
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.congest.ruling_sets import greedy_ruling_set
 from repro.core.charging import ChargeLedger, EdgeColumns
 from repro.core.clusters import Partition
-from repro.core.emulator import EmulatorResult, NeighboringCenters, PhaseStats
+from repro.core.emulator import EmulatorResult, NeighboringCenters, PhaseStats, forest_members
 from repro.core.parameters import DistributedSchedule
 from repro.core.phase_obs import annotate_phase_span
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import multi_source_bfs
+from repro.graphs.kernels import bfs_forest
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs import span
 
@@ -145,26 +148,20 @@ class FastCentralizedBuilder:
         if superclustering_allowed and popular:
             separation = self.schedule.separation(phase)
             ruling = greedy_ruling_set(self.graph, popular, separation)
-            forest_depth = self.schedule.ruling_radius(phase) + delta
-            dist_to_root, root_of = multi_source_bfs(self.graph, ruling.members, forest_depth)
+            # The forest reaches floor(ruling_radius + delta) hops, the spanner's
+            # ceil(...): both kept as they were, and a kernel test pins them.
+            hops = math.floor(self.schedule.ruling_radius(phase) + delta)
+            _, dist, root_of = bfs_forest(self.graph.csr(), ruling.members, hops)
 
             # One supercluster per ruling tree, containing every cluster of
             # P_i whose center is spanned by that tree.
-            members_by_root: Dict[int, List[Tuple[int, int]]] = {r: [] for r in ruling.members}
-            for center in centers:
-                if center in dist_to_root and center != root_of[center]:
-                    members_by_root[root_of[center]].append((center, dist_to_root[center]))
-
-            joined: List[int] = []
-            for root in sorted(members_by_root):
+            members, roots, distances = forest_members(centers, dist, root_of)
+            for root in ruling.members:
                 host[root] = root
-                for center, d in members_by_root[root]:
-                    host[center] = root
-                    offset[center] = d
-                    joined.append(center)
-            joins.supercluster(map(host.__getitem__, joined), joined,
-                               map(offset.__getitem__, joined))
-            stats.superclusters_formed = len(members_by_root)
+            np.asarray(host)[members] = roots
+            np.asarray(offset)[members] = distances
+            joins.supercluster(roots.tolist(), members.tolist(), distances.tolist())
+            stats.superclusters_formed = len(ruling.members)
             stats.superclustering_edges = len(joins)
 
         # Interconnection step: clusters that were not superclustered join

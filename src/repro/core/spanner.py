@@ -10,21 +10,30 @@ superclustering edges, and the degree sequence is slowed down (EN17a-style,
 :class:`repro.core.parameters.SpannerSchedule`) so that the interconnection
 contributions decay geometrically; the total is ``O(n^(1 + 1/kappa))`` edges
 (Corollary 4.4), improving on EM19's ``O(beta n^(1 + 1/kappa))``.
+
+Each phase reads flat arrays: the ruling forest is one
+:func:`repro.graphs.kernels.bfs_forest` call (``parent``, ``dist`` and
+``root`` per vertex), and a member's tree path walks ``parent`` only up
+to the first vertex an earlier path of the same phase joined, so every
+forest edge is offered to the spanner at most once per phase.  A ``U_i``
+center grows its bounded BFS tree only when it has a neighboring center
+to connect to.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.congest.ruling_sets import greedy_ruling_set
 from repro.core.clusters import Partition
-from repro.core.emulator import NeighboringCenters, PhaseStats
+from repro.core.emulator import NeighboringCenters, PhaseStats, forest_members
 from repro.core.parameters import SpannerSchedule
 from repro.core.phase_obs import annotate_phase_span
 from repro.graphs.graph import Graph
+from repro.graphs.kernels import bfs_forest
 from repro.graphs.shortest_paths import bfs_tree
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs import span
@@ -160,33 +169,44 @@ class NearAdditiveSpannerBuilder:
         if superclustering_allowed and popular:
             separation = self.schedule.separation(phase)
             ruling = greedy_ruling_set(self.graph, popular, separation)
-            forest_depth = self.schedule.ruling_radius(phase) + delta
-            parents, dist_to_root, root_of = self._forest_parents(ruling.members, forest_depth)
+            # The forest reaches ceil(ruling_radius + delta) hops, the fast emulator's
+            # floor(...): both kept as they were, and a kernel test pins them.
+            hops = math.ceil(self.schedule.ruling_radius(phase) + delta)
+            parent, dist, root_of = bfs_forest(self.graph.csr(), ruling.members, hops)
+            members, roots, distances = forest_members(centers, dist, root_of)
 
-            members_by_root: Dict[int, List[Tuple[int, int]]] = {r: [] for r in ruling.members}
-            for center in centers:
-                if center in dist_to_root and center != root_of[center]:
-                    members_by_root[root_of[center]].append((center, dist_to_root[center]))
-
-            for root in sorted(members_by_root):
+            # Each member's tree path stops where an earlier path of this
+            # phase joined, so every forest edge is offered once.
+            parent = parent.tolist()
+            joined = bytearray(n)
+            for root in ruling.members:
                 host[root] = root
-                for center, d in members_by_root[root]:
-                    added = self._add_tree_path(center, parents)
-                    stats.superclustering_edges += added
-                    self._superclustering_edges += added
-                    host[center] = root
-                    offset[center] = d
-            stats.superclusters_formed = len(members_by_root)
+                joined[root] = 1
+            add_edge = self.spanner.add_edge
+            added = 0
+            for center, root, d in zip(members.tolist(), roots.tolist(), distances.tolist()):
+                u = center
+                while not joined[u]:
+                    joined[u] = 1
+                    added += add_edge(u, parent[u])
+                    u = parent[u]
+                host[center] = root
+                offset[center] = d
+            stats.superclustering_edges = added
+            self._superclustering_edges += added
+            stats.superclusters_formed = len(ruling.members)
 
         # Interconnection step: U_i clusters connect via shortest paths.
         for center in centers:
             if host[center] >= 0:
                 continue
             stats.unpopular_centers += 1
-            parent = bfs_tree(self.graph, center, radius=delta)
             others, _ = neighbor_map[center]
+            if not others:
+                continue
+            tree = bfs_tree(self.graph, center, radius=delta)
             for other in others:
-                added = self._add_tree_path(other, parent)
+                added = self._add_tree_path(other, tree)
                 stats.interconnection_edges += added
                 self._interconnection_edges += added
 
@@ -197,31 +217,6 @@ class NearAdditiveSpannerBuilder:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _forest_parents(
-        self, roots: Set[int], depth: float
-    ) -> Tuple[Dict[int, int], Dict[int, int], Dict[int, int]]:
-        """Parent pointers, distances and roots of the BFS forest rooted at ``roots``."""
-        parent: Dict[int, int] = {}
-        dist: Dict[int, int] = {}
-        root: Dict[int, int] = {}
-        queue: deque = deque()
-        for r in sorted(roots):
-            parent[r] = root[r] = r
-            dist[r] = 0
-            queue.append(r)
-        adjacency = self.graph.csr().adjacency()  # neighbor lists in ascending order
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= depth:
-                continue
-            for v in adjacency[u]:
-                if v not in parent:
-                    parent[v] = u
-                    dist[v] = dist[u] + 1
-                    root[v] = root[u]
-                    queue.append(v)
-        return parent, dist, root
-
     def _add_tree_path(self, vertex: int, parent: Dict[int, int]) -> int:
         """Add the tree path from ``vertex`` up to its root; return new edges."""
         added = 0

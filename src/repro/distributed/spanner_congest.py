@@ -190,8 +190,11 @@ class DistributedSpannerBuilder:
                 self.graph, unclustered, degree_threshold, delta, net=self.net
             )
         for center in unclustered:
+            knowledge = detection.knowledge.get(center)
+            if not knowledge:
+                continue
             parent = bfs_tree(self.graph, center, radius=delta)
-            for other in sorted(detection.knowledge.get(center, {})):
+            for other in sorted(knowledge):
                 added = self._add_tree_path(other, parent)
                 stats.interconnection_edges += added
                 self._interconnection_edges += added

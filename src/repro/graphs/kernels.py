@@ -84,6 +84,11 @@ smallest-source-ID tie-break.  The one exception to the canonical order
 is :func:`hop_limited`, whose vectorized path emits ascending vertex
 order while the scalar loop in :mod:`repro.hopsets.bounded_hop` emits
 discovery order — its consumers are lookup-only.
+
+The ruling-forest trees of the fast emulator and the spanner come from
+:func:`bfs_forest`: one breadth-first order over the snapshot extended
+by a virtual root, returned as ``(parent, dist, root)`` arrays that equal
+the first-in first-out dict forest, parents included.
 """
 
 from __future__ import annotations
@@ -94,6 +99,7 @@ from math import floor, inf, isinf, isnan
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as _np
+from scipy.sparse import csr_matrix as _csr_matrix
 from scipy.sparse.csgraph import breadth_first_order as _scipy_bfs_order
 from scipy.sparse.csgraph import dijkstra as _scipy_csgraph_dijkstra
 
@@ -103,6 +109,7 @@ __all__ = [
     "bfs_distances",
     "bounded_bfs",
     "multi_source_bfs",
+    "bfs_forest",
     "dijkstra",
     "bfs_row",
     "dijkstra_row",
@@ -564,6 +571,67 @@ def _numpy_multi_source(
             dist_out[v] = depth
             origin_out[v] = o
     return dist_out, origin_out
+
+
+# ----------------------------------------------------------------------
+# BFS forests (ruling-forest trees of the SAI builders)
+# ----------------------------------------------------------------------
+def bfs_forest(csr: CSRGraph, roots: Iterable[int], hops=None):
+    """The BFS forest grown from ``roots``: ``(parent, dist, root)`` int64 arrays.
+
+    Equal to a first-in first-out BFS whose queue starts with the sorted
+    roots and reads each vertex's neighbors in ascending order: ``parent[v]``
+    is the first dequeued neighbor of ``v`` one level up (a root is its own
+    parent), ``dist[v]`` its hop distance to the forest and ``root[v]`` the
+    root of its tree, so a tie goes to the smallest root.  Vertices that
+    are unreached or beyond ``hops`` read ``-1`` in all three arrays.
+    ``hops`` clamps like :func:`bounded_bfs` (``None`` = unbounded).
+
+    One :func:`scipy.sparse.csgraph.breadth_first_order` call walks the
+    snapshot extended by a virtual vertex whose row is the sorted roots;
+    scipy also dequeues first-in first-out and reads each row in CSR
+    order, so its predecessors are the FIFO parents.  Depths and roots
+    come from one pointer-jumping loop over breadth-first positions (see
+    :func:`_bfs_order_row`), in which each root points at itself.
+    """
+    n = csr.num_vertices
+    sources = sorted(set(roots))
+    for s in sources:
+        if not (0 <= s < n):
+            raise ValueError(f"source {s} not in graph")
+    h = normalize_radius(hops)
+    parent = _np.full(n, -1, dtype=_np.int64)
+    dist = parent.copy()
+    root = parent.copy()
+    if not sources:
+        return parent, dist, root
+    matrix = csr.scipy_matrix()
+    k = len(sources)
+    indptr = _np.append(matrix.indptr, matrix.indptr[-1] + k)
+    indices = _np.concatenate((matrix.indices, _np.asarray(sources, dtype=matrix.indices.dtype)))
+    extended = _csr_matrix((_np.ones(indices.shape[0]), indices, indptr), shape=(n + 1, n + 1))
+    order, predecessors = _scipy_bfs_order(extended, n, directed=True,
+                                           return_predecessors=True)
+    order = order[1:]  # drop the virtual vertex; the roots come first
+    position = _np.empty(n + 1, dtype=_np.intp)
+    position[order] = _np.arange(order.shape[0])
+    ancestor = position.take(predecessors.take(order))
+    ancestor[:k] = _np.arange(k)
+    depth = _np.ones(order.shape[0], dtype=_np.int64)
+    depth[:k] = 0
+    # Depth never decreases along the order, so once the last vertex's
+    # ancestor is a root (position below k) every vertex's is.
+    while ancestor[-1] >= k:
+        depth += depth.take(ancestor)
+        ancestor = ancestor.take(ancestor)
+    if h is not None:
+        kept = int(_np.searchsorted(depth, h, side="right"))
+        order, depth, ancestor = order[:kept], depth[:kept], ancestor[:kept]
+    parent[order] = predecessors.take(order)
+    parent[sources] = sources
+    dist[order] = depth
+    root[order] = order.take(ancestor)
+    return parent, dist, root
 
 
 # ----------------------------------------------------------------------

@@ -262,3 +262,34 @@ def _dict_multi_source_bfs(
         dist = {v: dist[v] for v in keep}
         origin = {v: origin[v] for v in keep}
     return dist, origin
+
+
+def _dict_bfs_forest(
+    graph: Graph, roots: Iterable[int], depth: float
+) -> Tuple[Dict[int, int], Dict[int, int], Dict[int, int]]:
+    """The spanner's former dict FIFO forest, kept as the reference for
+    :func:`repro.graphs.kernels.bfs_forest`: ``(parent, dist, root)`` dicts.
+
+    It expands a vertex while its distance is below ``depth``, so it
+    reaches ``ceil(depth)`` hops.
+    """
+    parent: Dict[int, int] = {}
+    dist: Dict[int, int] = {}
+    root: Dict[int, int] = {}
+    queue: deque = deque()
+    for r in sorted(roots):
+        parent[r] = root[r] = r
+        dist[r] = 0
+        queue.append(r)
+    adjacency = graph.csr().adjacency()  # neighbor lists in ascending order
+    while queue:
+        u = queue.popleft()
+        if dist[u] >= depth:
+            continue
+        for v in adjacency[u]:
+            if v not in parent:
+                parent[v] = u
+                dist[v] = dist[u] + 1
+                root[v] = root[u]
+                queue.append(v)
+    return parent, dist, root

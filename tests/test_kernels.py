@@ -23,10 +23,13 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
+from repro.core import fast_centralized as fast_module
+from repro.core import spanner as spanner_module
 from repro.graphs import generators, kernels
 from repro.graphs.csr import CSRGraph, WeightedCSRGraph
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import (
+    _dict_bfs_forest,
     _dict_bounded_bfs,
     _dict_multi_source_bfs,
     bfs_distances,
@@ -240,6 +243,109 @@ def test_multi_source_attributed_tie_break(backend):
 
 def test_multi_source_attributed_empty_sources(backend):
     assert multi_source_attributed(Graph(4, [(0, 1)]), []) == {}
+
+
+# ----------------------------------------------------------------------
+# BFS forests
+# ----------------------------------------------------------------------
+def _forest_dicts(arrays):
+    """``bfs_forest``'s arrays as the reference's ``(parent, dist, root)`` dicts."""
+    parent, dist, root = arrays
+    spanned = np.flatnonzero(dist >= 0).tolist()
+    return tuple({v: int(a[v]) for v in spanned} for a in (parent, dist, root))
+
+
+FOREST_CASES = [
+    generators.gnm_random_graph(400, 1600, seed=3),
+    generators.gnm_random_graph(300, 450, seed=4),  # sparse: several components
+    generators.path_graph(120),
+    generators.grid_graph(12, 15),
+    disconnected_graph(9),  # two components and ten isolated vertices
+    Graph(0),
+    Graph(5),  # edgeless
+]
+
+
+@pytest.mark.parametrize("g", FOREST_CASES, ids=lambda g: f"n{g.num_vertices}m{g.num_edges}")
+def test_bfs_forest_matches_the_dict_reference(g):
+    rng = random.Random(g.num_vertices + g.num_edges)
+    n = g.num_vertices
+    root_sets = [[]]
+    if n:
+        root_sets += [[rng.randrange(n)], [0, 1], [n - 2, n - 1]]  # single, adjacent
+        root_sets += [rng.sample(range(n), min(n, k)) for k in (3, 12, 40)]
+    for roots in root_sets:
+        for depth in (0, 1, 2, 2.5, 3, 5.44, 7, 40.2, 10**6):
+            want = _dict_bfs_forest(g, roots, depth)
+            got = kernels.bfs_forest(g.csr(), roots, math.ceil(depth))
+            assert _forest_dicts(got) == want, (n, roots, depth)
+        assert _forest_dicts(kernels.bfs_forest(g.csr(), roots)) == \
+            _dict_bfs_forest(g, roots, math.inf)
+
+
+def test_bfs_forest_marks_unreached_and_beyond_hops():
+    g = disconnected_graph(9)
+    parent, dist, root = kernels.bfs_forest(g.csr(), [3, 27], 2)
+    for v in range(50, 60):  # isolated vertices
+        assert parent[v] == dist[v] == root[v] == -1
+    assert parent[3] == 3 and root[3] == 3 and dist[3] == 0
+    assert set(dist.tolist()) == {-1, 0, 1, 2}
+    assert ((dist == -1) == (parent == -1)).all() and ((dist == -1) == (root == -1)).all()
+    for v in np.flatnonzero(dist > 0).tolist():  # a parent is one hop closer, same tree
+        assert dist[parent[v]] == dist[v] - 1 and root[parent[v]] == root[v]
+        assert g.has_edge(v, int(parent[v]))
+
+
+def test_bfs_forest_ties_go_to_the_smallest_root():
+    g = Graph(8, [(i, (i + 1) % 8) for i in range(8)])  # 0 and 4 tie between 2 and 6
+    parent, dist, root = kernels.bfs_forest(g.csr(), [6, 2])
+    assert root.tolist() == [2, 2, 2, 2, 2, 6, 6, 6]
+    assert dist.tolist() == [2, 1, 0, 1, 2, 1, 0, 1]
+    assert parent[0] == 1 and parent[4] == 3
+
+
+def test_bfs_forest_rejects_bad_arguments():
+    csr = generators.path_graph(4).csr()
+    with pytest.raises(ValueError):
+        kernels.bfs_forest(csr, [4])
+    with pytest.raises(ValueError):
+        kernels.bfs_forest(csr, [-1])
+    with pytest.raises(ValueError):
+        kernels.bfs_forest(csr, [0], -1)
+
+
+def test_forest_depth_rounding_is_pinned(monkeypatch):
+    """The spanner's forest reaches ``ceil(depth)`` hops, the fast emulator's
+    ``floor(depth)``: at a fractional depth they differ by one hop.
+
+    Both behaviours predate the shared kernel and the golden corpus pins
+    them; changing either one is an output change of its own.
+    """
+    path = generators.path_graph(10)
+    spanner_reach = _dict_bfs_forest(path, [0], 2.5)[1]
+    emulator_reach = multi_source_bfs(path, [0], 2.5)[0]
+    assert max(spanner_reach.values()) == 3 and max(emulator_reach.values()) == 2
+    g = generators.gnm_random_graph(300, 900, seed=1)
+    calls = []
+
+    def spy(name):
+        def forest(csr, roots, hops):
+            calls.append((name, hops))
+            return kernels.bfs_forest(csr, roots, hops)
+        return forest
+
+    monkeypatch.setattr(spanner_module, "bfs_forest", spy("spanner"))
+    monkeypatch.setattr(fast_module, "bfs_forest", spy("fast"))
+    built = {"spanner": spanner_module.NearAdditiveSpannerBuilder(g).build(),
+             "fast": fast_module.FastCentralizedBuilder(g).build()}
+    fractional = 0
+    for name, rounding in (("spanner", math.ceil), ("fast", math.floor)):
+        result = built[name]
+        depths = [result.schedule.ruling_radius(s.phase) + s.delta
+                  for s in result.phase_stats if s.superclusters_formed]
+        assert [hops for who, hops in calls if who == name] == [rounding(d) for d in depths]
+        fractional += sum(d != int(d) for d in depths)
+    assert fractional  # the phase-0 depth is 5.44: 6 hops against 5
 
 
 def test_iteration_order_identical_across_backends(monkeypatch):

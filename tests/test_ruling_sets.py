@@ -13,7 +13,8 @@ from repro.congest.ruling_sets import (
     verify_ruling_set,
 )
 from repro.graphs import generators
-from repro.graphs.shortest_paths import bfs_distances
+from repro.graphs.graph import Graph
+from repro.graphs.shortest_paths import bfs_distances, bounded_bfs
 
 
 class TestGreedyRulingSet:
@@ -69,6 +70,50 @@ class TestGreedyRulingSet:
         a = greedy_ruling_set(random_graph, list(random_graph.vertices()), 3)
         b = greedy_ruling_set(random_graph, list(random_graph.vertices()), 3)
         assert a.members == b.members
+
+
+def _dict_greedy_members(graph, candidates, separation):
+    """The greedy sweep's former dict version: the reference for its members."""
+    radius = max(0.0, separation - 1.0)
+    selected = set()
+    dist_to_selected = {}
+    for candidate in sorted(set(candidates)):
+        if dist_to_selected.get(candidate, float("inf")) <= radius:
+            continue
+        selected.add(candidate)
+        for v, d in bounded_bfs(graph, candidate, radius).items():
+            if d < dist_to_selected.get(v, float("inf")):
+                dist_to_selected[v] = d
+    return selected
+
+
+_REFERENCE_GRAPHS = {
+    "gnm": lambda: generators.gnm_random_graph(150, 300, seed=7),
+    "gnm-dense": lambda: generators.gnm_random_graph(120, 600, seed=8),
+    "path": lambda: generators.path_graph(60),
+    "grid": lambda: generators.grid_graph(9, 11),
+    "disconnected": lambda: Graph(30, [(i, i + 1) for i in range(12)] + [(15, 16), (16, 17)]),
+}
+
+
+class TestGreedyMatchesDictReference:
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_GRAPHS))
+    @pytest.mark.parametrize("separation", [*range(1, 13), 2.5, 9.5, 244.56])
+    def test_same_members_and_valid(self, name, separation):
+        graph = _REFERENCE_GRAPHS[name]()
+        n = graph.num_vertices
+        for candidates in (list(range(n)), list(range(0, n, 3)), [n - 1, 0, n // 2]):
+            result = greedy_ruling_set(graph, candidates, separation)
+            assert result.members == _dict_greedy_members(graph, candidates, separation)
+            # A fractional separation only gets floor(separation) apart:
+            # the ball radius separation - 1 is floored, as it always was.
+            assert verify_ruling_set(graph, candidates, result.members,
+                                     math.floor(separation), result.domination)
+
+    def test_candidate_outside_the_graph_rejected(self, path10):
+        for bad in ([10], [-1, 3]):
+            with pytest.raises(ValueError):
+                greedy_ruling_set(path10, bad, 3)
 
 
 class TestBitwiseRulingSet:
