@@ -18,9 +18,10 @@ unreadable entry is treated as a miss, evicted, and rebuilt.
 
 The code version participates in the key so that upgrading the package
 (which may change what a builder produces) invalidates every entry
-without any bookkeeping.  It defaults to ``repro.__version__`` and can be
-overridden with the ``REPRO_CACHE_VERSION`` environment variable (useful
-when iterating on a builder locally).
+without any bookkeeping.  It defaults to ``repro.__version__`` plus the
+:data:`RESULT_FORMAT` number and can be overridden with the
+``REPRO_CACHE_VERSION`` environment variable (useful when iterating on a
+builder locally).
 
 Specs carrying an explicit pre-built ``schedule`` object have no
 canonical serialization, so they are deliberately *uncacheable*:
@@ -51,6 +52,7 @@ def _count(event: str) -> None:
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
+    "RESULT_FORMAT",
     "ResultCache",
     "code_version",
     "resolve_cache",
@@ -89,18 +91,27 @@ def _unframe(raw: bytes) -> bytes:
     return payload
 
 
+#: Format number of what an entry holds: the pickled result and every
+#: class inside it.  It is part of :func:`code_version`, so bumping it turns
+#: every entry written before into a miss.  Bump it whenever a change alters
+#: a builder's output or how a result pickles (2: a ``Graph`` pickles as its
+#: CSR arrays).
+RESULT_FORMAT = 2
+
+
 def code_version() -> str:
     """The code-version component of every cache key.
 
-    ``REPRO_CACHE_VERSION`` overrides the package version, so local
-    builder experiments can segregate (or deliberately share) entries.
+    The package version plus :data:`RESULT_FORMAT`.
+    ``REPRO_CACHE_VERSION`` overrides both, so local builder experiments
+    can segregate (or deliberately share) entries.
     """
     override = os.environ.get("REPRO_CACHE_VERSION")
     if override:
         return override
     import repro
 
-    return getattr(repro, "__version__", "0")
+    return f"{getattr(repro, '__version__', '0')}+format{RESULT_FORMAT}"
 
 
 class _Uncacheable(Exception):

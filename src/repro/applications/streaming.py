@@ -89,10 +89,7 @@ class EdgeStream:
 
     def to_graph(self) -> Graph:
         """Materialize the stream into a graph (counts as one pass)."""
-        graph = Graph(self._n)
-        for u, v in self:
-            graph.add_edge(u, v)
-        return graph
+        return Graph(self._n, self)
 
     def mutation_batches(self, batch_size: int = 64) -> Iterator["GraphMutation"]:
         """Replay the stream as insertion batches for the live serving stack.

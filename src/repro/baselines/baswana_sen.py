@@ -43,9 +43,7 @@ def baswana_sen_spanner(graph: Graph, k: int, seed: Optional[int] = None) -> Gra
     if n == 0 or graph.num_edges == 0:
         return spanner
     if k == 1:
-        for u, v in graph.edges():
-            spanner.add_edge(u, v)
-        return spanner
+        return graph.copy()
 
     rng = random.Random(seed)
     sample_probability = n ** (-1.0 / k)

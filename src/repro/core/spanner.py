@@ -17,7 +17,9 @@ Each phase reads flat arrays: the ruling forest is one
 to the first vertex an earlier path of the same phase joined, so every
 forest edge is offered to the spanner at most once per phase.  A ``U_i``
 center grows its bounded BFS tree only when it has a neighboring center
-to connect to.
+to connect to, and not at all at ``delta <= 1``, where each neighboring
+center is adjacent.  Each step hands its edges to the spanner in one
+:meth:`~repro.graphs.graph.Graph.add_edges` call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.congest.ruling_sets import greedy_ruling_set
 from repro.core.clusters import Partition
@@ -182,21 +184,22 @@ class NearAdditiveSpannerBuilder:
             for root in ruling.members:
                 host[root] = root
                 joined[root] = 1
-            add_edge = self.spanner.add_edge
-            added = 0
+            tails: List[int] = []
             for center, root, d in zip(members.tolist(), roots.tolist(), distances.tolist()):
                 u = center
                 while not joined[u]:
                     joined[u] = 1
-                    added += add_edge(u, parent[u])
+                    tails.append(u)
                     u = parent[u]
                 host[center] = root
                 offset[center] = d
+            added = self.spanner.add_edges(tails, [parent[u] for u in tails])
             stats.superclustering_edges = added
             self._superclustering_edges += added
             stats.superclusters_formed = len(ruling.members)
 
         # Interconnection step: U_i clusters connect via shortest paths.
+        tails, heads = [], []
         for center in centers:
             if host[center] >= 0:
                 continue
@@ -204,27 +207,23 @@ class NearAdditiveSpannerBuilder:
             others, _ = neighbor_map[center]
             if not others:
                 continue
+            if delta <= 1:  # every neighboring center is adjacent: the path is the edge
+                tails.extend(others)
+                heads.extend([center] * len(others))
+                continue
             tree = bfs_tree(self.graph, center, radius=delta)
-            for other in others:
-                added = self._add_tree_path(other, tree)
-                stats.interconnection_edges += added
-                self._interconnection_edges += added
+            # A path stops at the first vertex an earlier path of this tree walked.
+            walked = set()
+            for u in others:
+                while u not in walked and tree.get(u, u) != u:
+                    walked.add(u)
+                    tails.append(u)
+                    u = tree[u]
+                    heads.append(u)
+        added = self.spanner.add_edges(tails, heads)
+        stats.interconnection_edges = added
+        self._interconnection_edges += added
 
         self.phase_stats.append(stats)
         annotate_phase_span(stats, centers_explored=len(centers))
         return partition.regroup(host, offset, phase + 1)
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _add_tree_path(self, vertex: int, parent: Dict[int, int]) -> int:
-        """Add the tree path from ``vertex`` up to its root; return new edges."""
-        added = 0
-        u = vertex
-        while parent.get(u, u) != u:
-            p = parent[u]
-            if self.spanner.add_edge(u, p):
-                added += 1
-            u = p
-        return added
-

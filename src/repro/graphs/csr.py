@@ -1,10 +1,8 @@
 """Flat-array CSR snapshots of the graph classes.
 
 The construction and serving hot paths are dominated by graph
-explorations (BFS / Dijkstra) whose per-edge cost on ``List[Set[int]]``
-adjacency is a hash probe plus a dictionary store.  A CSR (compressed
-sparse row) snapshot packs the whole adjacency structure into two flat
-buffers —
+explorations (BFS / Dijkstra).  A CSR (compressed sparse row) snapshot
+holds the whole adjacency structure in two flat buffers —
 
 * ``indptr``: ``array('l')`` of length ``n + 1`` — vertex ``u``'s
   neighbors live at positions ``indptr[u] .. indptr[u + 1]``;
@@ -18,11 +16,13 @@ operate on the buffers wholesale (:func:`numpy.frombuffer` views are
 zero-copy, and the same buffers back a :class:`scipy.sparse.csr_matrix`).
 
 A snapshot is immutable.  :meth:`Graph.csr` / :meth:`WeightedGraph.csr`
-compile one lazily and cache it on the graph instance with the same
+make one lazily and cache it on the graph instance with the same
 lifecycle as the memoized ``content_hash`` — any mutation drops the
-cached snapshot and the next kernel call recompiles it.  A weighted
-snapshot is compiled from the weighted graph's edge columns in one numpy
-lexsort (:meth:`WeightedCSRGraph.from_edges`).
+cached snapshot and the next kernel call makes a new one.  An unweighted
+:class:`~repro.graphs.graph.Graph` already stores these two arrays, so
+its snapshot wraps them without a copy.  A weighted snapshot is compiled
+from the weighted graph's edge columns in one numpy lexsort
+(:meth:`WeightedCSRGraph.from_edges`).
 
 Derived views (Python adjacency lists for the scalar kernels, numpy /
 scipy wrappers for the vectorized ones, the unit graph the row kernel
@@ -41,7 +41,14 @@ import numpy as _np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-__all__ = ["CSRGraph", "WeightedCSRGraph"]
+__all__ = ["CSRGraph", "WeightedCSRGraph", "buffer_view"]
+
+
+def buffer_view(buffer: array):
+    """A zero-copy numpy view of an ``array`` (of its typecode)."""
+    if not len(buffer):  # frombuffer rejects empty buffers
+        return _np.empty(0, dtype=buffer.typecode)
+    return _np.frombuffer(buffer, dtype=buffer.typecode)
 
 
 class CSRGraph:
@@ -63,23 +70,6 @@ class CSRGraph:
         self._bfs_rows: Optional[bool] = None
         self._workspace: Any = None
 
-    @classmethod
-    def from_graph(cls, graph) -> "CSRGraph":
-        """Compile a snapshot from a :class:`~repro.graphs.graph.Graph`.
-
-        Neighbor lists are sorted per vertex, so every kernel walks edges
-        in a deterministic order regardless of set-iteration order in the
-        source adjacency.
-        """
-        n = graph.num_vertices
-        indptr = array("l", bytes(array("l").itemsize * (n + 1)))
-        indices = array("i")
-        for u in range(n):
-            neighbors = sorted(graph.neighbors(u))
-            indices.extend(neighbors)
-            indptr[u + 1] = len(indices)
-        return cls(n, indptr, indices)
-
     @property
     def num_edges(self) -> int:
         """Number of undirected edges (``len(indices) / 2``)."""
@@ -96,24 +86,22 @@ class CSRGraph:
         and the list view is materialized once per snapshot.
         """
         if self._adjacency is None:
-            indptr, flat = self.indptr, self.indices.tolist()
-            self._adjacency = [
-                flat[indptr[u]:indptr[u + 1]] for u in range(self.num_vertices)
-            ]
+            indptr, flat = self.indptr.tolist(), self.indices.tolist()
+            self._adjacency = [flat[start:end] for start, end in zip(indptr, indptr[1:])]
         return self._adjacency
 
     def numpy_views(self):
         """Zero-copy ``(indptr, indices)`` numpy views."""
         if self._numpy is None:
-            indptr = _np.frombuffer(self.indptr, dtype=_np.dtype(self.indptr.typecode))
-            if len(self.indices):
-                indices = _np.frombuffer(
-                    self.indices, dtype=_np.dtype(self.indices.typecode)
-                )
-            else:  # frombuffer rejects empty buffers
-                indices = _np.empty(0, dtype=_np.dtype(self.indices.typecode))
-            self._numpy = (indptr, indices)
+            self._numpy = (buffer_view(self.indptr), buffer_view(self.indices))
         return self._numpy
+
+    def forward_edges(self):
+        """Columns ``(u, v)`` of the edges with ``u < v``, in ascending order."""
+        indptr, heads = self.numpy_views()[:2]
+        tails = _np.repeat(_np.arange(self.num_vertices, dtype=heads.dtype), _np.diff(indptr))
+        forward = tails < heads
+        return tails[forward], heads[forward]
 
     def scipy_matrix(self):
         """The snapshot as a unit-weight ``scipy.sparse.csr_matrix``.
@@ -190,28 +178,15 @@ class WeightedCSRGraph(CSRGraph):
     def adjacency_pairs(self) -> List[List[Tuple[int, float]]]:
         """Per-vertex sorted ``(neighbor, weight)`` lists for the scalar kernels."""
         if self._pairs is None:
-            indptr = self.indptr
+            indptr = self.indptr.tolist()
             flat = list(zip(self.indices.tolist(), self.weights.tolist()))
-            self._pairs = [
-                flat[indptr[u]:indptr[u + 1]] for u in range(self.num_vertices)
-            ]
+            self._pairs = [flat[start:end] for start, end in zip(indptr, indptr[1:])]
         return self._pairs
 
     def numpy_views(self):
         """Zero-copy ``(indptr, indices, weights)`` numpy views."""
         if self._numpy is None:
-            indptr = _np.frombuffer(self.indptr, dtype=_np.dtype(self.indptr.typecode))
-            if len(self.indices):
-                indices = _np.frombuffer(
-                    self.indices, dtype=_np.dtype(self.indices.typecode)
-                )
-                weights = _np.frombuffer(
-                    self.weights, dtype=_np.dtype(self.weights.typecode)
-                )
-            else:
-                indices = _np.empty(0, dtype=_np.dtype(self.indices.typecode))
-                weights = _np.empty(0, dtype=_np.dtype(self.weights.typecode))
-            self._numpy = (indptr, indices, weights)
+            self._numpy = tuple(map(buffer_view, (self.indptr, self.indices, self.weights)))
         return self._numpy
 
     def scipy_matrix(self):
@@ -288,10 +263,6 @@ class WeightedCSRGraph(CSRGraph):
 
 def _build_scipy_matrix(csr: CSRGraph, data: Optional[array]):
     indptr, indices = csr.numpy_views()[:2]
-    if data is None:
-        values = _np.ones(len(indices), dtype=_np.float64)
-    else:
-        values = _np.frombuffer(data, dtype=_np.float64) if len(data) \
-            else _np.empty(0, dtype=_np.float64)
+    values = _np.ones(len(indices)) if data is None else buffer_view(data)
     n = csr.num_vertices
     return csr_matrix((values, indices, indptr), shape=(n, n))

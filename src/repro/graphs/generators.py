@@ -13,7 +13,7 @@ All generators are deterministic given an explicit ``seed`` and return
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import List, Optional, Set, Tuple
 
 from repro.graphs.graph import Graph
 
@@ -69,15 +69,8 @@ def complete_graph(n: int) -> Graph:
 def grid_graph(rows: int, cols: int) -> Graph:
     """2-D grid with ``rows * cols`` vertices, row-major vertex numbering."""
     n = rows * cols
-    g = Graph(n)
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                g.add_edge(u, u + 1)
-            if r + 1 < rows:
-                g.add_edge(u, u + cols)
-    return g
+    across = [(u, u + 1) for u in range(n) if u % cols + 1 < cols]
+    return Graph(n, across + [(u, u + cols) for u in range(n - cols)])
 
 
 def torus_graph(rows: int, cols: int) -> Graph:
@@ -85,13 +78,9 @@ def torus_graph(rows: int, cols: int) -> Graph:
     if rows < 3 or cols < 3:
         raise ValueError("torus_graph requires rows, cols >= 3")
     n = rows * cols
-    g = Graph(n)
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            g.add_edge(u, r * cols + (c + 1) % cols)
-            g.add_edge(u, ((r + 1) % rows) * cols + c)
-    return g
+    return Graph(n, [(r * cols + c, r * cols + (c + 1) % cols)
+                     for r in range(rows) for c in range(cols)]
+                 + [(u, (u + cols) % n) for u in range(n)])
 
 
 def hypercube_graph(dimension: int) -> Graph:
@@ -99,13 +88,8 @@ def hypercube_graph(dimension: int) -> Graph:
     if dimension < 0:
         raise ValueError("dimension must be non-negative")
     n = 1 << dimension
-    g = Graph(n)
-    for u in range(n):
-        for bit in range(dimension):
-            v = u ^ (1 << bit)
-            if u < v:
-                g.add_edge(u, v)
-    return g
+    return Graph(n, [(u, u | 1 << bit) for u in range(n) for bit in range(dimension)
+                     if not u >> bit & 1])
 
 
 def binary_tree(height: int) -> Graph:
@@ -113,10 +97,7 @@ def binary_tree(height: int) -> Graph:
     if height < 0:
         raise ValueError("height must be non-negative")
     n = (1 << (height + 1)) - 1
-    g = Graph(n)
-    for u in range(1, n):
-        g.add_edge(u, (u - 1) // 2)
-    return g
+    return Graph(n, [(u, (u - 1) // 2) for u in range(1, n)])
 
 
 def random_tree(n: int, seed: Optional[int] = None) -> Graph:
@@ -124,10 +105,7 @@ def random_tree(n: int, seed: Optional[int] = None) -> Graph:
     if n < 1:
         raise ValueError("random_tree requires n >= 1")
     rng = random.Random(seed)
-    g = Graph(n)
-    for u in range(1, n):
-        g.add_edge(u, rng.randrange(u))
-    return g
+    return Graph(n, [(u, rng.randrange(u)) for u in range(1, n)])
 
 
 def caterpillar_graph(spine: int, legs_per_vertex: int) -> Graph:
@@ -135,41 +113,33 @@ def caterpillar_graph(spine: int, legs_per_vertex: int) -> Graph:
     if spine < 1:
         raise ValueError("spine must be at least 1")
     n = spine * (1 + legs_per_vertex)
-    g = Graph(n)
-    for i in range(spine - 1):
-        g.add_edge(i, i + 1)
-    next_leg = spine
-    for i in range(spine):
-        for _ in range(legs_per_vertex):
-            g.add_edge(i, next_leg)
-            next_leg += 1
-    return g
+    legs = [(spine_vertex, leg) for spine_vertex in range(spine)
+            for leg in range(spine + spine_vertex * legs_per_vertex,
+                             spine + (spine_vertex + 1) * legs_per_vertex)]
+    return Graph(n, [(i, i + 1) for i in range(spine - 1)] + legs)
 
 
 def erdos_renyi(n: int, p: float, seed: Optional[int] = None) -> Graph:
     """G(n, p) random graph."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    rng = random.Random(seed)
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                g.add_edge(u, v)
-    return g
+    return Graph(n, _gnp_edges(n, p, random.Random(seed)))
+
+
+def _gnp_edges(n: int, p: float, rng: random.Random) -> List[Tuple[int, int]]:
+    """Each pair ``u < v`` in lexicographic order, kept with probability ``p``."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
 
 
 def connected_erdos_renyi(n: int, p: float, seed: Optional[int] = None) -> Graph:
     """G(n, p) with a random spanning tree added, guaranteeing connectivity."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
     rng = random.Random(seed)
-    g = erdos_renyi(n, p, seed=rng.randrange(1 << 30))
+    edges = _gnp_edges(n, p, random.Random(rng.randrange(1 << 30)))
     order = list(range(n))
     rng.shuffle(order)
-    for i in range(1, n):
-        u = order[i]
-        v = order[rng.randrange(i)]
-        g.add_edge(u, v)
-    return g
+    return Graph(n, edges + [(order[i], order[rng.randrange(i)]) for i in range(1, n)])
 
 
 def gnm_random_graph(n: int, m: int, seed: Optional[int] = None) -> Graph:
@@ -178,13 +148,13 @@ def gnm_random_graph(n: int, m: int, seed: Optional[int] = None) -> Graph:
     if m > max_edges:
         raise ValueError(f"m={m} exceeds the maximum {max_edges} for n={n}")
     rng = random.Random(seed)
-    g = Graph(n)
-    while g.num_edges < m:
+    seen: Set[Tuple[int, int]] = set()
+    while len(seen) < m:
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u != v:
-            g.add_edge(u, v)
-    return g
+            seen.add((u, v) if u < v else (v, u))
+    return Graph(n, seen)
 
 
 def random_regular_graph(n: int, degree: int, seed: Optional[int] = None) -> Graph:
@@ -220,15 +190,10 @@ def ring_of_cliques(num_cliques: int, clique_size: int) -> Graph:
     if clique_size < 1:
         raise ValueError("clique_size must be at least 1")
     n = num_cliques * clique_size
-    g = Graph(n)
-    for c in range(num_cliques):
-        base = c * clique_size
-        for i in range(clique_size):
-            for j in range(i + 1, clique_size):
-                g.add_edge(base + i, base + j)
-        next_base = ((c + 1) % num_cliques) * clique_size
-        g.add_edge(base, next_base)
-    return g
+    edges = [(base + i, base + j) for base in range(0, n, clique_size)
+             for i in range(clique_size) for j in range(i + 1, clique_size)]
+    return Graph(n, edges + [(base, (base + clique_size) % n)
+                             for base in range(0, n, clique_size)])
 
 
 def barbell_graph(clique_size: int, path_length: int) -> Graph:
@@ -236,18 +201,11 @@ def barbell_graph(clique_size: int, path_length: int) -> Graph:
     if clique_size < 1:
         raise ValueError("clique_size must be at least 1")
     n = 2 * clique_size + path_length
-    g = Graph(n)
-    for i in range(clique_size):
-        for j in range(i + 1, clique_size):
-            g.add_edge(i, j)
-            g.add_edge(clique_size + path_length + i, clique_size + path_length + j)
-    chain = [clique_size - 1] + list(range(clique_size, clique_size + path_length)) + [
-        clique_size + path_length
-    ]
-    for a, b in zip(chain, chain[1:]):
-        if a != b:
-            g.add_edge(a, b)
-    return g
+    far = clique_size + path_length
+    edges = [(base + i, base + j) for base in (0, far)
+             for i in range(clique_size) for j in range(i + 1, clique_size)]
+    # The path runs from the first clique's last vertex to the second's first.
+    return Graph(n, edges + [(a, a + 1) for a in range(clique_size - 1, far)])
 
 
 def lollipop_graph(clique_size: int, path_length: int) -> Graph:
@@ -261,15 +219,8 @@ def lollipop_graph(clique_size: int, path_length: int) -> Graph:
     if path_length < 0:
         raise ValueError("path_length must be non-negative")
     n = clique_size + path_length
-    g = Graph(n)
-    for i in range(clique_size):
-        for j in range(i + 1, clique_size):
-            g.add_edge(i, j)
-    previous = clique_size - 1
-    for i in range(clique_size, n):
-        g.add_edge(previous, i)
-        previous = i
-    return g
+    edges = [(i, j) for i in range(clique_size) for j in range(i + 1, clique_size)]
+    return Graph(n, edges + [(i - 1, i) for i in range(clique_size, n)])
 
 
 def watts_strogatz(n: int, k: int, p: float, seed: Optional[int] = None) -> Graph:
@@ -293,17 +244,15 @@ def watts_strogatz(n: int, k: int, p: float, seed: Optional[int] = None) -> Grap
         raise ValueError("watts_strogatz requires 2 <= k < n")
     rng = random.Random(seed)
     half = max(1, k // 2)
-    g = Graph(n)
-    for u in range(n):
-        for offset in range(1, half + 1):
-            g.add_edge(u, (u + offset) % n)
+    g = Graph(n, [(u, (u + offset) % n) for u in range(n) for offset in range(1, half + 1)])
     # Rewire each lattice edge with probability p, keeping the graph simple.
     for u in range(n):
         for offset in range(1, half + 1):
             if rng.random() >= p:
                 continue
             v = (u + offset) % n
-            candidates = [w for w in range(n) if w != u and not g.has_edge(u, w)]
+            taken = g.neighbors(u)
+            candidates = [w for w in range(n) if w != u and w not in taken]
             if not candidates:
                 continue
             w = candidates[rng.randrange(len(candidates))]
@@ -316,11 +265,7 @@ def complete_bipartite_graph(left: int, right: int) -> Graph:
     """Complete bipartite graph ``K_{left,right}`` (left vertices come first)."""
     if left < 0 or right < 0:
         raise ValueError("part sizes must be non-negative")
-    g = Graph(left + right)
-    for u in range(left):
-        for v in range(left, left + right):
-            g.add_edge(u, v)
-    return g
+    return Graph(left + right, [(u, v) for u in range(left) for v in range(left, left + right)])
 
 
 def preferential_attachment(n: int, m: int, seed: Optional[int] = None) -> Graph:

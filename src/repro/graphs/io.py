@@ -40,7 +40,7 @@ def read_edge_list(path: PathLike) -> Graph:
         if len(header) != 2:
             raise ValueError(f"malformed header in {path}: expected 'n m'")
         n, m = int(header[0]), int(header[1])
-        graph = Graph(n)
+        edges = []
         for line in handle:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -48,7 +48,8 @@ def read_edge_list(path: PathLike) -> Graph:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"malformed edge line in {path}: {line!r}")
-            graph.add_edge(int(parts[0]), int(parts[1]))
+            edges.append((int(parts[0]), int(parts[1])))
+    graph = Graph(n, edges)
     if graph.num_edges != m:
         raise ValueError(
             f"edge count mismatch in {path}: header says {m}, read {graph.num_edges}"

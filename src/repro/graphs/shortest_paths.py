@@ -214,12 +214,13 @@ def _dict_bounded_bfs(graph: Graph, source: int, radius: Optional[float]) -> Dic
         raise ValueError(f"source {source} not in graph")
     dist: Dict[int, int] = {source: 0}
     queue: deque = deque([source])
+    adjacency = graph.csr().adjacency()  # neighbor lists in ascending order
     while queue:
         u = queue.popleft()
         du = dist[u]
         if radius is not None and du >= radius:
             continue
-        for v in graph.neighbors(u):
+        for v in adjacency[u]:
             if v not in dist:
                 dist[v] = du + 1
                 queue.append(v)
@@ -247,12 +248,13 @@ def _dict_multi_source_bfs(
         dist[s] = 0
         origin[s] = s
         queue.append(s)
+    adjacency = graph.csr().adjacency()  # neighbor lists in ascending order
     while queue:
         u = queue.popleft()
         du = dist[u]
         if radius is not None and du >= radius:
             continue
-        for v in graph.neighbors(u):
+        for v in adjacency[u]:
             if v not in dist:
                 dist[v] = du + 1
                 origin[v] = origin[u]

@@ -27,6 +27,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.graphs.csr import WeightedCSRGraph, buffer_view
+
 __all__ = ["WeightedGraph"]
 
 
@@ -58,11 +60,9 @@ class WeightedGraph:
     @classmethod
     def from_graph(cls, graph) -> "WeightedGraph":
         """A unit-weight copy of the unweighted ``graph``, edges in ``graph.edges()`` order."""
-        indptr, indices = graph.csr().numpy_views()
-        tails = np.repeat(np.arange(graph.num_vertices), np.diff(indptr))
-        forward = tails < indices
+        tails, heads = graph.csr().forward_edges()
         copy = cls(graph.num_vertices)
-        copy.add_edges(tails[forward], indices[forward], np.ones(int(forward.sum())))
+        copy.add_edges(tails, heads, np.ones(len(tails)))
         return copy
 
     # ------------------------------------------------------------------
@@ -306,8 +306,6 @@ class WeightedGraph:
         dropped by any mutation — the same lifecycle as :meth:`Graph.csr`.
         """
         if self._csr is None:
-            from repro.graphs.csr import WeightedCSRGraph
-
             self._csr = WeightedCSRGraph.from_edges(self._n, *self._columns())
         return self._csr
 
@@ -366,10 +364,7 @@ class WeightedGraph:
 
     def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Zero-copy numpy views of ``(lo, hi, weight)``."""
-        if not self._lo:  # frombuffer rejects empty buffers
-            return np.empty(0, "l"), np.empty(0, "l"), np.empty(0)
-        return (np.frombuffer(self._lo, dtype="l"), np.frombuffer(self._hi, dtype="l"),
-                np.frombuffer(self._weight))
+        return buffer_view(self._lo), buffer_view(self._hi), buffer_view(self._weight)
 
     def _key(self, u: int, v: int) -> int:
         """The pair index's key of edge ``(u, v)``."""

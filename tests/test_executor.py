@@ -178,6 +178,30 @@ class TestResultCache:
         b = ResultCache(tmp_path, version="2")
         assert a.key("hash", spec) != b.key("hash", spec)
 
+    def test_entry_of_another_result_format_is_a_miss(self, grid16, tmp_path, monkeypatch):
+        from repro.api import build
+        from repro.api import cache as cache_module
+
+        monkeypatch.delenv("REPRO_CACHE_VERSION", raising=False)
+        result = build(grid16, BuildSpec())
+        current_format = cache_module.RESULT_FORMAT
+        monkeypatch.setattr(cache_module, "RESULT_FORMAT", current_format - 1)
+        older = ResultCache(tmp_path)
+        assert older.put(older.key(grid16.content_hash(), result.spec), result)
+        monkeypatch.setattr(cache_module, "RESULT_FORMAT", current_format)
+        current = ResultCache(tmp_path)
+        assert current.version != older.version
+        assert current.get(current.key(grid16.content_hash(), result.spec)) is None
+        assert current.misses == 1 and len(current) == 1
+
+    def test_cache_version_override_replaces_the_result_format(self, monkeypatch):
+        from repro.api.cache import RESULT_FORMAT, code_version
+
+        monkeypatch.delenv("REPRO_CACHE_VERSION", raising=False)
+        assert code_version().endswith(f"+format{RESULT_FORMAT}")
+        monkeypatch.setenv("REPRO_CACHE_VERSION", "pinned")
+        assert code_version() == "pinned"
+
     def test_clear(self, grid16, cache):
         from repro.api import build
 
