@@ -2,9 +2,12 @@
 
 Times the kernel layer (:mod:`repro.graphs.kernels`) against the
 reference dict implementations it replaced, on graphs large enough that
-exploration cost — not per-call overhead — dominates.  The headline check: CSR BFS must be at least **3x** faster than
-the dict BFS at the active workload tier (the kernels exist for exactly
-this reason; a regression below that is a bug, not noise).
+exploration cost — not per-call overhead — dominates.  The headline
+check: CSR BFS must be at least **3x** faster than the dict BFS at the
+active workload tier (the kernels exist for exactly this reason; a
+regression below that is a bug, not noise).  Like every wall-clock check
+here it asserts only with ``REPRO_BENCH_WALL_CLOCK=1`` (the CI
+benchmarks job); the tier-1 run checks the outputs and prints the ratio.
 """
 
 from __future__ import annotations
@@ -62,32 +65,38 @@ def test_bench_kernel_speedup_at_least_3x(tier_n):
     """The acceptance gate: CSR BFS >= 3x over dict BFS at this tier.
 
     Measured directly (best of several rounds on both sides, same
-    sources) rather than via the benchmark fixture, so the assertion
-    compares apples to apples within one process.
+    sources) rather than via the benchmark fixture, so the ratio compares
+    apples to apples within one process.  The kernel and dict rounds
+    alternate, so a slow stretch of a shared host lands on both sides.
+    Both sides must agree on every source; the 3x check runs only with
+    ``REPRO_BENCH_WALL_CLOCK=1``, as in the CI benchmarks job, so the
+    tier-1 run stays free of timing assertions.
     """
     graph = _bench_graph(tier_n)
     csr = graph.csr()
     sources = _sources(graph, 10)
-    kernels.bfs_distances(csr, sources[0])  # warm the snapshot views
+    for s in sources:  # also warms the snapshot views
+        assert kernels.bfs_distances(csr, s) == _dict_bfs_distances(graph, s), s
 
-    def best_of(fn, rounds=5):
-        times = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            for s in sources:
-                fn(s)
-            times.append(time.perf_counter() - start)
-        return min(times)
+    def timed(fn):
+        start = time.perf_counter()
+        for s in sources:
+            fn(s)
+        return time.perf_counter() - start
 
-    kernel_time = best_of(lambda s: kernels.bfs_distances(csr, s))
-    dict_time = best_of(lambda s: _dict_bfs_distances(graph, s))
+    kernel_rounds, dict_rounds = [], []
+    for _ in range(9):
+        kernel_rounds.append(timed(lambda s: kernels.bfs_distances(csr, s)))
+        dict_rounds.append(timed(lambda s: _dict_bfs_distances(graph, s)))
+    kernel_time, dict_time = min(kernel_rounds), min(dict_rounds)
     ratio = dict_time / kernel_time
     print(f"\nCSR BFS speedup over dict BFS: {ratio:.2f}x "
           f"(dict {dict_time:.4f}s, kernel {kernel_time:.4f}s)")
-    assert ratio >= 3.0, (
-        f"CSR BFS only {ratio:.2f}x faster than the dict BFS "
-        f"(dict {dict_time:.4f}s vs kernel {kernel_time:.4f}s)"
-    )
+    if os.environ.get("REPRO_BENCH_WALL_CLOCK") == "1":
+        assert ratio >= 3.0, (
+            f"CSR BFS only {ratio:.2f}x faster than the dict BFS "
+            f"(dict {dict_time:.4f}s vs kernel {kernel_time:.4f}s)"
+        )
 
 
 def test_bench_kernel_multi_source(benchmark, tier_n):

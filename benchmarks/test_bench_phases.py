@@ -1,19 +1,27 @@
 """Benchmarks for full phase-structured builds.
 
-Times the emulator and spanner builders end to end (every builder reads
-one :func:`repro.graphs.kernels.ball` per considered center), the CSR
-compile of a built emulator, and the seeded ``local`` query-stream
-generator, which reads one ball per distinct source.
+Times the emulator and spanner builders end to end (Algorithm 1 reads
+each considered center's CSR row at ``delta_0 = 1`` and one
+:func:`repro.graphs.kernels.bfs_row` per center in deeper phases; the
+fast emulator and the spanner count neighboring centers up front), the
+phases of one default Algorithm 1 build, the CSR compile of a built
+emulator, and the seeded ``local`` query-stream generator, which reads
+one :func:`repro.graphs.kernels.ball` per distinct source.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import statistics
 import time
 
+import numpy as np
+
+from repro import obs
 from repro.api import BuildSpec, build
 from repro.graphs import generators
+from repro.graphs.graph import Graph
 
 
 def _build_graph(tier_n, seed=3):
@@ -75,6 +83,48 @@ def test_bench_spanner_within_5x_of_the_emulator(tier_n):
           f"spanner/centralized {times['spanner']:.1f} ms ({ratio:.2f}x)")
     if os.environ.get("REPRO_BENCH_WALL_CLOCK") == "1":
         assert ratio <= 5.0, times
+
+
+def _numpy_gnm(n, m, seed):
+    """A G(n, m) graph whose ``m`` distinct edges are drawn with numpy."""
+    rng = np.random.default_rng(seed)
+    keys = np.empty(0, dtype=np.int64)
+    while len(keys) < m:
+        u, v = rng.integers(0, n, size=(2, 2 * m))
+        keep = u != v
+        lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
+        keys = np.unique(np.concatenate((keys, lo * n + hi)))
+    keys = rng.permutation(keys)[:m]
+    return Graph(n, zip((keys // n).tolist(), (keys % n).tolist()))
+
+
+def test_bench_emulator_phase_times(tier_n):
+    """Each phase of a default Algorithm 1 build, on the ``build`` workload's shape.
+
+    gnm with n = 5000 and m = 4n, the graph shape perfbench's ``build``
+    workload times; phase 0 (``delta_0 = 1``, one CSR row per considered
+    center) is most of a build.  Prints each phase's median time over
+    seven builds, read from the ``emulator.phase`` spans; there is no
+    wall-clock assertion.
+    """
+    n = tier_n(5000)
+    graph = _numpy_gnm(n, 4 * n, seed=1)
+    first = build(graph, BuildSpec())
+    was_enabled = obs.set_enabled(True)
+    try:
+        with obs.capture_spans() as captured:
+            for _ in range(7):
+                assert build(graph, BuildSpec()).edges == first.edges
+    finally:
+        obs.set_enabled(was_enabled)
+    phases = {}
+    for record in captured.spans:
+        if record.name == "emulator.phase":
+            phases.setdefault(record.attrs["phase"], []).append(record.duration_s * 1e3)
+    assert sorted(phases) == list(range(len(first.raw.phase_stats)))
+    print(f"\ngnm n={n} m={4 * n}, default Algorithm 1: " + ", ".join(
+        f"phase {phase} {statistics.median(times):.2f} ms"
+        for phase, times in sorted(phases.items())))
 
 
 def test_bench_emulator_csr_compile(benchmark, tier_n):

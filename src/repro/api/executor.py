@@ -21,8 +21,8 @@ sub-command and the experiment harness).  It takes the fully expanded grid
    distances (the expensive half of every stretch check) are computed
    once per graph instead of once per spec.
 
-Builds share nothing else: each builder reads its own per-center balls
-(:func:`repro.graphs.kernels.ball`), which measured no slower than
+Builds share nothing else: each builder reads its own per-center
+neighbourhoods from the CSR snapshot, which measured no slower than
 sharing explorations across the specs of a sweep.
 
 The records come back in deterministic grid order (graphs outer, specs

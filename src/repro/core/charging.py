@@ -31,8 +31,7 @@ import enum
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 __all__ = ["EdgeKind", "EdgeCharge", "EdgeColumns", "ChargeLedger"]
 
@@ -106,30 +105,29 @@ class EdgeColumns:
         self.kind.append(_INTERCONNECTION if kind is EdgeKind.INTERCONNECTION
                          else _SUPERCLUSTERING)
 
-    def interconnect(self, center: int, others: Sequence[int],
-                     weights: Sequence[float]) -> None:
+    def interconnect(self, center: int, others: List[int], weights: List[float]) -> None:
         """Append the interconnection edges ``(center, others[i])``.
 
         Each is charged to ``center``, the unpopular center that adds them.
         """
         count = len(others)
-        self.u.extend(repeat(center, count))
-        self.v.extend(others)
-        self.weight.extend(weights)
-        self.charged_to.extend(repeat(center, count))
+        centers = [center] * count
+        self.u.fromlist(centers)
+        self.v.fromlist(others)
+        self.weight.fromlist(weights)
+        self.charged_to.fromlist(centers)
         self.kind.extend(bytes((_INTERCONNECTION,)) * count)
 
-    def supercluster(self, hosts: Iterable[int], members: Sequence[int],
-                     weights: Iterable[float]) -> None:
+    def supercluster(self, hosts: List[int], members: List[int], weights: List[float]) -> None:
         """Append the superclustering edges ``(hosts[i], members[i])``.
 
         Each is charged to ``members[i]``, the center whose cluster joins
         the supercluster built around ``hosts[i]``.
         """
-        self.u.extend(hosts)
-        self.v.extend(members)
-        self.weight.extend(weights)
-        self.charged_to.extend(members)
+        self.u.fromlist(hosts)
+        self.v.fromlist(members)
+        self.weight.fromlist(weights)
+        self.charged_to.fromlist(members)
         self.kind.extend(bytes((_SUPERCLUSTERING,)) * len(members))
 
     def extend(self, other: "EdgeColumns") -> None:

@@ -126,7 +126,7 @@ class Partition:
         """The phase-0 partition of ``{0 .. n-1}`` into singletons."""
         partition = cls()
         partition._grow(num_vertices)  # radius 0.0 and phase 0 everywhere
-        partition._center_of = array("l", range(num_vertices))
+        partition._center_of = array("l", _np.arange(num_vertices, dtype="l").tobytes())
         partition._centers = array("l", partition._center_of)
         partition._num_covered = num_vertices
         return partition
@@ -248,6 +248,10 @@ class Partition:
     def centers(self) -> List[int]:
         """Sorted list of all cluster centers."""
         return self._centers.tolist()
+
+    def center_ids(self):
+        """All cluster centers as a sorted int64 numpy array (a copy)."""
+        return _np.array(self._centers, dtype=_np.int64)
 
     def clusters(self) -> List[Cluster]:
         """All clusters, sorted by center ID (deterministic order)."""

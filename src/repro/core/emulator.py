@@ -31,25 +31,31 @@ Every inserted edge is recorded in a :class:`repro.core.charging.ChargeLedger`
 so the tests can check the charging invariants the size proof relies on.
 
 The builder reads only what the algorithm reads, straight from the
-graph's CSR snapshot.  Each considered center takes one
-:func:`repro.graphs.kernels.ball` of radius ``delta_i`` (at ``delta_0 = 1``
-that is the center's adjacency row); only a popular center then reads its
-``2 * delta_i`` ball for ``N_i``.  The live center set is one
-``bytearray`` (gone, in ``S``, buffered) that deep balls mask through a
-zero-copy numpy view.  A phase appends its edges to flat ``array``
-columns (:class:`repro.core.charging.EdgeColumns`: ``u``, ``v``,
-``weight``, ``charged_to`` and a kind byte) and hands them to ``H`` and to
-the ledger in one call each when it ends, and ``P_{i+1}`` is ``P_i``
-relabelled through each cluster's host (:meth:`Partition.regroup`).
+graph's CSR snapshot, and gets each center's live neighboring centers
+back in ascending vertex order, so at ``delta_0 = 1`` and in the deep
+phases no center sorts, builds a dict or walks a ball.  The live center
+set is one ``bytearray`` (gone, in ``S``, buffered).  At ``delta_0 = 1``
+a considered center's neighboring centers are its CSR row filtered by
+that bytearray.  A popular center then parks the centers of ``S`` in its
+neighbours' rows: it has just absorbed every live center of its own row,
+so each of those is at distance exactly 2.  Deeper phases read the
+finite entries of one :func:`repro.graphs.kernels.bfs_row` per center
+(ascending by construction) and mask them through the bytearray's numpy
+view, and only a popular center reads its ``2 * delta_i`` row for
+``N_i``.  A phase appends its edges to flat ``array`` columns
+(:class:`repro.core.charging.EdgeColumns`: ``u``, ``v``, ``weight``,
+``charged_to`` and a kind byte) and hands them to ``H`` and to the ledger
+in one call each when it ends, and ``P_{i+1}`` is ``P_i`` relabelled
+through each cluster's host (:meth:`Partition.regroup`).
 
 :class:`NeighboringCenters` serves the builders that decide every
 center's popularity up front, the fast emulator (Section 3.3) and the
 spanner (Section 4).  Popularity needs only a count, so it counts first
-(in numpy at radius <= 1, by ball walks at radius 2, and beyond by one
-unbounded row per connected component whenever the radius is at least
-twice that row's depth), and it computes a center's list only when the
-center interconnects: the centers left in ``U_i``, and every center of
-the final phase.
+(in numpy at radius <= 1, from each center's vertex-ordered
+neighbourhood at radius 2, and beyond by one unbounded row per connected
+component whenever the radius is at least twice that row's depth), and
+it computes a center's list only when the center interconnects: the
+centers left in ``U_i``, and every center of the final phase.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -239,32 +245,31 @@ class UltraSparseEmulatorBuilder:
     ) -> Partition:
         """Execute one phase of Algorithm 1 and return ``P_{phase+1}``.
 
-        Centers are considered in ascending order, each through one
-        :func:`kernels.ball` of radius ``delta`` (the center's CSR row at
-        ``delta = 1``).  A popular center then reads its ``2 * delta``
-        ball, unless its ``delta`` ball already holds its whole component.
         Which centers are still in ``S`` or buffered in ``N_i`` lives in one
-        ``bytearray`` indexed by vertex.  The phase's edges are inserted
-        into ``H`` and recorded in the ledger in bulk at the end, in the
-        order the algorithm adds them, and ``P_{phase+1}`` is ``P_phase``
-        relabelled through each cluster's host.
+        ``bytearray`` indexed by vertex, seeded through its numpy view.
+        Centers are considered in ascending order, each reading its live
+        neighboring centers in ascending vertex order
+        (:func:`_centers_within`: the center's CSR row at ``delta = 1``,
+        the finite entries of one :func:`kernels.bfs_row` in deep phases).
+        A popular center then parks the centers of ``S`` within
+        ``2 * delta`` (:func:`_park`: its neighbours' rows at ``delta =
+        1``), unless its ``delta`` ball already held its whole component.
+        The phase's edges are inserted into ``H`` and recorded in the
+        ledger in bulk at the end, in the order the algorithm adds them,
+        and ``P_{phase+1}`` is ``P_phase`` relabelled through each
+        cluster's host.
         """
         delta = self.schedule.delta(phase)
         degree_threshold = self.schedule.degree(phase)
-        stats = PhaseStats(
-            phase=phase,
-            num_clusters=partition.num_clusters,
-            delta=delta,
-            degree_threshold=degree_threshold,
-        )
         csr = self.graph.csr()
         radius = kernels.normalize_radius(delta)
+        wide = kernels.normalize_radius(2.0 * delta)
 
         n = self.graph.num_vertices
         centers = partition.centers()
         state = bytearray(n)
-        for center in centers:
-            state[center] = _IN_S
+        view = np.frombuffer(state, dtype=np.uint8)
+        view[partition.center_ids()] = _IN_S
         # host[c] = h, offset[c] = d: the cluster centered at c joins the
         # supercluster centered at h, at distance d (-1: it joins none).  A
         # buffered center's entry is its host of record, overwritten if
@@ -275,15 +280,14 @@ class UltraSparseEmulatorBuilder:
         # The phase's emulator edges in insertion order; H and the ledger
         # take them in one call each at the end of the phase.
         edges = EdgeColumns()
-        explored = 0
+        explored = interconnections = buffered = 0
 
         for center in centers:
             if state[center] != _IN_S:
                 continue
             state[center] = _GONE
             explored += 1
-            ball = kernels.ball(csr, center, radius)
-            others, distances = _live_centers(ball, state)
+            others, distances, depth = _centers_within(csr, center, radius, state)
 
             # Emulator edges to every neighboring center are added in both
             # the popular and the unpopular case (Algorithm 1, lines 7-8).
@@ -291,38 +295,47 @@ class UltraSparseEmulatorBuilder:
 
             if not is_popular:
                 edges.interconnect(center, others, distances)
-                stats.interconnection_edges += len(others)
-                stats.unpopular_centers += 1
+                interconnections += len(others)
                 unpopular.append(center)
                 continue
 
             # Popular center: form a supercluster around it (its offset
             # stays 0: a center in S was never buffered).
-            stats.popular_centers += 1
-            stats.superclusters_formed += 1
             host[center] = center
-            edges.supercluster(repeat(center, len(others)), others, distances)
+            edges.supercluster([center] * len(others), others, distances)
             for other, d in zip(others, distances):
                 host[other] = center
                 offset[other] = d
                 state[other] = _GONE
-            stats.superclustering_edges += len(others)
 
             # Park every still-unconsidered center within distance 2*delta in
             # the buffer set N_i, with this supercluster as its host of
             # record (Algorithm 1, lines 18-20).  A delta ball that stopped
-            # short of depth delta already holds the center's whole component.
-            _, _, depth = ball
+            # short of depth delta holds the center's whole component, whose
+            # live centers were all just absorbed: none is left to park.
             if radius is not None and depth >= radius:
-                ball = kernels.ball(csr, center, 2.0 * delta)
-            stats.buffered_centers += _park(ball, state, center, host, offset)
+                buffered += _park(csr, center, wide, state, host, offset)
 
         # End of phase: buffered centers that were never absorbed join the
-        # supercluster recorded when they were parked (Algorithm 1, lines 22-26).
-        parked = [v for v in centers if state[v] == _BUFFERED]
-        edges.supercluster(map(host.__getitem__, parked), parked, map(offset.__getitem__, parked))
-        stats.superclustering_edges += len(parked)
+        # supercluster recorded when they were parked (Algorithm 1, lines
+        # 22-26), in ascending order like every center loop.
+        parked = np.flatnonzero(view == _BUFFERED)
+        edges.supercluster(np.asarray(host)[parked].tolist(), parked.tolist(),
+                           np.asarray(offset)[parked].tolist())
 
+        popular = explored - len(unpopular)
+        stats = PhaseStats(
+            phase=phase,
+            num_clusters=partition.num_clusters,
+            delta=delta,
+            degree_threshold=degree_threshold,
+            popular_centers=popular,
+            unpopular_centers=len(unpopular),
+            superclusters_formed=popular,
+            buffered_centers=buffered,
+            interconnection_edges=interconnections,
+            superclustering_edges=len(edges) - interconnections,
+        )
         self.emulator.add_edges(edges.u, edges.v, edges.weight)
         self.ledger.record(phase, edges)
         self.unclustered_centers[phase] = unpopular
@@ -362,8 +375,8 @@ class NeighboringCenters(Mapping):
 
     * radius <= 1: each center's center-neighbors, counted in numpy from
       the CSR buffers;
-    * radius 2: one :func:`kernels.ball` walk per center, whose list is
-      kept;
+    * radius 2: each center's vertex-ordered neighbourhood, the rows of
+      its CSR row (:func:`_centers_within`), whose list is kept;
     * deeper: one unbounded :func:`kernels.bfs_row` from each connected
       component's smallest center.  When ``radius >= 2 * ecc`` every pair
       of the component is within ``radius`` (``d(u, w) <= d(u, c) +
@@ -388,7 +401,7 @@ class NeighboringCenters(Mapping):
             self._is_center[center] = 1
         if self._radius is not None and self._radius <= 1:
             self._count_adjacent(centers)
-        elif self._radius == kernels.BALL_WALK_MAX_RADIUS:
+        elif self._radius == 2:
             self._walk_balls(centers)
         else:
             self._count_by_component(centers)
@@ -429,10 +442,10 @@ class NeighboringCenters(Mapping):
         state = self._is_center
         for center in centers:
             state[center] = _GONE
-            neighbors = _live_centers(kernels.ball(self._csr, center, self._radius), state)
+            others, distances, _ = _centers_within(self._csr, center, self._radius, state)
             state[center] = _IN_S
-            self._lists[center] = neighbors
-            self._counts[center] = len(neighbors[0])
+            self._lists[center] = (others, distances)
+            self._counts[center] = len(others)
 
     def _count_by_component(self, centers: List[int]) -> None:
         if not centers:
@@ -470,10 +483,8 @@ class NeighboringCenters(Mapping):
     # ------------------------------------------------------------------
     def _read(self, center: int) -> Tuple[List[int], List[float]]:
         covered = self._covered.pop(center, None)
-        if covered is None:  # radius <= 1: the center's row, filtered
-            row = self._csr.adjacency()[center] if self._radius else []
-            others = list(compress(row, map(self._is_center.__getitem__, row)))
-            return others, [1.0] * len(others)
+        if covered is None:  # radius <= 1 (a row never holds its own vertex)
+            return _centers_within(self._csr, center, self._radius, self._is_center)[:2]
         group, reach = covered
         if reach is None:
             reach = kernels.bfs_row(self._csr, center)[group]
@@ -481,35 +492,69 @@ class NeighboringCenters(Mapping):
         return group[keep].tolist(), reach[keep].tolist()
 
 
-def _live_centers(ball, state: bytearray) -> Tuple[List[int], List[float]]:
-    """The ball's centers still in S or buffered, as ``(vertices, distances)`` by vertex."""
-    vertices, distances, _ = ball
-    if isinstance(vertices, list):
-        # C-level filter: keep the pairs whose state byte is nonzero.
-        pairs = sorted(compress(zip(vertices, distances), map(state.__getitem__, vertices)))
-        return [v for v, _ in pairs], [d for _, d in pairs]
-    keep = np.frombuffer(state, dtype=np.uint8)[vertices] != _GONE
-    vertices, distances = vertices[keep], distances[keep]
-    order = np.argsort(vertices, kind="stable")
-    return vertices[order].tolist(), distances[order].tolist()
+def _centers_within(csr, center: int, radius: Optional[int], state: bytearray):
+    """The centers within ``radius`` of ``center`` whose ``state`` byte is set.
+
+    Returns ``(others, distances, depth)``: those centers in ascending
+    vertex order, their distances as floats, and the depth of the
+    center's ball (the largest distance of any vertex within ``radius``:
+    below ``radius`` only when the ball holds the center's whole
+    component).  ``radius`` is normalized (``None`` = unbounded) and
+    ``center``'s own byte must be clear.  At radius <= 1 this is the
+    center's CSR row, filtered; at radius 2 the rows of that row, sorted
+    once; deeper, the finite entries of one :func:`kernels.bfs_row`, which
+    come in vertex order.
+    """
+    if radius is not None and radius <= 2:
+        adjacency = csr.adjacency()
+        row = adjacency[center] if radius else []
+        others = list(compress(row, map(state.__getitem__, row)))
+        if radius < 2 or not row:
+            return others, [1.0] * len(others), 1 if row else 0
+        far = set(chain.from_iterable(map(adjacency.__getitem__, row)))
+        far.difference_update(row)
+        far.discard(center)
+        pairs = sorted(chain(zip(others, repeat(1.0)),
+                             zip(compress(far, map(state.__getitem__, far)), repeat(2.0))))
+        return [v for v, _ in pairs], [d for _, d in pairs], 2 if far else 1
+    dense = kernels.bfs_row(csr, center, radius)
+    reached = np.flatnonzero(np.isfinite(dense))
+    live = reached[np.frombuffer(state, dtype=np.uint8)[reached] != _GONE]
+    return live.tolist(), dense[live].tolist(), int(dense[reached].max())
 
 
-def _park(ball, state: bytearray, center: int, host: array, offset: array) -> int:
-    """Buffer the ball's centers still in S under ``center``; return how many."""
-    vertices, distances, _ = ball
-    if isinstance(vertices, list):
+def _park(csr, center: int, radius: Optional[int], state: bytearray,
+          host: array, offset: array) -> int:
+    """Buffer the centers of S within ``radius`` of ``center`` under it; return how many.
+
+    Every center closer than ``radius`` must already have left S: a
+    popular center absorbs each live center within ``delta``, and
+    ``radius`` is ``2 * delta`` clamped, so up to radius 2 that leaves
+    only the centers at distance exactly ``radius``.  Those are the
+    vertices of S that ``radius`` steps along the CSR rows reach, which
+    the center parks straight from the rows; deeper, one
+    :func:`kernels.bfs_row` finds them.  Each such center gets the same
+    host and offset whichever order parks it.
+    """
+    if radius is not None and radius <= 2:
+        adjacency = csr.adjacency()
+        reach = [center]
+        for _ in range(radius):
+            reach = chain.from_iterable(map(adjacency.__getitem__, reach))
+        distance = float(radius)
         parked = 0
-        for v, d in zip(vertices, distances):
+        for v in reach:
             if state[v] == _IN_S:
                 state[v] = _BUFFERED
                 host[v] = center
-                offset[v] = d
+                offset[v] = distance
                 parked += 1
         return parked
+    dense = kernels.bfs_row(csr, center, radius)
     view = np.frombuffer(state, dtype=np.uint8)
-    keep = view[vertices] == _IN_S
-    vertices = vertices[keep]
-    view[vertices] = _BUFFERED
-    np.asarray(host)[vertices] = center
-    np.asarray(offset)[vertices] = distances[keep]
-    return len(vertices)
+    reached = np.flatnonzero(np.isfinite(dense))
+    parked = reached[view[reached] == _IN_S]
+    view[parked] = _BUFFERED
+    np.asarray(host)[parked] = center
+    np.asarray(offset)[parked] = dense[parked]
+    return len(parked)

@@ -13,8 +13,8 @@ matching the signatures in :mod:`repro.graphs.shortest_paths`.  The
 serving layer skips that conversion: :func:`bfs_row` and
 :func:`dijkstra_row` return a dense float64 row (``inf`` for unreached
 vertices), bit for bit the row of :func:`scipy.sparse.csgraph.dijkstra`
-(see *Rows* below).  The construction phases read one center's ball at a
-time through :func:`ball` (see *Phase explorations* below).
+(see *Rows* below).  The construction phases read one center's
+neighbourhood at a time (see *Phase explorations* below).
 
 Each call picks its path from its radius and the snapshot's size alone:
 
@@ -64,14 +64,21 @@ generators sampling a BFS ball) do not depend on which path answered.
 Phase explorations
 ------------------
 Every construction phase reads, for each cluster center, the other
-centers within one radius.  :func:`ball` is that read for one center: an
-adjacency-list walk up to :data:`BALL_WALK_MAX_RADIUS`, one C
-:func:`bfs_row` search beyond.  Algorithm 1 and the ``local`` query
-workload call it once per center or source, and the baselines take
-:func:`bfs_row` or :func:`bounded_bfs` directly.  The fast emulator and
-the spanner read :class:`repro.core.emulator.NeighboringCenters`, which
-counts before it lists: past radius 2 it runs one unbounded
-:func:`bfs_row` per connected component (labels from
+centers within one radius.  The builders want them in ascending vertex
+order, so they read the snapshot directly
+(:func:`repro.core.emulator._centers_within`): at radius <= 1 the
+center's adjacency row, at radius 2 the rows of that row, deeper the
+finite entries of one :func:`bfs_row`, which :func:`numpy.flatnonzero`
+returns in vertex order.  Algorithm 1 reads it once per considered
+center and parks a popular center's ``2 * delta`` neighbours from the
+same rows, and the baselines take :func:`bfs_row` or
+:func:`bounded_bfs` directly.  :func:`ball` returns a ball in the
+canonical ``(distance, vertex)`` order instead; the seeded ``local``
+query workload reads one per source, and its streams depend on that
+order.  The fast emulator and the spanner read
+:class:`repro.core.emulator.NeighboringCenters`, which counts before it
+lists: past radius 2 it runs one unbounded :func:`bfs_row` per
+connected component (labels from
 :meth:`~repro.graphs.csr.CSRGraph.component_labels`), and a component
 whose every pair lies within the radius needs no other search until a
 center's list is read.  There is no batching layer and no cross-build
@@ -416,15 +423,17 @@ def _dense_to_dict(dense, as_float: bool) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# Balls (one center's exploration in a construction phase)
+# Balls (one source's neighbourhood in canonical order)
 # ----------------------------------------------------------------------
-#: Balls up to this radius walk the snapshot's adjacency lists; deeper
-#: ones take one :func:`bfs_row` C search.  A radius-2 walk reads only
-#: the source's row and its neighbors' rows; a radius-3 walk may read
-#: most of the edge set.  Per ball on gnm graphs, walk vs row (2-vCPU
+#: :func:`ball` walks the snapshot's adjacency lists up to this radius;
+#: deeper balls take one :func:`bfs_row` C search.  A radius-2 walk reads
+#: only the source's row and its neighbors' rows; a radius-3 walk may
+#: read most of the edge set.  Per ball on gnm graphs, walk vs row (2-vCPU
 #: x86 VM, Python 3.11, scipy 1.17): n = 5000, mean degree 8: radius 2
 #: 17 vs 75 us, radius 3 139 vs 156 us; mean degree 40: radius 2 324 vs
-#: 696 us, radius 3 2942 vs 1642 us (n = 20000: 8.5 vs 6.9 ms).
+#: 696 us, radius 3 2942 vs 1642 us (n = 20000: 8.5 vs 6.9 ms).  The
+#: builders' vertex-ordered reads in :mod:`repro.core.emulator` split at
+#: the same radius: rows up to 2, one :func:`bfs_row` beyond.
 BALL_WALK_MAX_RADIUS = 2
 
 

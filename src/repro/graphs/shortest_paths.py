@@ -13,9 +13,10 @@ The original dict-based implementations survive as the module-private
 ``_dict_*`` functions — they are the reference the kernel equivalence
 suite and the kernel benchmarks compare against.
 
-Construction phases read one center's ball at a time through
-:func:`repro.graphs.kernels.ball` (Algorithm 1, the fast emulator, the
-spanner) or through :func:`bounded_bfs` (the baselines), and
+Construction phases read one center's neighbourhood at a time straight
+from the CSR snapshot (Algorithm 1, the fast emulator, the spanner; see
+:mod:`repro.graphs.kernels`) or through :func:`bounded_bfs` (the
+baselines), and
 :func:`multi_source_attributed` collapses "closest center" assignments
 into a single pass.  Every call computes its search afresh; the golden
 build corpus pins the builders' outputs.

@@ -124,6 +124,7 @@ def _answers(partition, n):
     vertices = range(-1, n + 1)
     return {
         "centers": partition.centers(),
+        "center_ids": (partition.center_ids().dtype.str, partition.center_ids().tolist()),
         "clusters": [key(c) for c in partition.clusters()],
         "cluster_of_vertex": [key(partition.cluster_of_vertex(v)) for v in vertices],
         "covers": [partition.covers(v) for v in vertices],

@@ -18,6 +18,7 @@ from repro.core.emulator import UltraSparseEmulatorBuilder
 from repro.core.parameters import CentralizedSchedule, size_bound, ultra_sparse_kappa
 from repro.graphs import generators
 from repro.graphs.graph import Graph
+from repro.graphs.kernels import normalize_radius
 
 
 EMULATOR = BuildSpec(product="emulator", eps=0.1, kappa=4)
@@ -266,21 +267,30 @@ class TestBuilderApi:
 
 
 class TestExplorations:
-    """Algorithm 1 reads a center's 2*delta_i ball only when it is popular."""
+    """Algorithm 1 reads a center's 2*delta_i neighbourhood only when it is popular."""
 
     @staticmethod
     def _build_recording(monkeypatch, graph, **params):
-        """Build while recording every ``(source, radius)`` ball the builder asks for."""
-        balls = []
-        real = emulator_module.kernels.ball
+        """Build while recording each ``(center, radius)`` the builder reads.
 
-        def recording(csr, source, radius):
-            balls.append((source, radius))
-            return real(csr, source, radius)
+        ``reads`` are the delta_i neighbourhoods every considered center
+        reads; ``parks`` the 2*delta_i neighbourhoods read for N_i.
+        """
+        reads, parks = [], []
+        real_read, real_park = emulator_module._centers_within, emulator_module._park
 
-        monkeypatch.setattr(emulator_module.kernels, "ball", recording)
+        def read(csr, center, radius, state):
+            reads.append((center, radius))
+            return real_read(csr, center, radius, state)
+
+        def park(csr, center, radius, *rest):
+            parks.append((center, radius))
+            return real_park(csr, center, radius, *rest)
+
+        monkeypatch.setattr(emulator_module, "_centers_within", read)
+        monkeypatch.setattr(emulator_module, "_park", park)
         result = UltraSparseEmulatorBuilder(graph, **params).build()
-        return result, balls
+        return result, reads, parks
 
     @pytest.mark.parametrize("graph, params", [
         (generators.grid_graph(12, 12), {"eps": 0.5, "kappa": 8}),
@@ -288,9 +298,13 @@ class TestExplorations:
         (generators.connected_erdos_renyi(160, 0.04, seed=5), {"eps": 0.1, "kappa": 4}),
     ])
     def test_only_popular_centers_fetch_the_wide_ball(self, monkeypatch, graph, params):
-        result, balls = self._build_recording(monkeypatch, graph, **params)
+        result, reads, parks = self._build_recording(monkeypatch, graph, **params)
         for stats, superclusters in zip(result.phase_stats, result.partitions[1:]):
-            wide = [source for source, radius in balls if radius == 2 * stats.delta]
+            radius = normalize_radius(stats.delta)
+            read = [center for center, r in reads if r == radius]
+            # Every considered center reads its delta neighbourhood once.
+            assert len(read) == len(set(read)) == stats.popular_centers + stats.unpopular_centers
+            wide = [center for center, r in parks if r == normalize_radius(2 * stats.delta)]
             # Popular centers are exactly the supercluster centers of P_{i+1}.
             assert set(wide) <= set(superclusters.centers())
             if stats.phase == 0:
@@ -300,13 +314,15 @@ class TestExplorations:
 
     def test_ball_covering_the_component_is_reused(self, monkeypatch):
         # delta_1 = 6 exceeds this graph's eccentricities, so the popular
-        # phase-1 center's delta ball already holds its whole component.
+        # phase-1 center's delta ball already holds its whole component and
+        # there is nothing left in it to park.
         graph = generators.connected_erdos_renyi(160, 0.04, seed=5)
-        result, balls = self._build_recording(monkeypatch, graph, eps=0.5, kappa=8)
+        result, reads, parks = self._build_recording(monkeypatch, graph, eps=0.5, kappa=8)
         stats = result.phase_stats[1]
         assert stats.delta == 6.0 and stats.popular_centers == 1
-        assert stats.delta in {radius for _, radius in balls}
-        assert all(radius != 2 * stats.delta for _, radius in balls)
+        assert stats.buffered_centers == 0
+        assert 6 in {radius for _, radius in reads}
+        assert all(radius != 12 for _, radius in parks)
 
 
 def _mixed_components_graph():
